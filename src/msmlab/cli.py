@@ -38,7 +38,7 @@ from .msm import (
     msm_residual_of_gauge_trajectory,
 )
 from .presets import map_preset, msm_preset
-from .spectral import Grid1D, Grid2D
+from .spectral import Grid1D, Grid2D, _validate_size
 from .storage import save_map_field, save_msm_state, write_csv, write_manifest
 
 CONFIG_VERSION = 1
@@ -113,6 +113,13 @@ def _positive_float(value, where: str) -> float:
     return float(value)
 
 
+def _grid_size(value, where: str) -> None:
+    try:
+        _validate_size(_positive_int(value, where))
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
 def _validate_grid(kind: str, grid: dict, where: str) -> None:
     keys = _GRID_KEYS.get(kind, {"n", "length"})
     _check_keys(grid, keys, f"{where}.grid")
@@ -121,9 +128,9 @@ def _validate_grid(kind: str, grid: dict, where: str) -> None:
         if not isinstance(sizes, list) or not sizes:
             raise ConfigError(f"{where}.grid.sizes must be a nonempty list")
         for n in sizes:
-            _positive_int(n, f"{where}.grid.sizes entry")
+            _grid_size(n, f"{where}.grid.sizes entry")
     else:
-        _positive_int(grid.get("n"), f"{where}.grid.n")
+        _grid_size(grid.get("n"), f"{where}.grid.n")
     _positive_float(grid.get("length"), f"{where}.grid.length")
 
 
@@ -167,6 +174,8 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
             raise ConfigError(f"{where}.preset.params must be an object")
     options = dict(raw.get("options", {}))
     _check_keys(options, _OPTION_KEYS[kind], f"{where}.options")
+    if "soliton_n" in options:
+        _grid_size(options["soliton_n"], f"{where}.options.soliton_n")
     for suite in options.get("suites", []):
         if suite not in RATIO_SUITES:
             raise ConfigError(

@@ -58,12 +58,10 @@ __all__ = [
     "GaugeState",
     "ConsistencyReport",
     "b_fields",
-    "solve_hodge_gauge",
     "build_gauge_state",
     "verify_consistency",
     "beta_potential",
     "alpha_potential",
-    "compute_a0",
     "hasimoto_1d",
     "NLSFit",
     "fit_nls_coefficient",
@@ -150,13 +148,6 @@ class GaugeState:
     a0: np.ndarray
     psi: np.ndarray
     beta: np.ndarray
-    alpha: np.ndarray
-
-    @property
-    def kappa(self) -> np.ndarray:
-        """Antisymmetric potential with a_k = sum_l d_l kappa[l, k]."""
-        z = np.zeros(self.grid.shape)
-        return np.array([[z, -self.beta], [self.beta, z]])
 
     @property
     def harmonic_means(self) -> tuple[float, float]:
@@ -169,17 +160,6 @@ def b_fields(mf: MapField) -> tuple[np.ndarray, np.ndarray]:
     w = mf.stereo()
     rho = 1.0 + np.abs(w) ** 2
     return mf.grid.dx(w) / rho, mf.grid.dy(w) / rho
-
-
-def solve_hodge_gauge(mf: MapField) -> np.ndarray:
-    """Gauge phase psi (real, zero mean) making the connection solenoidal."""
-    grid = mf.grid
-    w = mf.stereo()
-    b1, b2 = b_fields(mf)
-    m1 = 2.0 * np.imag(np.conj(b1) * w)
-    m2 = 2.0 * np.imag(np.conj(b2) * w)
-    rhs = grid.dx(m1) + grid.dy(m2)
-    return grid.inverse_laplacian(rhs, project_mean=True)
 
 
 def build_gauge_state(mf: MapField) -> GaugeState:
@@ -197,16 +177,9 @@ def build_gauge_state(mf: MapField) -> GaugeState:
     sign = mf.target.sign
     beta = beta_potential(grid, u1, u2, sign)
     a0 = alpha_potential(grid, u1, u2, sign, form="poisson")
-    alpha = np.real(alpha_potential(grid, u1, u2, sign, form="riesz"))
     return GaugeState(
-        grid=grid, sign=sign, u1=u1, u2=u2, a1=a1, a2=a2, a0=a0,
-        psi=psi, beta=beta, alpha=alpha,
+        grid=grid, sign=sign, u1=u1, u2=u2, a1=a1, a2=a2, a0=a0, psi=psi, beta=beta,
     )
-
-
-def compute_a0(gs: GaugeState) -> np.ndarray:
-    """Time component of the connection (zero-mean elliptic solve)."""
-    return alpha_potential(gs.grid, gs.u1, gs.u2, gs.sign, form="poisson")
 
 
 # -- consistency residuals ---------------------------------------------------

@@ -189,10 +189,6 @@ def term_breakdown(state: MSMState, dealias: bool = True) -> dict[str, tuple[np.
 # -- time stepping -----------------------------------------------------------
 
 
-def _fftpair(g: Grid2D, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return g.fft(a), g.fft(b)
-
-
 def _nl_hat(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     f1, f2 = nonlinearity(state, cfg.terms, cfg.dealias)
     return state.grid.fft(f1), state.grid.fft(f2)
@@ -207,7 +203,7 @@ def _step_strang(state: MSMState, cfg: SolverConfig) -> MSMState:
     """Half linear flow (exact in Fourier), midpoint rule on N, half linear."""
     g = state.grid
     half = np.exp(-1j * g.k2 * (cfg.dt / 2))
-    v1, v2 = _fftpair(g, state.u1, state.u2)
+    v1, v2 = g.fft(state.u1), g.fft(state.u2)
     mid = _with_fields(state, half * v1, half * v2, state.t)
 
     n1, n2 = _nl_hat(mid, cfg)
@@ -243,7 +239,7 @@ def _etdrk4_tables(grid: Grid2D, dt: float):
 def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> MSMState:
     g = state.grid
     e, e2, q, f1, f2, f3 = _etdrk4_tables(g, cfg.dt)
-    v1, v2 = _fftpair(g, state.u1, state.u2)
+    v1, v2 = g.fft(state.u1), g.fft(state.u2)
 
     n_u = _nl_hat(state, cfg)
     a1, a2 = e2 * v1 + q * n_u[0], e2 * v2 + q * n_u[1]
@@ -268,7 +264,7 @@ def _step_picard(state: MSMState, cfg: SolverConfig) -> MSMState:
     """
     g = state.grid
     prop = np.exp(-1j * g.k2 * cfg.dt)
-    v1, v2 = _fftpair(g, state.u1, state.u2)
+    v1, v2 = g.fft(state.u1), g.fft(state.u2)
     n0 = _nl_hat(state, cfg)
     base1 = prop * (v1 + (cfg.dt / 2) * n0[0])
     base2 = prop * (v2 + (cfg.dt / 2) * n0[1])

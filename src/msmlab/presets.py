@@ -126,16 +126,3 @@ def msm_preset(grid: Grid2D, name: str, params: dict | None = None, seed: int = 
         return MSMState(grid=grid, u1=u1, u2=u2)
     raise ConfigError(f"unknown field preset {name!r} (available: {sorted(MSM_PRESETS)})")
 
-
-def soliton_profile(grid: Grid1D, eta: float = 1.0) -> np.ndarray:
-    """Bright-soliton profile eta * sech(eta (x - L/2)) of the gauged line.
-
-    This is the t = 0 slice of the exact traveling-phase solution of the
-    cubic equation produced by the 1-D gauge transform; its amplitude is
-    tied to the cubic coefficient of that equation, not chosen freely.
-    """
-    if not isinstance(grid, Grid1D):
-        raise ConfigError("soliton_1d preset needs a 1-D grid")
-    if eta <= 0:
-        raise ConfigError("soliton amplitude eta must be positive")
-    return (eta / np.cosh(eta * (grid.x - grid.length / 2))).astype(np.complex128)

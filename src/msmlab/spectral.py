@@ -10,8 +10,13 @@ the quadrature weight ``(L/n)^d`` so that Plancherel holds exactly between
 ``norm2`` and ``sobolev_norm(..., s=0)``.  A single Fourier mode
 ``A * exp(i k.x)`` has ``sobolev_norm = |A| * (1 + |k|^2)^(s/2) * L^(d/2)``.
 
-Grids are immutable; derived arrays are computed once and cached, which
-doubles as the FFT "plan" cache (all cached arrays are read-only views).
+Every :class:`Grid2D` operator transforms axes (0, 1) and broadcasts over
+any trailing axes, so an ``(n, n, nt)`` stack of fields is processed slice
+by slice in one call.  Each operator is a Fourier multiplier applied through
+one private helper.
+
+Grids are immutable; derived arrays, including the multipliers, are computed
+once and cached.
 """
 
 from __future__ import annotations
@@ -147,9 +152,23 @@ class Grid2D:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Two-thirds rule: keep integer frequencies with \|m\| <= n/3."""
+        """Two-thirds rule: keep integer frequencies with |m| <= n/3."""
         keep = np.abs(self.modes) <= self.n // 3
         return keep[:, None] & keep[None, :]
+
+    @cached_property
+    def inverse_laplacian_symbol(self) -> np.ndarray:
+        """Multiplier -1/|k|^2 of the zero-mean inverse Laplacian (0 at k=0)."""
+        out = np.zeros(self.shape)
+        nz = self.k2 > 0
+        out[nz] = 1.0 / -self.k2[nz]
+        return out
+
+    @cached_property
+    def riesz_symbols(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real odd multipliers k_j / |k| of the two Riesz transforms (0 at k=0)."""
+        kmag = np.where(self.kmag > 0, self.kmag, 1.0)
+        return self.kx / kmag, self.ky / kmag
 
     @property
     def spacing(self) -> float:
@@ -162,47 +181,51 @@ class Grid2D:
     # -- transforms and derivatives --------------------------------------
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(f)
+        return np.fft.fft2(f, axes=(0, 1))
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(fh)
+        return np.fft.ifft2(fh, axes=(0, 1))
+
+    def _times(self, symbol: np.ndarray, fh: np.ndarray) -> np.ndarray:
+        """An (n, n) multiplier times a spectrum, broadcast over trailing axes."""
+        return symbol.reshape(symbol.shape + (1,) * (fh.ndim - 2)) * fh
+
+    def _apply(self, symbol: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return _real_like(f, self.ifft(self._times(symbol, self.fft(f))))
 
     def dx(self, f: np.ndarray) -> np.ndarray:
-        return _real_like(f, np.fft.ifft2(1j * self.kx * np.fft.fft2(f)))
+        return self._apply(1j * self.kx, f)
 
     def dy(self, f: np.ndarray) -> np.ndarray:
-        return _real_like(f, np.fft.ifft2(1j * self.ky * np.fft.fft2(f)))
+        return self._apply(1j * self.ky, f)
 
     def derivative(self, f: np.ndarray, axis: int) -> np.ndarray:
         return self.dx(f) if axis == 0 else self.dy(f)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return _real_like(f, np.fft.ifft2(-self.k2 * np.fft.fft2(f)))
-
-    def mean(self, f: np.ndarray):
-        return np.mean(f)
-
-    def project_mean(self, f: np.ndarray) -> np.ndarray:
-        return f - np.mean(f)
+        return self._apply(-self.k2, f)
 
     def inverse_laplacian(self, f: np.ndarray, project_mean: bool = True) -> np.ndarray:
-        """Zero-mean solution of ``laplacian g = f``.
+        """Zero-mean solution of ``laplacian g = f``, slice by slice.
 
         With ``project_mean`` the zero mode of ``f`` is discarded; otherwise a
-        mean exceeding ``MEAN_TOL_FACTOR * norm2(f)`` raises
+        slice mean exceeding ``MEAN_TOL_FACTOR * norm2(f)`` raises
         :class:`NonzeroMeanError`.
         """
-        m = np.mean(f)
-        if not project_mean and abs(m) > MEAN_TOL_FACTOR * max(self.norm2(f), 1e-300):
-            raise NonzeroMeanError(
-                f"inverse Laplacian of data with mean {abs(m):.3e} "
-                f"(tolerance {MEAN_TOL_FACTOR:.1e} * ||f||)"
-            )
-        fh = np.fft.fft2(f)
-        gh = np.zeros_like(fh)
-        nz = self.k2 > 0
-        gh[nz] = fh[nz] / (-self.k2[nz])
-        return _real_like(f, np.fft.ifft2(gh))
+        if not project_mean:
+            m = np.max(np.abs(np.mean(f, axis=(0, 1))))
+            if m > MEAN_TOL_FACTOR * max(self.norm2(f), 1e-300):
+                raise NonzeroMeanError(
+                    f"inverse Laplacian of data with mean {m:.3e} "
+                    f"(tolerance {MEAN_TOL_FACTOR:.1e} * ||f||)"
+                )
+        return self._apply(self.inverse_laplacian_symbol, f)
+
+    def grad_inverse_laplacian(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of the zero-mean inverse Laplacian of f (mean discarded)."""
+        gh = self._times(self.inverse_laplacian_symbol, self.fft(f))
+        return (_real_like(f, self.ifft(self._times(1j * self.kx, gh))),
+                _real_like(f, self.ifft(self._times(1j * self.ky, gh))))
 
     def riesz(self, axis: int, f: np.ndarray) -> np.ndarray:
         """Riesz transform R_axis f with multiplier k_axis / |k| (0 at k=0).
@@ -211,14 +234,10 @@ class Grid2D:
         field is purely imaginary; the result is therefore always returned
         complex.  Compositions of two transforms map real back to real.
         """
-        kj = self.kx if axis == 0 else self.ky
-        mult = np.zeros(self.shape)
-        nz = self.kmag > 0
-        mult[nz] = kj[nz] / self.kmag[nz]
-        return np.fft.ifft2(mult * np.fft.fft2(f))
+        return self.ifft(self._times(self.riesz_symbols[axis], self.fft(f)))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
-        return _real_like(f, np.fft.ifft2(self.dealias_mask * np.fft.fft2(f)))
+        return self._apply(self.dealias_mask, f)
 
     # -- Littlewood-Paley decomposition -----------------------------------
 
@@ -245,7 +264,7 @@ class Grid2D:
         return lp_annulus_window(self.kmag, float(level))
 
     def lp_project(self, f: np.ndarray, level: int) -> np.ndarray:
-        return _real_like(f, np.fft.ifft2(self.lp_window(level) * np.fft.fft2(f)))
+        return self._apply(self.lp_window(level), f)
 
     # -- norms -------------------------------------------------------------
 
@@ -253,7 +272,7 @@ class Grid2D:
         return float(np.sqrt(np.sum(np.abs(f) ** 2)) * self.spacing)
 
     def sobolev_norm(self, f: np.ndarray, s: float) -> float:
-        coeff = np.fft.fft2(f) / self.n**2
+        coeff = self.fft(f) / self.n**2
         weight = (1.0 + self.k2) ** s
         return float(self.length * np.sqrt(np.sum(weight * np.abs(coeff) ** 2)))
 

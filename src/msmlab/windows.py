@@ -10,9 +10,7 @@ is 0 for t <= 0, 1 for t >= 1 and smooth in between.  From it we build:
 * ``high_cut(t)``: 1 for t <= 1, 0 for t >= PLATEAU_EDGE, used for the
   frequency-space Littlewood-Paley windows,
 * ``unit_window(t)``: a smooth characteristic function of (-1, 1) with
-  plateau \|t\| <= 3/4, used as the time cutoff psi(t / delta),
-* ``time_window(t, extent)``: a plateau window on [0, extent] vanishing
-  identically at both ends, used to window space-time fields.
+  plateau |t| <= 3/4, used as the time cutoff psi(t / delta).
 
 The dyadic partition of unity on frequency space is
 
@@ -35,7 +33,6 @@ __all__ = [
     "lp_low_window",
     "lp_annulus_window",
     "unit_window",
-    "time_window",
 ]
 
 # Upper edge of the transition region of ``high_cut``.  Any value in (1, 2]
@@ -78,18 +75,7 @@ def lp_annulus_window(r, level: float) -> np.ndarray:
 
 
 def unit_window(t) -> np.ndarray:
-    """Smooth characteristic function of (-1, 1), equal to 1 on \|t\| <= 3/4."""
+    """Smooth characteristic function of (-1, 1), equal to 1 on |t| <= 3/4."""
     t = np.asarray(t, dtype=float)
     return smooth_step(4.0 * (1.0 - np.abs(t)))
 
-
-def time_window(t, extent: float, margin: float = 0.125) -> np.ndarray:
-    """Plateau window on [0, extent], identically zero at both endpoints.
-
-    Rises on [m, 2m] and falls on [extent - 2m, extent - m] where
-    m = margin * extent, so sampled values at t = 0 and t = extent are
-    exactly zero.
-    """
-    t = np.asarray(t, dtype=float)
-    m = margin * extent
-    return smooth_step((t - m) / m) * smooth_step((extent - m - t) / m)

@@ -26,7 +26,6 @@ alternating maximization from below.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ import numpy as np
 from .conventions import BETA_COEF
 from .errors import TooLargeError
 from .spectral import Grid2D
+from .storage import write_csv
 from .windows import unit_window
 
 __all__ = [
@@ -234,7 +234,7 @@ def free_solution_field(
     times = np.arange(nt) * (t_window / nt)
     cut = unit_window((times - t_window / 2) / delta)
     phases = np.exp(-1j * grid.k2[:, :, None] * times[None, None, :])
-    vals = np.fft.ifft2(phases * u0h[:, :, None], axes=(0, 1)) * cut[None, None, :]
+    vals = grid.ifft(phases * u0h[:, :, None]) * cut[None, None, :]
     return SpaceTimeField(grid=grid, t_window=t_window, values=vals, cutoff=cut)
 
 
@@ -463,7 +463,7 @@ class RatioReport:
     def csv_row(self) -> list:
         return [
             self.test_name, self.grid_n, self.nt, self.eps, self.s,
-            self.ensemble_size, f"{self.max_ratio:.12e}", self.argmax_seed,
+            self.ensemble_size, self.max_ratio, self.argmax_seed,
         ]
 
 
@@ -471,11 +471,7 @@ CSV_HEADER = ["test_name", "grid", "nt", "eps", "s", "ensemble_size", "max_ratio
 
 
 def write_ratio_csv(reports: Iterable[RatioReport], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rep in reports:
-            writer.writerow(rep.csv_row())
+    write_csv(path, CSV_HEADER, [rep.csv_row() for rep in reports])
 
 
 def _ratio_report(name, trials, eps, s, values) -> RatioReport:
@@ -529,18 +525,6 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> list[Rati
     ]
 
 
-def _grad_inv_laplacian(grid: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial gradient of the zero-mean inverse Laplacian, slicewise in t."""
-    vh = np.fft.fft2(vals, axes=(0, 1))
-    k2 = grid.k2[:, :, None]
-    inv = np.zeros_like(vh)
-    nz = np.broadcast_to(k2 > 0, vh.shape)
-    inv[nz] = (vh / np.where(k2 > 0, -k2, 1.0))[nz]
-    gx = np.fft.ifft2(1j * grid.kx[:, :, None] * inv, axes=(0, 1))
-    gy = np.fft.ifft2(1j * grid.ky[:, :, None] * inv, axes=(0, 1))
-    return gx, gy
-
-
 def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
     """Gradient-potential pairings: grad inv-lap (u1 conj u2) . grad inv-lap (u3 conj u4) u5.
 
@@ -555,8 +539,8 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
         den = float(np.prod([xsb_norm(f, s, b_den, +1) for f in u]))
         if den == 0.0:
             return 0.0
-        g1x, g1y = _grad_inv_laplacian(u[0].grid, u[0].values * np.conj(u[1].values))
-        g2x, g2y = _grad_inv_laplacian(u[2].grid, u[2].values * np.conj(u[3].values))
+        g1x, g1y = u[0].grid.grad_inverse_laplacian(u[0].values * np.conj(u[1].values))
+        g2x, g2y = u[2].grid.grad_inverse_laplacian(u[2].values * np.conj(u[3].values))
         vals = (g1x * g2x + g1y * g2y) * u[4].values
         cut = np.ones(u[0].nt)
         for f in u:
@@ -579,24 +563,13 @@ def _nullform_values(trial: Trial) -> tuple[complex, complex]:
     u1, u2, u3, w = trial.fields
     grid = u1.grid
     # Stream potential of the pair (u1, u2), slicewise in time.
-    src = BETA_COEF * np.imag(u1.values * np.conj(u2.values))
-    sh = np.fft.fft2(src, axes=(0, 1))
-    k2 = grid.k2[:, :, None]
-    bh = np.zeros_like(sh)
-    nz = np.broadcast_to(k2 > 0, sh.shape)
-    bh[nz] = (sh / np.where(k2 > 0, -k2, 1.0))[nz]
-    beta_x = np.real(np.fft.ifft2(1j * grid.kx[:, :, None] * bh, axes=(0, 1)))
-    beta_y = np.real(np.fft.ifft2(1j * grid.ky[:, :, None] * bh, axes=(0, 1)))
-
-    def dx(v):
-        return np.fft.ifft2(1j * grid.kx[:, :, None] * np.fft.fft2(v, axes=(0, 1)), axes=(0, 1))
-
-    def dy(v):
-        return np.fft.ifft2(1j * grid.ky[:, :, None] * np.fft.fft2(v, axes=(0, 1)), axes=(0, 1))
-
+    beta_x, beta_y = grid.grad_inverse_laplacian(
+        BETA_COEF * np.imag(u1.values * np.conj(u2.values)))
     measure = grid.spacing**2 * u1.dt
-    direct = measure * np.sum(w.values * (beta_x * dy(u3.values) - beta_y * dx(u3.values)))
-    parts = measure * np.sum(u3.values * (beta_y * dx(w.values) - beta_x * dy(w.values)))
+    direct = measure * np.sum(
+        w.values * (beta_x * grid.dy(u3.values) - beta_y * grid.dx(u3.values)))
+    parts = measure * np.sum(
+        u3.values * (beta_y * grid.dx(w.values) - beta_x * grid.dy(w.values)))
     return complex(direct), complex(parts)
 
 

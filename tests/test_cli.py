@@ -75,6 +75,19 @@ class TestParseConfig:
         bad_n = dict(TINY_MSM, grid={"n": 0, "length": 1.0})
         with pytest.raises(ConfigError, match="grid.n"):
             parse_config(wrap(bad_n))
+        not_pow2 = dict(TINY_MSM, grid={"n": 48, "length": 1.0})
+        with pytest.raises(ConfigError, match="grid.n.*power of two"):
+            parse_config(wrap(not_pow2))
+        gauge = {
+            "kind": "gauge_check", "name": "g",
+            "grid": {"sizes": [64, 48], "length": 1.0},
+            "preset": {"name": "smooth_bump"},
+        }
+        with pytest.raises(ConfigError, match="sizes entry.*power of two"):
+            parse_config(wrap(gauge))
+        line = dict(DEFAULT_EXPERIMENTS["hasimoto_1d"], options={"soliton_n": 48})
+        with pytest.raises(ConfigError, match="soliton_n.*power of two"):
+            parse_config(wrap(line))
         bad_seed = dict(TINY_MSM, seed=-4)
         with pytest.raises(ConfigError, match="seed"):
             parse_config(wrap(bad_seed))
@@ -213,6 +226,15 @@ class TestMain:
         wrong.write_text(json.dumps({"version": 3, "experiments": []}))
         assert main(["msm", "--config", str(wrong)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_bad_grid_in_later_experiment_exits_2_before_compute(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        second = dict(TINY_MSM, name="second", grid={"n": 48, "length": 1.0})
+        cfgfile.write_text(json.dumps(wrap(TINY_MSM, second)))
+        out = tmp_path / "out"
+        assert main(["msm", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "power of two" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_failures_exit_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"

@@ -6,7 +6,7 @@ import pytest
 from msmlab.errors import ChartUndefinedError, ConfigError
 from msmlab.maps import MapField
 from msmlab.msm import MSMState
-from msmlab.presets import MAP_PRESETS, MSM_PRESETS, map_preset, msm_preset, soliton_profile
+from msmlab.presets import MAP_PRESETS, MSM_PRESETS, map_preset, msm_preset
 from msmlab.spectral import Grid1D, Grid2D
 
 
@@ -110,16 +110,3 @@ class TestMsmPresets:
         for name in MSM_PRESETS:
             assert isinstance(msm_preset(g, name), MSMState)
 
-
-class TestSolitonProfile:
-    def test_peak_and_symmetry(self):
-        g = Grid1D(n=512, length=50.0)
-        q = soliton_profile(g, eta=1.5)
-        assert np.max(np.abs(q)) == pytest.approx(1.5, rel=1e-12)
-        assert np.argmax(np.abs(q)) == 256
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            soliton_profile(Grid2D(n=16, length=1.0), eta=1.0)
-        with pytest.raises(ConfigError):
-            soliton_profile(Grid1D(n=64, length=50.0), eta=0.0)

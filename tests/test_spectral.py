@@ -1,8 +1,12 @@
 """Tests for the periodic spectral infrastructure."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import msmlab
 from msmlab.errors import NonzeroMeanError
 from msmlab.spectral import Grid1D, Grid2D
 from msmlab.windows import PLATEAU_EDGE
@@ -208,6 +212,43 @@ class TestDealias:
         assert np.max(np.abs(out - low)) < 1e-12
 
 
+class TestBroadcasting:
+    """Grid2D operators act on axes (0, 1) of a stack, slice by slice."""
+
+    NT = 3
+
+    def stack(self, g):
+        f = random_complex((g.n, g.n, self.NT), RNG)
+        return f.real.copy(), f
+
+    @pytest.mark.parametrize("op", ["dx", "dy", "dealias", "inverse_laplacian"])
+    def test_stack_equals_slices(self, op):
+        g = Grid2D(n=16, length=3.0)
+        for f in self.stack(g):
+            got = getattr(g, op)(f)
+            assert got.shape == f.shape and got.dtype == f.dtype
+            for t in range(self.NT):
+                want = getattr(g, op)(f[:, :, t])
+                assert np.max(np.abs(got[:, :, t] - want)) < 1e-13
+
+    def test_grad_inverse_laplacian_stack_equals_slices(self):
+        g = Grid2D(n=16, length=3.0)
+        for f in self.stack(g):
+            gx, gy = g.grad_inverse_laplacian(f)
+            for t in range(self.NT):
+                sx, sy = g.grad_inverse_laplacian(f[:, :, t])
+                assert np.max(np.abs(gx[:, :, t] - sx)) < 1e-13
+                assert np.max(np.abs(gy[:, :, t] - sy)) < 1e-13
+
+    def test_grad_inverse_laplacian_is_composition(self):
+        g = Grid2D(n=32, length=2.5)
+        f = RNG.standard_normal((32, 32))
+        gx, gy = g.grad_inverse_laplacian(f)
+        inv = g.inverse_laplacian(f)
+        assert np.max(np.abs(gx - g.dx(inv))) < 1e-13
+        assert np.max(np.abs(gy - g.dy(inv))) < 1e-13
+
+
 class TestGrid1D:
     def test_derivative(self):
         g = Grid1D(n=64, length=2 * np.pi)
@@ -227,3 +268,11 @@ class TestGrid1D:
         g = Grid1D(n=32, length=3.0)
         f = random_complex(32, RNG)
         assert abs(g.sobolev_norm(f, 0.0) - g.norm2(f)) < 1e-12
+
+
+def test_package_sources_compile_without_warnings():
+    # Compiling the source text directly bypasses any cached bytecode.
+    for path in sorted(Path(msmlab.__file__).parent.glob("*.py")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(), str(path), "exec")

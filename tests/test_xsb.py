@@ -7,6 +7,7 @@ import pytest
 
 from msmlab.errors import TooLargeError
 from msmlab.spectral import Grid2D
+from msmlab.storage import format_value
 from msmlab.xsb import (
     BilinearReport,
     MultiplierSpec,
@@ -538,3 +539,6 @@ class TestCsvReport:
         assert rows[1][0] == "cubic_conj2"
         assert float(rows[1][6]) == pytest.approx(1.234e-4)
         assert rows[2][7] == "4242"
+        # One table format across the package: "\n" line ends, full floats.
+        assert b"\r" not in p1.read_bytes()
+        assert rows[1][3] == format_value(0.01)
