@@ -21,7 +21,7 @@ import numpy as np
 
 from . import xsb
 from .conventions import NLS_CUBIC_COEF
-from .errors import ConfigError, MsmLabError
+from .errors import ConfigError, MsmLabError, SolverBlowupError
 from .gauge import (
     build_gauge_state,
     fit_nls_coefficient,
@@ -31,6 +31,7 @@ from .gauge import (
 )
 from .maps import energy, evolve as evolve_map, max_stable_dt
 from .msm import (
+    ALL_TERMS,
     SolverConfig,
     evolve as evolve_msm,
     hk_norm,
@@ -182,10 +183,16 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
                 f"{where}.options.suites: unknown suite {suite!r} (one of {RATIO_SUITES})"
             )
 
-    return ExperimentConfig(
+    exp = ExperimentConfig(
         kind=kind, name=name, seed=seed,
         grid=grid, time=time, preset=preset, options=options,
     )
+    if kind == "msm_run":
+        try:
+            _solver_config(exp)
+        except (ConfigError, TypeError) as err:  # TypeError: terms not a list of names
+            raise ConfigError(f"{where}.options: {err}") from err
+    return exp
 
 
 def parse_config(raw: dict) -> list[ExperimentConfig]:
@@ -238,15 +245,19 @@ def _run_gauge_check(exp: ExperimentConfig, out: Path) -> list[str]:
     return ["gauge_residuals.csv"]
 
 
-def _run_msm(exp: ExperimentConfig, out: Path) -> list[str]:
-    grid = Grid2D(n=exp.grid["n"], length=exp.grid["length"])
-    state = msm_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed)
-    cfg = SolverConfig(
+def _solver_config(exp: ExperimentConfig) -> SolverConfig:
+    return SolverConfig(
         dt=exp.time["dt"], t_final=exp.time["t_final"],
         scheme=exp.options.get("scheme", "strang_split"),
         dealias=exp.options.get("dealias", True),
-        **({"terms": tuple(exp.options["terms"])} if "terms" in exp.options else {}),
+        terms=tuple(exp.options.get("terms", ALL_TERMS)),
     )
+
+
+def _run_msm(exp: ExperimentConfig, out: Path) -> list[str]:
+    grid = Grid2D(n=exp.grid["n"], length=exp.grid["length"])
+    state = msm_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed)
+    cfg = _solver_config(exp)
     states = evolve_msm(state, cfg, store_every=exp.options.get("store_every", 1))
     rows = [[i, st.t, mass(st), hk_norm(st, 1.0)] for i, st in enumerate(states)]
     write_csv(out / "trace.csv", ["index", "time", "mass", "h1_norm"], rows)
@@ -387,9 +398,7 @@ def run_experiments(experiments: list[ExperimentConfig], out_dir) -> Path:
         sub.mkdir(parents=True, exist_ok=True)
         try:
             written = _RUNNERS[exp.kind](exp, sub)
-        except MsmLabError:
-            raise
-        except ValueError as err:
+        except (ValueError, SolverBlowupError) as err:
             raise MsmLabError(f"experiment {exp.name!r} ({exp.kind}) failed: {err}") from err
         artifacts.extend(f"{exp.name}/{name}" for name in written)
     return write_manifest(out, artifacts)

@@ -35,3 +35,21 @@ class TooLargeError(MsmLabError):
 
 class ConfigError(MsmLabError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+class SolverBlowupError(MsmLabError):
+    """A time step produced a state whose mass is not finite.
+
+    Carries the 1-based ``step`` within its run (None for a lone step), the
+    time ``t`` it was to reach, and the ``mass`` and ``h1`` norm of the last
+    finite state.
+    """
+
+    def __init__(self, t: float, mass: float, h1: float, step: int | None = None):
+        super().__init__(t, mass, h1, step)
+        self.t, self.mass, self.h1, self.step = t, mass, h1, step
+
+    def __str__(self) -> str:
+        at = "" if self.step is None else f"step {self.step}, "
+        return (f"solution blew up at {at}t={self.t:.6g}; last finite state: "
+                f"mass {self.mass:.6e}, H1 norm {self.h1:.6e}")

@@ -69,23 +69,17 @@ __all__ = [
 ]
 
 
-# -- potentials shared with the direct solver ------------------------------
+# -- potentials of the derivative-field system ------------------------------
 
 
-def beta_potential(
-    grid: Grid2D, u1: np.ndarray, u2: np.ndarray, sign: float, dealias: bool = False
-) -> np.ndarray:
+def beta_potential(grid: Grid2D, u1: np.ndarray, u2: np.ndarray, sign: float) -> np.ndarray:
     """Stream potential: lap beta = BETA_COEF * sign * Im(u1 conj(u2)).
 
     The source is projected to zero mean.  For fields arising from a map
     the projection is a no-op up to spectral error (the source is a curl),
     and the projected mass is available to the caller via ``np.mean``.
-    ``dealias`` filters the quadratic source (used by the direct solver;
-    kinematic diagnostics keep the raw product).
     """
     src = BETA_COEF * sign * np.imag(u1 * np.conj(u2))
-    if dealias:
-        src = grid.dealias(src)
     return grid.inverse_laplacian(src, project_mean=True)
 
 
@@ -95,7 +89,6 @@ def alpha_potential(
     u2: np.ndarray,
     sign: float,
     form: str = "poisson",
-    dealias: bool = False,
 ) -> np.ndarray:
     """Scalar potential of the time component, zero mean.
 
@@ -105,28 +98,27 @@ def alpha_potential(
     as mutually checking implementations.
     """
     us = (u1, u2)
-    filt = grid.dealias if dealias else (lambda f: f)
     if form == "poisson":
         rhs = np.zeros(grid.shape)
         for k in range(2):
             for j in range(2):
-                mixed = filt(np.real(us[k] * np.conj(us[j])))
+                mixed = np.real(us[k] * np.conj(us[j]))
                 # Complex intermediate: a lone odd-multiplier pass on real
                 # data zeroes the unpaired Nyquist line, which the Riesz
                 # composition keeps.  Differentiating through a complex
                 # array makes the two assemblies agree mode by mode.
                 dd = grid.derivative(grid.derivative(mixed.astype(complex), k), j)
                 rhs += ALPHA_MIXED_COEF * np.real(dd)
-        dens = filt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
+        dens = np.abs(u1) ** 2 + np.abs(u2) ** 2
         rhs += ALPHA_DIAG_COEF * grid.laplacian(dens)
         return sign * grid.inverse_laplacian(rhs, project_mean=True)
     if form == "riesz":
         out = np.zeros(grid.shape)
         for k in range(2):
             for j in range(2):
-                mixed = filt(np.real(us[k] * np.conj(us[j])))
+                mixed = np.real(us[k] * np.conj(us[j]))
                 out += ALPHA_MIXED_COEF * np.real(grid.riesz(k, grid.riesz(j, mixed)))
-        dens = filt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
+        dens = np.abs(u1) ** 2 + np.abs(u2) ** 2
         out += ALPHA_DIAG_COEF * (dens - np.mean(dens))
         return sign * (out - np.mean(out))
     raise ValueError(f"unknown form {form!r}")

@@ -236,6 +236,22 @@ class TestMain:
         assert "power of two" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("options,message", [
+        ({"scheme": "rk45"}, "scheme"),
+        ({"terms": ["null", "septic"]}, "septic"),
+        ({"terms": "null"}, "terms"),
+        ({"dealias": "yes"}, "dealias"),
+    ])
+    def test_bad_solver_options_exit_2_before_compute(self, tmp_path, capsys, options, message):
+        cfgfile = tmp_path / "run.json"
+        second = dict(TINY_MSM, name="second", options=options)
+        cfgfile.write_text(json.dumps(wrap(TINY_MSM, second)))
+        out = tmp_path / "out"
+        assert main(["msm", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err and "second" in err
+        assert not out.exists()
+
     def test_module_failures_exit_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
         # dt far beyond the midpoint contraction bound for n = 16
@@ -246,6 +262,15 @@ class TestMain:
         code = main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "unstable" in capsys.readouterr().err
+
+    def test_blowup_exits_1_naming_experiment_and_step(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        hot = dict(TINY_MSM, name="hot", time={"dt": 0.01, "t_final": 1.0},
+                   preset={"name": "random_seeded", "params": {"band": 3, "amplitude": 300.0}})
+        cfgfile.write_text(json.dumps(wrap(hot)))
+        assert main(["msm", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "'hot'" in err and "blew up at step" in err
 
     def test_empty_config_succeeds(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"

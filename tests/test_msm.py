@@ -1,5 +1,7 @@
 """Derivative-field system: assembly, stepping, oracle, invariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,13 @@ from msmlab.conventions import (
     BETA_COEF,
     IM_CUBIC_COEF,
 )
-from msmlab.errors import ConfigError, PicardDivergedError
+from msmlab.errors import ConfigError, PicardDivergedError, SolverBlowupError
+from msmlab.gauge import alpha_potential, beta_potential
 from msmlab.maps import MapField, evolve as evolve_map, max_stable_dt
 from msmlab.msm import (
     ALL_TERMS,
     MSMState,
     SolverConfig,
-    compute_alpha,
-    compute_beta,
     evolve,
     hk_norm,
     mass,
@@ -107,6 +108,7 @@ class TestStateAndConfig:
             {"dt": 0.1, "t_final": 1.0, "picard_max_iters": 0},
             {"dt": 0.1, "t_final": 1.0, "picard_tol": 0.0},
             {"dt": 0.1, "t_final": 1.0, "terms": ("null", "septic")},
+            {"dt": 0.1, "t_final": 1.0, "dealias": "yes"},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -118,49 +120,63 @@ class TestStateAndConfig:
         assert SolverConfig(dt=0.1, t_final=1.0000001).n_steps == 10
 
 
+# The potentials are Fourier multipliers, so filtering the potential is
+# filtering its quadratic source, as the direct solver does.
+
+
+def _beta(st: MSMState, dealias: bool = True) -> np.ndarray:
+    beta = beta_potential(st.grid, st.u1, st.u2, st.sign)
+    return st.grid.dealias(beta) if dealias else beta
+
+
+def _alpha(st: MSMState, form: str = "poisson", dealias: bool = True) -> np.ndarray:
+    alpha = alpha_potential(st.grid, st.u1, st.u2, st.sign, form=form)
+    return st.grid.dealias(alpha) if dealias else alpha
+
+
 class TestPotentials:
     def test_beta_vanishes_for_parallel_fields(self):
         st = bandlimited_state(32, 2 * np.pi, 0.5, 3, seed=0)
         aligned = MSMState(grid=st.grid, u1=st.u1, u2=1.7 * st.u1, sign=st.sign)
-        assert np.max(np.abs(compute_beta(aligned))) < 1e-14
+        assert np.max(np.abs(_beta(aligned))) < 1e-14
 
     def test_beta_vanishes_when_one_field_zero(self):
         st = bandlimited_state(32, 2 * np.pi, 0.5, 3, seed=1)
         lone = MSMState(grid=st.grid, u1=st.u1, u2=np.zeros_like(st.u2))
-        assert np.max(np.abs(compute_beta(lone))) < 1e-16
+        assert np.max(np.abs(_beta(lone))) < 1e-16
 
     def test_beta_solves_poisson(self):
         st = bandlimited_state(64, 2 * np.pi, 0.8, 5, seed=2)
         g = st.grid
-        beta = compute_beta(st, dealias=False)
+        beta = _beta(st, dealias=False)
         src = BETA_COEF * st.sign * np.imag(st.u1 * np.conj(st.u2))
         residual = g.laplacian(beta) - (src - np.mean(src))
         assert g.norm2(residual) < 1e-12 * max(g.norm2(src), 1e-300)
 
     def test_potentials_have_zero_mean(self):
         st = bandlimited_state(32, 2 * np.pi, 0.8, 4, seed=3)
-        assert abs(np.mean(compute_beta(st))) < 1e-15
-        assert abs(np.mean(compute_alpha(st))) < 1e-15
+        assert abs(np.mean(_beta(st))) < 1e-15
+        assert abs(np.mean(_alpha(st))) < 1e-15
 
     def test_beta_flips_with_sign(self):
         up = bandlimited_state(32, 2 * np.pi, 0.5, 3, seed=4, sign=1.0)
         down = MSMState(grid=up.grid, u1=up.u1, u2=up.u2, sign=-1.0)
-        np.testing.assert_allclose(compute_beta(down), -compute_beta(up), atol=1e-15)
+        np.testing.assert_allclose(_beta(down), -_beta(up), atol=1e-15)
 
     def test_alpha_poisson_matches_riesz(self):
         # Two independent assemblies of the same elliptic solve must agree far
         # below the contracted 1e-9: one differentiates the solved
         # potential, the other composes Riesz multipliers on the source.
         st = bandlimited_state(64, 2 * np.pi, 0.8, 10, seed=5)
-        a_p = compute_alpha(st, form="poisson", dealias=False)
-        a_r = compute_alpha(st, form="riesz", dealias=False)
+        a_p = _alpha(st, form="poisson", dealias=False)
+        a_r = _alpha(st, form="riesz", dealias=False)
         scale = max(st.grid.norm2(a_p), 1e-300)
         assert st.grid.norm2(a_p - a_r) / scale < 1e-9
 
     def test_alpha_bad_form_rejected(self):
         st = bandlimited_state(16, 2 * np.pi, 0.5, 2, seed=6)
         with pytest.raises(ValueError):
-            compute_alpha(st, form="cholesky")
+            _alpha(st, form="cholesky")
 
 
 class TestNonlinearity:
@@ -217,6 +233,45 @@ class TestNonlinearity:
         assert errs[128] < 1e-2
         assert np.log2(errs[32] / errs[64]) > 1.8
         assert np.log2(errs[64] / errs[128]) > 1.8
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_fourier_assembly_matches_physical_reference(self, n, sign, dealias):
+        # Band 7 puts the quadratic products past the n=32 dealias edge, so
+        # the filter placement is exercised, not just the band-limited case.
+        st = bandlimited_state(n, 2 * np.pi, 0.8, 7, seed=30, sign=sign)
+        g = st.grid
+        for terms in [(t,) for t in ALL_TERMS] + [ALL_TERMS]:
+            f1, f2 = nonlinearity(st, terms=terms, dealias=dealias)
+            r1, r2 = _reference_nonlinearity(st, terms, dealias)
+            num = np.hypot(g.norm2(f1 - r1), g.norm2(f2 - r2))
+            assert num < 1e-13 * np.hypot(g.norm2(r1), g.norm2(r2)), terms
+
+
+def _reference_nonlinearity(st: MSMState, terms, dealias: bool):
+    """Term-by-term physical-space assembly, each product filtered on its own."""
+    g, u1, u2 = st.grid, st.u1, st.u2
+    filt = g.dealias if dealias else (lambda f: f)
+    f1 = np.zeros(g.shape, dtype=np.complex128)
+    f2 = np.zeros_like(f1)
+    beta = _beta(st, dealias)
+    bx, by = g.dx(beta), g.dy(beta)
+    if "null" in terms:
+        f1 += 2.0 * filt(bx * g.dy(u1) - by * g.dx(u1))
+        f2 += 2.0 * filt(bx * g.dy(u2) - by * g.dx(u2))
+    if "quintic" in terms:
+        f1 += -1j * filt((bx**2 + by**2) * u1)
+        f2 += -1j * filt((bx**2 + by**2) * u2)
+    if "alpha_cubic" in terms:
+        alpha = _alpha(st, dealias=dealias)
+        f1 += -1j * filt(alpha * u1)
+        f2 += -1j * filt(alpha * u2)
+    if "im_cubic" in terms:
+        coef = IM_CUBIC_COEF * st.sign
+        f1 += coef * filt(np.imag(np.conj(u1) * u2) * u2)
+        f2 += coef * filt(np.imag(np.conj(u2) * u1) * u1)
+    return f1, f2
 
 
 def _finite_difference_nonlinearity(st: MSMState):
@@ -324,6 +379,79 @@ class TestStepping:
             step(st, cfg)
         assert len(err.value.trace) >= 1
         assert all(np.isfinite(v) or v > 0 for v in err.value.trace)
+
+    def test_blowup_is_typed_and_located(self):
+        # Large data at a coarse step overflows within a few steps.
+        st = bandlimited_state(16, 2 * np.pi, 3.0, 3, seed=13)
+        cfg = SolverConfig(dt=0.01, t_final=1.0, scheme="strang_split")
+        with pytest.raises(SolverBlowupError) as err:
+            evolve(st, cfg)
+        blowup = err.value
+        assert blowup.step >= 2
+        assert blowup.t == pytest.approx(blowup.step * cfg.dt)
+        last = evolve(st, replace(cfg, t_final=(blowup.step - 1) * cfg.dt))[-1]
+        assert np.isfinite(blowup.mass) and np.isfinite(blowup.h1)
+        assert blowup.mass == pytest.approx(mass(last), rel=1e-12)
+        assert blowup.h1 == pytest.approx(hk_norm(last, 1.0), rel=1e-12)
+        assert f"step {blowup.step}," in str(blowup)
+
+        with pytest.raises(SolverBlowupError) as again:
+            regularity_persistence_test(st, 1, cfg, growth_factor=1e300)
+        assert (again.value.step, again.value.t) == (blowup.step, blowup.t)
+
+        with pytest.raises(SolverBlowupError) as lone:
+            step(last, cfg)
+        assert lone.value.step is None
+
+
+def _count_2d_transforms(monkeypatch) -> list[int]:
+    """Patch numpy's 2-D transforms to count every transformed slice."""
+    count = [0]
+    for name in ("fft2", "ifft2"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, original=original, **kwargs):
+            ax = kwargs.get("axes", (-2, -1))
+            a = np.asarray(a)
+            count[0] += a.size // (a.shape[ax[0]] * a.shape[ax[1]])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
+class TestTransformCounts:
+    @pytest.mark.parametrize("scheme,per_step", [("etd_rk4", 62), ("strang_split", 34)])
+    def test_transforms_per_step(self, monkeypatch, scheme, per_step):
+        st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
+        cfg = SolverConfig(dt=1e-3, t_final=1e-3, scheme=scheme)
+        count = _count_2d_transforms(monkeypatch)
+        step(st, cfg)
+        assert count[0] == per_step
+
+    def test_picard_costs_fifteen_per_iteration(self, monkeypatch):
+        st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
+        count = _count_2d_transforms(monkeypatch)
+        step(st, SolverConfig(dt=1e-3, t_final=1e-3, scheme="picard_duhamel"))
+        assert count[0] > 17 and (count[0] - 17) % 15 == 0
+
+    @pytest.mark.parametrize("terms,total", [
+        ((), 4), (("im_cubic",), 6), (("quintic",), 9), (("alpha_cubic",), 10),
+        (("null",), 13), (ALL_TERMS, 17),
+    ])
+    def test_unselected_terms_cost_nothing(self, monkeypatch, terms, total):
+        # nonlinearity() adds 2 forward and 2 inverse transforms around the
+        # Fourier-space assembly.
+        st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
+        count = _count_2d_transforms(monkeypatch)
+        nonlinearity(st, terms=terms)
+        assert count[0] == total
+
+    def test_stacked_calls_count_every_slice(self, monkeypatch):
+        g = Grid2D(n=16, length=1.0)
+        count = _count_2d_transforms(monkeypatch)
+        g.ifft(g.fft(np.zeros(g.shape + (3,))))
+        assert count[0] == 6
 
 
 class TestGaugeTrajectoryOracle:

@@ -347,7 +347,7 @@ class TestQuinticRatios:
             return np.fft.ifft2(c) * g.n**2
 
         u1, u2, u = bandlimited(1), bandlimited(2), bandlimited(3)
-        beta = beta_potential(g, u1, u2, sign=1.0, dealias=False)
+        beta = beta_potential(g, u1, u2, sign=1.0)
         lhs = (g.dx(beta) ** 2 + g.dy(beta) ** 2) * u
 
         def pairing(a, b, c, d, e):
