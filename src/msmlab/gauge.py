@@ -29,9 +29,11 @@ The time-direction potential ``a_0`` solves
     lap a_0 = sign * (ALPHA_MIXED_COEF * sum_kj dk dj Re(u_k conj(u_j))
               + ALPHA_DIAG_COEF * lap(|u_1|^2 + |u_2|^2)),
 
-normalized to zero mean; the same right side expressed through iterated
-Riesz transforms (:func:`alpha_potential` with ``form="riesz"``) provides
-an independent assembly of the identical multiplier.
+normalized to zero mean.  It and the stream potential beta are assembled
+once, in Fourier space (:func:`alpha_hat`, :func:`beta_hat`); the MSM solver
+filters the same two spectra, so the trajectory oracle checks the potentials
+the solver uses.  The same right side through iterated Riesz transforms
+(:func:`alpha_potential` with ``form="riesz"``) is the independent reference.
 
 The 1-D reduction :func:`hasimoto_1d` maps a closed-curve map to a complex
 field solving the focusing cubic NLS; see :mod:`msmlab.conventions` for
@@ -60,7 +62,8 @@ __all__ = [
     "b_fields",
     "build_gauge_state",
     "verify_consistency",
-    "beta_potential",
+    "beta_hat",
+    "alpha_hat",
     "alpha_potential",
     "hasimoto_1d",
     "NLSFit",
@@ -72,15 +75,29 @@ __all__ = [
 # -- potentials of the derivative-field system ------------------------------
 
 
-def beta_potential(grid: Grid2D, u1: np.ndarray, u2: np.ndarray, sign: float) -> np.ndarray:
-    """Stream potential: lap beta = BETA_COEF * sign * Im(u1 conj(u2)).
+def beta_hat(grid: Grid2D, u1: np.ndarray, u2: np.ndarray, sign: float) -> np.ndarray:
+    """Spectrum of the stream potential: lap beta = BETA_COEF * sign * Im(u1 conj(u2)).
 
-    The source is projected to zero mean.  For fields arising from a map
-    the projection is a no-op up to spectral error (the source is a curl),
-    and the projected mass is available to the caller via ``np.mean``.
+    The zero mode of the source is dropped, so beta has zero mean.  Stacks of
+    fields are solved slice by slice, as by every :class:`Grid2D` operator.
     """
-    src = BETA_COEF * sign * np.imag(u1 * np.conj(u2))
-    return grid.inverse_laplacian(src, project_mean=True)
+    src_hat = grid.fft(np.imag(u1 * np.conj(u2)))
+    return grid._times((BETA_COEF * sign) * grid.inverse_laplacian_symbol, src_hat)
+
+
+def alpha_hat(grid: Grid2D, u1: np.ndarray, u2: np.ndarray, sign: float) -> np.ndarray:
+    """Spectrum of the zero-mean scalar potential of the time component.
+
+    The mixed derivatives become the symbols -k_k k_j on the spectra of
+    Re(u_k conj(u_j)).  On the unpaired Nyquist lines k_x k_y is odd, so the
+    inverse transform is not real there; the potential is its real part, as
+    for the real part of d_k d_j in physical space.
+    """
+    p1, p2 = grid.fft(np.abs(u1) ** 2), grid.fft(np.abs(u2) ** 2)
+    cross_hat = grid.fft(np.real(u1 * np.conj(u2)))
+    mixed = grid.kx**2 * p1 + 2.0 * grid.kx * grid.ky * cross_hat + grid.ky**2 * p2
+    rhs = -ALPHA_MIXED_COEF * mixed - ALPHA_DIAG_COEF * grid.k2 * (p1 + p2)
+    return (sign * grid.inverse_laplacian_symbol) * rhs
 
 
 def alpha_potential(
@@ -92,27 +109,14 @@ def alpha_potential(
 ) -> np.ndarray:
     """Scalar potential of the time component, zero mean.
 
-    ``form="poisson"`` inverts the Laplacian on the divergence-form right
-    side; ``form="riesz"`` evaluates the same multiplier as iterated Riesz
-    transforms plus a local term.  The two agree to roundoff and are kept
-    as mutually checking implementations.
+    ``form="poisson"`` inverts :func:`alpha_hat`, the assembly the solver
+    uses; ``form="riesz"`` evaluates the same multiplier as iterated Riesz
+    transforms plus a local term and is kept as the independent reference.
     """
-    us = (u1, u2)
     if form == "poisson":
-        rhs = np.zeros(grid.shape)
-        for k in range(2):
-            for j in range(2):
-                mixed = np.real(us[k] * np.conj(us[j]))
-                # Complex intermediate: a lone odd-multiplier pass on real
-                # data zeroes the unpaired Nyquist line, which the Riesz
-                # composition keeps.  Differentiating through a complex
-                # array makes the two assemblies agree mode by mode.
-                dd = grid.derivative(grid.derivative(mixed.astype(complex), k), j)
-                rhs += ALPHA_MIXED_COEF * np.real(dd)
-        dens = np.abs(u1) ** 2 + np.abs(u2) ** 2
-        rhs += ALPHA_DIAG_COEF * grid.laplacian(dens)
-        return sign * grid.inverse_laplacian(rhs, project_mean=True)
+        return grid.ifft(alpha_hat(grid, u1, u2, sign)).real
     if form == "riesz":
+        us = (u1, u2)
         out = np.zeros(grid.shape)
         for k in range(2):
             for j in range(2):
@@ -139,7 +143,6 @@ class GaugeState:
     a2: np.ndarray
     a0: np.ndarray
     psi: np.ndarray
-    beta: np.ndarray
 
     @property
     def harmonic_means(self) -> tuple[float, float]:
@@ -167,11 +170,8 @@ def build_gauge_state(mf: MapField) -> GaugeState:
     u1, u2 = phase * b1, phase * b2
     a1, a2 = m1 - grid.dx(psi), m2 - grid.dy(psi)
     sign = mf.target.sign
-    beta = beta_potential(grid, u1, u2, sign)
-    a0 = alpha_potential(grid, u1, u2, sign, form="poisson")
-    return GaugeState(
-        grid=grid, sign=sign, u1=u1, u2=u2, a1=a1, a2=a2, a0=a0, psi=psi, beta=beta,
-    )
+    a0 = alpha_potential(grid, u1, u2, sign)
+    return GaugeState(grid=grid, sign=sign, u1=u1, u2=u2, a1=a1, a2=a2, a0=a0, psi=psi)
 
 
 # -- consistency residuals ---------------------------------------------------

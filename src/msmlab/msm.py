@@ -8,9 +8,9 @@ The state is a pair of complex fields (u1, u2) evolving by
               - i alpha u_m                              (nonlocal cubic)
               + IM_CUBIC_COEF * sign * Im(conj(u_m) u_k) u_k,   k != m,
 
-with the stream and scalar potentials solved spectrally each evaluation
-(the multipliers of :func:`msmlab.gauge.beta_potential` and
-:func:`msmlab.gauge.alpha_potential`).  The connection hidden in the
+with the stream and scalar potentials solved spectrally each evaluation by
+:func:`msmlab.gauge.beta_hat` and :func:`msmlab.gauge.alpha_hat`, the
+assembly the gauge transform uses.  The connection hidden in the
 transport and quintic terms is a = (d2 beta, -d1 beta), divergence free by
 construction; see :mod:`msmlab.conventions` for how the constants are
 pinned.
@@ -35,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conventions import ALPHA_DIAG_COEF, ALPHA_MIXED_COEF, BETA_COEF, IM_CUBIC_COEF
+from .conventions import IM_CUBIC_COEF
 from .errors import ConfigError, PicardDivergedError, SolverBlowupError
-from .gauge import build_gauge_state
+from .gauge import alpha_hat, beta_hat, build_gauge_state
 from .maps import MapTrajectory
 from .spectral import Grid2D
 
@@ -158,25 +158,19 @@ def _nonlinearity_hat(state: MSMState, v1, v2, terms, dealias, fields=None):
         return np.zeros_like(v1), np.zeros_like(v2)
     u1, u2 = fields if fields is not None else (g.ifft(v1), g.ifft(v2))
     mask = g.dealias_mask if dealias else 1.0
-    cross = u1 * np.conj(u2)
     f1 = f2 = pot = coupling = 0.0
     if TERM_NULL in terms or TERM_QUINTIC in terms:
-        beta_hat = (BETA_COEF * sign) * g.inverse_laplacian_symbol * mask * g.fft(cross.imag)
-        bx, by = (g.ifft(1j * k * beta_hat).real for k in (g.kx, g.ky))
+        bx, by = (d.real for d in g.grad_from_hat(mask * beta_hat(g, u1, u2, sign)))
     if TERM_NULL in terms:
-        f1 = 2.0 * (bx * g.ifft(1j * g.ky * v1) - by * g.ifft(1j * g.kx * v1))
-        f2 = 2.0 * (bx * g.ifft(1j * g.ky * v2) - by * g.ifft(1j * g.kx * v2))
+        (d1x, d1y), (d2x, d2y) = g.grad_from_hat(v1), g.grad_from_hat(v2)
+        f1 = 2.0 * (bx * d1y - by * d1x)
+        f2 = 2.0 * (bx * d2y - by * d2x)
     if TERM_QUINTIC in terms:
         pot = bx**2 + by**2
     if TERM_ALPHA_CUBIC in terms:
-        p1, p2 = g.fft(np.abs(u1) ** 2), g.fft(np.abs(u2) ** 2)
-        mixed = g.kx**2 * p1 + 2.0 * g.kx * g.ky * g.fft(cross.real) + g.ky**2 * p2
-        rhs = -ALPHA_MIXED_COEF * mixed - ALPHA_DIAG_COEF * g.k2 * (p1 + p2)
-        # The real part drops the unpaired Nyquist lines of the mixed
-        # symbol, as the physical-space real part of d_k d_j does.
-        pot = pot + sign * g.ifft(g.inverse_laplacian_symbol * mask * rhs).real
+        pot = pot + g.ifft(mask * alpha_hat(g, u1, u2, sign)).real
     if TERM_IM_CUBIC in terms:
-        coupling = (IM_CUBIC_COEF * sign) * cross.imag
+        coupling = (IM_CUBIC_COEF * sign) * np.imag(u1 * np.conj(u2))
     return (mask * g.fft(f1 - 1j * pot * u1 - coupling * u2),
             mask * g.fft(f2 - 1j * pot * u2 + coupling * u1))
 

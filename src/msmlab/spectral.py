@@ -199,9 +199,6 @@ class Grid2D:
     def dy(self, f: np.ndarray) -> np.ndarray:
         return self._apply(1j * self.ky, f)
 
-    def derivative(self, f: np.ndarray, axis: int) -> np.ndarray:
-        return self.dx(f) if axis == 0 else self.dy(f)
-
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self._apply(-self.k2, f)
 
@@ -221,11 +218,15 @@ class Grid2D:
                 )
         return self._apply(self.inverse_laplacian_symbol, f)
 
+    def grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Complex gradient (d_x f, d_y f) of the field whose spectrum is fh."""
+        return (self.ifft(self._times(1j * self.kx, fh)),
+                self.ifft(self._times(1j * self.ky, fh)))
+
     def grad_inverse_laplacian(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of the zero-mean inverse Laplacian of f (mean discarded)."""
-        gh = self._times(self.inverse_laplacian_symbol, self.fft(f))
-        return (_real_like(f, self.ifft(self._times(1j * self.kx, gh))),
-                _real_like(f, self.ifft(self._times(1j * self.ky, gh))))
+        gx, gy = self.grad_from_hat(self._times(self.inverse_laplacian_symbol, self.fft(f)))
+        return _real_like(f, gx), _real_like(f, gy)
 
     def riesz(self, axis: int, f: np.ndarray) -> np.ndarray:
         """Riesz transform R_axis f with multiplier k_axis / |k| (0 at k=0).

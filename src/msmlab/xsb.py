@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .conventions import BETA_COEF
 from .errors import TooLargeError
+from .gauge import beta_hat
 from .spectral import Grid2D
 from .storage import write_csv
 from .windows import unit_window
@@ -563,8 +563,8 @@ def _nullform_values(trial: Trial) -> tuple[complex, complex]:
     u1, u2, u3, w = trial.fields
     grid = u1.grid
     # Stream potential of the pair (u1, u2), slicewise in time.
-    beta_x, beta_y = grid.grad_inverse_laplacian(
-        BETA_COEF * np.imag(u1.values * np.conj(u2.values)))
+    beta_x, beta_y = (d.real for d in grid.grad_from_hat(
+        beta_hat(grid, u1.values, u2.values, 1.0)))
     measure = grid.spacing**2 * u1.dt
     direct = measure * np.sum(
         w.values * (beta_x * grid.dy(u3.values) - beta_y * grid.dx(u3.values)))

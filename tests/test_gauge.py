@@ -9,7 +9,7 @@ from msmlab.gauge import (
     verify_consistency,
     alpha_potential,
     b_fields,
-    beta_potential,
+    beta_hat,
     build_gauge_state,
     fit_nls_coefficient,
     hasimoto_1d,
@@ -122,7 +122,7 @@ class TestPotentials:
         k0 = 1.0
         u1 = 1j * np.exp(1j * k0 * grid.x)
         u2 = np.ones(grid.shape, dtype=complex)
-        beta = beta_potential(grid, u1, u2, sign=1.0)
+        beta = grid.ifft(beta_hat(grid, u1, u2, sign=1.0)).real
         expected = -BETA_COEF * np.cos(k0 * grid.x) / k0**2
         np.testing.assert_allclose(beta, expected, atol=1e-12)
 
@@ -130,8 +130,8 @@ class TestPotentials:
         grid = Grid2D(n=32, length=2 * np.pi)
         u1 = 1j * np.exp(1j * grid.x)
         u2 = np.ones(grid.shape, dtype=complex)
-        plus = beta_potential(grid, u1, u2, sign=1.0)
-        minus = beta_potential(grid, u1, u2, sign=-1.0)
+        plus = beta_hat(grid, u1, u2, sign=1.0)
+        minus = beta_hat(grid, u1, u2, sign=-1.0)
         np.testing.assert_allclose(plus, -minus, atol=1e-14)
 
     def test_compute_a0_matches_state(self):

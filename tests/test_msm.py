@@ -12,7 +12,7 @@ from msmlab.conventions import (
     IM_CUBIC_COEF,
 )
 from msmlab.errors import ConfigError, PicardDivergedError, SolverBlowupError
-from msmlab.gauge import alpha_potential, beta_potential
+from msmlab.gauge import alpha_potential, beta_hat, build_gauge_state
 from msmlab.maps import MapField, evolve as evolve_map, max_stable_dt
 from msmlab.msm import (
     ALL_TERMS,
@@ -125,7 +125,7 @@ class TestStateAndConfig:
 
 
 def _beta(st: MSMState, dealias: bool = True) -> np.ndarray:
-    beta = beta_potential(st.grid, st.u1, st.u2, st.sign)
+    beta = st.grid.ifft(beta_hat(st.grid, st.u1, st.u2, st.sign)).real
     return st.grid.dealias(beta) if dealias else beta
 
 
@@ -250,12 +250,16 @@ class TestNonlinearity:
 
 
 def _reference_nonlinearity(st: MSMState, terms, dealias: bool):
-    """Term-by-term physical-space assembly, each product filtered on its own."""
+    """Term-by-term physical-space assembly, each product filtered on its own.
+
+    It shares no potential code with the solver: beta is the inverse
+    Laplacian of its source and alpha the Riesz-form reference.
+    """
     g, u1, u2 = st.grid, st.u1, st.u2
     filt = g.dealias if dealias else (lambda f: f)
     f1 = np.zeros(g.shape, dtype=np.complex128)
     f2 = np.zeros_like(f1)
-    beta = _beta(st, dealias)
+    beta = filt(g.inverse_laplacian(BETA_COEF * st.sign * np.imag(u1 * np.conj(u2))))
     bx, by = g.dx(beta), g.dy(beta)
     if "null" in terms:
         f1 += 2.0 * filt(bx * g.dy(u1) - by * g.dx(u1))
@@ -264,7 +268,7 @@ def _reference_nonlinearity(st: MSMState, terms, dealias: bool):
         f1 += -1j * filt((bx**2 + by**2) * u1)
         f2 += -1j * filt((bx**2 + by**2) * u2)
     if "alpha_cubic" in terms:
-        alpha = _alpha(st, dealias=dealias)
+        alpha = _alpha(st, form="riesz", dealias=dealias)
         f1 += -1j * filt(alpha * u1)
         f2 += -1j * filt(alpha * u2)
     if "im_cubic" in terms:
@@ -446,6 +450,14 @@ class TestTransformCounts:
         count = _count_2d_transforms(monkeypatch)
         nonlinearity(st, terms=terms)
         assert count[0] == total
+
+    def test_gauge_build_costs_eighteen(self, monkeypatch):
+        # b_j: 4, psi: 6, a_j: 4, and one forward per alpha source plus
+        # the inverse: 4.  Nothing is spent on a stream potential.
+        mf = bump_map(32)
+        count = _count_2d_transforms(monkeypatch)
+        build_gauge_state(mf)
+        assert count[0] == 18
 
     def test_stacked_calls_count_every_slice(self, monkeypatch):
         g = Grid2D(n=16, length=1.0)
