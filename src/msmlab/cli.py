@@ -21,7 +21,7 @@ import numpy as np
 
 from . import xsb
 from .conventions import NLS_CUBIC_COEF
-from .errors import ConfigError, MsmLabError, SolverBlowupError
+from .errors import ConfigError, MsmLabError
 from .gauge import (
     build_gauge_state,
     fit_nls_coefficient,
@@ -38,7 +38,7 @@ from .msm import (
     mass,
     msm_residual_of_gauge_trajectory,
 )
-from .presets import map_preset, msm_preset
+from .presets import MAP_PRESETS, MSM_PRESETS, map_preset, msm_preset, preset_params
 from .spectral import Grid1D, Grid2D, _validate_size
 from .storage import save_map_field, save_msm_state, write_csv, write_manifest
 
@@ -81,6 +81,9 @@ _OPTION_KEYS = {
 }
 
 RATIO_SUITES = ("cubic", "quintic", "nullform", "bilinear")
+
+# Kinds that step the map flow at the configured dt, with the grid they use.
+_MAP_FLOW_GRIDS = {"evolve_map": Grid2D, "hasimoto_1d": Grid1D}
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,11 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
             raise ConfigError(f"{where}.preset.name must be a string")
         if not isinstance(preset.get("params", {}), dict):
             raise ConfigError(f"{where}.preset.params must be an object")
+        table = MSM_PRESETS if kind == "msm_run" else MAP_PRESETS
+        try:
+            preset_params(table, preset["name"], preset.get("params"))
+        except ConfigError as err:
+            raise ConfigError(f"{where}.preset: {err}") from err
     options = dict(raw.get("options", {}))
     _check_keys(options, _OPTION_KEYS[kind], f"{where}.options")
     if "soliton_n" in options:
@@ -181,6 +189,14 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
         if suite not in RATIO_SUITES:
             raise ConfigError(
                 f"{where}.options.suites: unknown suite {suite!r} (one of {RATIO_SUITES})"
+            )
+
+    if kind in _MAP_FLOW_GRIDS:
+        limit = max_stable_dt(_MAP_FLOW_GRIDS[kind](n=grid["n"], length=grid["length"]))
+        if time["dt"] > limit:
+            raise ConfigError(
+                f"{where}.time.dt = {time['dt']:.3e} exceeds the midpoint contraction "
+                f"bound {limit:.3e} for this grid"
             )
 
     exp = ExperimentConfig(
@@ -398,7 +414,9 @@ def run_experiments(experiments: list[ExperimentConfig], out_dir) -> Path:
         sub.mkdir(parents=True, exist_ok=True)
         try:
             written = _RUNNERS[exp.kind](exp, sub)
-        except (ValueError, SolverBlowupError) as err:
+        except ConfigError:
+            raise
+        except (ValueError, MsmLabError) as err:
             raise MsmLabError(f"experiment {exp.name!r} ({exp.kind}) failed: {err}") from err
         artifacts.extend(f"{exp.name}/{name}" for name in written)
     return write_manifest(out, artifacts)

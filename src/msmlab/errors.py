@@ -21,12 +21,18 @@ class PicardDivergedError(MsmLabError):
     """Picard iteration stopped contracting.
 
     Carries the per-iteration update sizes so the caller can inspect how the
-    iteration behaved before it was abandoned.
+    iteration behaved before it was abandoned.  A run loop sets the 1-based
+    ``step`` and the time ``t`` that step was to reach (None for a lone step).
     """
 
     def __init__(self, message: str, trace: list[float]):
         super().__init__(message)
         self.trace = list(trace)
+        self.step = self.t = None
+
+    def __str__(self) -> str:
+        at = "" if self.step is None else f" at step {self.step}, t={self.t:.6g}"
+        return f"{super().__str__()}{at}"
 
 
 class TooLargeError(MsmLabError):

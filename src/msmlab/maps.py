@@ -194,11 +194,14 @@ def energy_chart(mf: MapField) -> float:
     return 2.0 * float(np.sum(integrand) * grid.spacing)
 
 
+def _ll_values(grid, target: Target, s3: np.ndarray) -> np.ndarray:
+    """LL_SIGN * (s x lap s) for any array of 3-vectors, on the target or not."""
+    return LL_SIGN * target.cross(s3, _componentwise(grid, grid.laplacian, s3))
+
+
 def ll_rhs(mf: MapField, target: Target | None = None) -> np.ndarray:
     """Right-hand side LL_SIGN * (s x lap s); tangent to the target pointwise."""
-    target = target or mf.target
-    lap = _componentwise(mf.grid, mf.grid.laplacian, mf.s3)
-    return LL_SIGN * target.cross(mf.s3, lap)
+    return _ll_values(mf.grid, target or mf.target, mf.s3)
 
 
 def harmonic_residual(mf: MapField) -> np.ndarray:
@@ -237,17 +240,12 @@ def step_geometric(
             f"dt = {dt:.3e} exceeds the contraction bound {limit:.3e} "
             "for this grid; refine the step"
         )
-    target = mf.target
-    s0 = mf.s3
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        lap = _componentwise(mf.grid, mf.grid.laplacian, v)
-        return LL_SIGN * target.cross(v, lap)
-
-    mid = s0 + 0.5 * dt * rhs(s0)
+    grid, target, s0 = mf.grid, mf.target, mf.s3
+    # The midpoint iterate is off the target, so it stays a bare array.
+    mid = s0 + 0.5 * dt * _ll_values(grid, target, s0)
     scale = float(np.max(np.abs(s0))) + 1e-30
     for _ in range(max_iters):
-        new_mid = s0 + 0.5 * dt * rhs(mid)
+        new_mid = s0 + 0.5 * dt * _ll_values(grid, target, mid)
         delta = float(np.max(np.abs(new_mid - mid)))
         mid = new_mid
         if delta < tol * scale:
@@ -257,7 +255,7 @@ def step_geometric(
             f"midpoint iteration stalled at update {delta:.3e} after {max_iters} iterations"
         )
     s1 = target.normalize(2.0 * mid - s0)
-    return MapField(mf.grid, s1, target)
+    return MapField(grid, s1, target)
 
 
 def evolve(

@@ -305,11 +305,11 @@ def step(state: MSMState, cfg: SolverConfig) -> MSMState:
 
 
 def _run_step(state: MSMState, cfg: SolverConfig, index: int) -> MSMState:
-    """``step`` inside a run loop; a blow-up is tagged with its step index."""
+    """``step`` inside a run loop; a failure is tagged with its step index and t."""
     try:
         return step(state, cfg)
-    except SolverBlowupError as err:
-        err.step = index
+    except (SolverBlowupError, PicardDivergedError) as err:
+        err.step, err.t = index, state.t + cfg.dt
         raise
 
 

@@ -15,21 +15,34 @@ from .maps import MapField
 from .msm import MSMState
 from .spectral import Grid1D, Grid2D
 
-MAP_PRESETS = ("zero", "single_mode", "smooth_bump", "near_north_pole", "random_seeded")
-MSM_PRESETS = ("zero", "single_mode", "smooth_bump", "random_seeded")
+# Each preset's parameters with their defaults.  The builders below and the
+# up-front config check both read these tables.
+MAP_PRESETS = {
+    "zero": {},
+    "single_mode": {"k": 1, "amplitude": 0.3},
+    "smooth_bump": {"amplitude": 0.6, "width": 0.0625},
+    "near_north_pole": {"distance": 0.05, "amplitude": 0.1},
+    "random_seeded": {"band": 3, "amplitude": 0.4, "real": False},
+}
+MSM_PRESETS = {
+    "zero": {},
+    "single_mode": {"k": (2, 1), "amplitude": 0.5},
+    "smooth_bump": {"amplitude": 0.5, "width": 0.08},
+    "random_seeded": {"band": 4, "amplitude": 0.5},
+}
 
 
-def _take(params: dict, name: str, allowed: dict):
-    """Merge defaults with user parameters, rejecting unknown keys."""
-    extra = set(params) - set(allowed)
+def preset_params(table: dict, name: str, params: dict | None = None) -> dict:
+    """A preset's defaults merged with ``params``, rejecting unknown names and keys."""
+    if name not in table:
+        raise ConfigError(f"unknown preset {name!r} (available: {sorted(table)})")
+    extra = set(params or {}) - set(table[name])
     if extra:
         raise ConfigError(
             f"unknown parameter {sorted(extra)[0]!r} for preset {name!r} "
-            f"(allowed: {sorted(allowed)})"
+            f"(allowed: {sorted(table[name])})"
         )
-    merged = dict(allowed)
-    merged.update(params)
-    return merged
+    return {**table[name], **(params or {})}
 
 
 def _mode_phase(grid, k) -> np.ndarray:
@@ -67,15 +80,12 @@ def _random_chart(grid, band: int, amplitude: float, seed: int) -> np.ndarray:
 
 def map_preset(grid, name: str, params: dict | None = None, seed: int = 0) -> MapField:
     """Build a named initial map on the given periodic grid."""
-    params = dict(params or {})
+    p = preset_params(MAP_PRESETS, name, params)
     if name == "zero":
-        _take(params, name, {})
         return MapField.constant(grid)
     if name == "single_mode":
-        p = _take(params, name, {"k": 1, "amplitude": 0.3})
         return MapField.from_stereo(grid, p["amplitude"] * _mode_phase(grid, p["k"]))
     if name == "smooth_bump":
-        p = _take(params, name, {"amplitude": 0.6, "width": 0.0625})
         c = grid.length / 2
         if isinstance(grid, Grid1D):
             z = (grid.x - c) / (p["width"] * grid.length) + 0j
@@ -86,43 +96,33 @@ def map_preset(grid, name: str, params: dict | None = None, seed: int = 0) -> Ma
     if name == "near_north_pole":
         # Chart value of size sqrt(2/distance - 1) places the map a
         # geodesic-height ``distance`` below the pole where the chart fails.
-        p = _take(params, name, {"distance": 0.05, "amplitude": 0.1})
         radius = np.sqrt(2.0 / p["distance"] - 1.0)
         w = radius * (1.0 + p["amplitude"] * np.real(_mode_phase(grid, 1)))
         return MapField.from_stereo(grid, w + 0j)
-    if name == "random_seeded":
-        # Chart-real data keeps the conserved in-plane connection constant
-        # at zero, which the 1-D cubic-coefficient fit relies on.
-        p = _take(params, name, {"band": 3, "amplitude": 0.4, "real": False})
-        w = _random_chart(grid, p["band"], p["amplitude"], seed)
-        if p["real"]:
-            top = float(np.max(np.abs(w.real)))
-            w = (p["amplitude"] / top) * w.real + 0j
-        return MapField.from_stereo(grid, w)
-    raise ConfigError(f"unknown map preset {name!r} (available: {sorted(MAP_PRESETS)})")
+    # random_seeded: chart-real data keeps the conserved in-plane connection
+    # constant at zero, which the 1-D cubic-coefficient fit relies on.
+    w = _random_chart(grid, p["band"], p["amplitude"], seed)
+    if p["real"]:
+        top = float(np.max(np.abs(w.real)))
+        w = (p["amplitude"] / top) * w.real + 0j
+    return MapField.from_stereo(grid, w)
 
 
 def msm_preset(grid: Grid2D, name: str, params: dict | None = None, seed: int = 0) -> MSMState:
     """Build a named derivative-field pair on a 2-D grid."""
-    params = dict(params or {})
+    p = preset_params(MSM_PRESETS, name, params)
     if name == "zero":
-        _take(params, name, {})
         return MSMState.zero(grid)
     if name == "single_mode":
-        p = _take(params, name, {"k": (2, 1), "amplitude": 0.5})
         phase = _mode_phase(grid, p["k"])
         return MSMState(grid=grid, u1=p["amplitude"] * phase,
                         u2=0.8 * p["amplitude"] * np.conj(phase))
     if name == "smooth_bump":
-        p = _take(params, name, {"amplitude": 0.5, "width": 0.08})
         env = _bump_envelope(grid, p["width"])
         phase = _mode_phase(grid, (2, 1))
         return MSMState(grid=grid, u1=p["amplitude"] * env * phase,
                         u2=0.8 * p["amplitude"] * env * np.conj(phase))
-    if name == "random_seeded":
-        p = _take(params, name, {"band": 4, "amplitude": 0.5})
-        u1 = _random_chart(grid, p["band"], p["amplitude"], seed)
-        u2 = _random_chart(grid, p["band"], p["amplitude"], seed + 1)
-        return MSMState(grid=grid, u1=u1, u2=u2)
-    raise ConfigError(f"unknown field preset {name!r} (available: {sorted(MSM_PRESETS)})")
-
+    # random_seeded
+    u1 = _random_chart(grid, p["band"], p["amplitude"], seed)
+    u2 = _random_chart(grid, p["band"], p["amplitude"], seed + 1)
+    return MSMState(grid=grid, u1=u1, u2=u2)

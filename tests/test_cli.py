@@ -157,10 +157,14 @@ class TestRunExperiments:
         assert final_column[1] < final_column[0]
 
     def test_module_errors_carry_experiment_context(self, tmp_path):
-        cfg = parse_config(wrap(dict(
-            TINY_MSM, time={"dt": 1e-3, "t_final": 3e-3},
+        # parse_config rejects this preset, so build the experiment directly
+        # to reach the run-time path.
+        cfg = ExperimentConfig(
+            kind="msm_run", name="tiny-msm", seed=1,
+            grid={"n": 16, "length": 1.0},
+            time={"dt": 1e-3, "t_final": 3e-3},
             preset={"name": "nonexistent"},
-        )))[0]
+        )
         with pytest.raises(ConfigError, match="nonexistent"):
             run_experiments([cfg], tmp_path)
 
@@ -252,16 +256,40 @@ class TestMain:
         assert "config error" in err and message in err and "second" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("second,message", [
+        (dict(TINY_MSM, preset={"name": "nope"}), "nope"),
+        (dict(TINY_MSM, preset={"name": "smooth_bump", "params": {"wdth": 0.1}}), "wdth"),
+        (dict(DEFAULT_EXPERIMENTS["evolve_map"],
+              preset={"name": "smooth_bump", "params": {"wdth": 0.1}}), "wdth"),
+        (dict(DEFAULT_EXPERIMENTS["evolve_map"], time={"dt": 0.5, "t_final": 1.0}),
+         "contraction bound"),
+        (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"], time={"dt": 1e-3, "t_final": 2e-3}),
+         "contraction bound"),
+    ], ids=["msm-preset", "msm-param", "evolve-param", "evolve-dt", "hasimoto-dt"])
+    def test_bad_preset_or_map_dt_exits_2_before_compute(self, tmp_path, capsys,
+                                                         second, message):
+        cfgfile = tmp_path / "run.json"
+        first = dict(DEFAULT_EXPERIMENTS[second["kind"]], name="first")
+        cfgfile.write_text(json.dumps(wrap(first, dict(second, name="second"))))
+        out = tmp_path / "out"
+        command = {"msm_run": "msm", "evolve_map": "evolve", "hasimoto_1d": "hasimoto"}
+        assert main([command[second["kind"]], "--config", str(cfgfile),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err and "second" in err
+        assert not out.exists()
+
     def test_module_failures_exit_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
-        # dt far beyond the midpoint contraction bound for n = 16
-        bad = dict(TINY_MSM, kind="evolve_map", name="unstable",
-                   time={"dt": 0.5, "t_final": 1.0},
-                   options={})
+        # Data far too large for the Picard iteration to contract at this dt.
+        bad = dict(TINY_MSM, name="unstable", options={"scheme": "picard_duhamel"},
+                   preset={"name": "random_seeded",
+                           "params": {"band": 2, "amplitude": 300.0}})
         cfgfile.write_text(json.dumps(wrap(bad)))
-        code = main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        code = main(["msm", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "unstable" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'unstable'" in err and "at step 1, t=0.001" in err
 
     def test_blowup_exits_1_naming_experiment_and_step(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
