@@ -82,6 +82,10 @@ _OPTION_KEYS = {
 
 RATIO_SUITES = ("cubic", "quintic", "nullform", "bilinear")
 
+# A time section must hold a whole number of steps to this relative
+# tolerance; the runners step round(t_final / dt) times.
+_STEP_COUNT_RTOL = 1e-9
+
 # Kinds that step the map flow at the configured dt, with the grid they use.
 _MAP_FLOW_GRIDS = {"evolve_map": Grid2D, "hasimoto_1d": Grid1D}
 
@@ -167,8 +171,12 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
     time = dict(raw.get("time", {}))
     if "time" in raw:
         _check_keys(time, {"dt", "t_final"}, f"{where}.time")
-        _positive_float(time.get("dt"), f"{where}.time.dt")
-        _positive_float(time.get("t_final"), f"{where}.time.t_final")
+        dt = _positive_float(time.get("dt"), f"{where}.time.dt")
+        steps = _positive_float(time.get("t_final"), f"{where}.time.t_final") / dt
+        if abs(steps - round(steps)) > _STEP_COUNT_RTOL * steps:
+            raise ConfigError(
+                f"{where}.time: t_final / dt = {steps:.12g} is not a whole number of steps"
+            )
     preset = dict(raw.get("preset", {}))
     if "preset" in raw:
         _check_keys(preset, {"name", "params"}, f"{where}.preset")
@@ -185,6 +193,11 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
     _check_keys(options, _OPTION_KEYS[kind], f"{where}.options")
     if "soliton_n" in options:
         _grid_size(options["soliton_n"], f"{where}.options.soliton_n")
+    for key in ("rungs", "steps"):
+        if key in options:
+            _positive_int(options[key], f"{where}.options.{key}")
+    if "dt0" in options:
+        _positive_float(options["dt0"], f"{where}.options.dt0")
     for suite in options.get("suites", []):
         if suite not in RATIO_SUITES:
             raise ConfigError(
@@ -197,6 +210,19 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
             raise ConfigError(
                 f"{where}.time.dt = {time['dt']:.3e} exceeds the midpoint contraction "
                 f"bound {limit:.3e} for this grid"
+            )
+    if kind == "msm_oracle" and "dt0" in options:
+        # Each rung halves dt and doubles n, and the bound falls as 1/n^2,
+        # so the finest rung is the tightest.
+        rungs = options.get("rungs", 3)
+        finest = Grid2D(n=grid["n"] * 2 ** (rungs - 1), length=grid["length"])
+        limit = max_stable_dt(finest)
+        dt = options["dt0"] / 2 ** (rungs - 1)
+        if dt > limit:
+            raise ConfigError(
+                f"{where}.options.dt0 = {options['dt0']:.3e} steps the finest rung "
+                f"(n = {finest.n}) at dt = {dt:.3e}, above the midpoint contraction "
+                f"bound {limit:.3e}"
             )
 
     exp = ExperimentConfig(
@@ -414,8 +440,8 @@ def run_experiments(experiments: list[ExperimentConfig], out_dir) -> Path:
         sub.mkdir(parents=True, exist_ok=True)
         try:
             written = _RUNNERS[exp.kind](exp, sub)
-        except ConfigError:
-            raise
+        except ConfigError as err:
+            raise ConfigError(f"experiment {exp.name!r} ({exp.kind}): {err}") from err
         except (ValueError, MsmLabError) as err:
             raise MsmLabError(f"experiment {exp.name!r} ({exp.kind}) failed: {err}") from err
         artifacts.extend(f"{exp.name}/{name}" for name in written)

@@ -27,10 +27,11 @@ alternating maximization from below.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
     "paraboloid_mode_dict",
     "shell_mode_dict",
     "Trial",
+    "TrialEnsemble",
     "sample_trials",
     "RatioReport",
     "write_ratio_csv",
@@ -86,7 +88,11 @@ def _max_workers() -> int:
 
 
 def _pmap(fn: Callable, items: Sequence):
-    """Order-preserving map, threaded when MSMLAB_THREADS allows."""
+    """Order-preserving map, threaded when MSMLAB_THREADS allows.
+
+    A task runs only once a worker is free, so tasks that build their own
+    input keep one such input live per worker.
+    """
     workers = _max_workers()
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -155,7 +161,7 @@ class SpaceTimeField:
     @cached_property
     def tau(self) -> np.ndarray:
         """Time frequencies, signed so free solutions sit at tau = |xi|^2."""
-        return -2.0 * np.pi * np.fft.fftfreq(self.nt, d=self.dt)
+        return _tau(self.nt, self.t_window)
 
     @cached_property
     def hat(self) -> np.ndarray:
@@ -175,6 +181,10 @@ class SpaceTimeField:
         return SpaceTimeField(
             grid=self.grid, t_window=self.t_window, values=values, cutoff=cutoff,
         )
+
+
+def _tau(nt: int, t_window: float) -> np.ndarray:
+    return -2.0 * np.pi * np.fft.fftfreq(nt, d=t_window / nt)
 
 
 def _compatible(fields: Sequence[SpaceTimeField]) -> None:
@@ -207,17 +217,35 @@ def realize_mode_field(
     refined grid samples the identical continuum field, which is what the
     grid-doubling stability studies rely on.  Mode indices must stay
     strictly inside the Nyquist box of the requested grid.
+
+    The window acts along t only, so every occupied spatial frequency
+    keeps its own windowed time series: the field's spectrum is known
+    exactly from the mode box (zero outside it), and the values follow
+    from two small matrix products instead of a full 3-D transform.
     """
     n = grid.n
-    coef = np.zeros((n, n, nt), dtype=np.complex128)
-    for (mx, my, mt), c in modes.items():
-        if max(abs(mx), abs(my)) >= n // 2 or abs(mt) >= nt // 2:
-            raise ValueError(f"mode {(mx, my, mt)} does not fit inside the grid")
-        coef[mx % n, my % n, (-mt) % nt] += c
-    vals = np.fft.ifftn(coef) * coef.size
+    keys = np.array(list(modes), dtype=np.int64).reshape(-1, 3)
+    reach = np.abs(keys[:, :2]).max(axis=1, initial=0)
+    bad = (reach >= n // 2) | (np.abs(keys[:, 2]) >= nt // 2)
+    if bad.any():
+        mode = tuple(int(m) for m in keys[np.argmax(bad)])
+        raise ValueError(f"mode {mode} does not fit inside the grid")
+    band = int(reach.max(initial=0))
+    box = np.zeros((2 * band + 1, 2 * band + 1, nt), dtype=np.complex128)
+    # Distinct keys land on distinct cells: |mt| < nt/2 keeps -mt mod nt one-to-one.
+    box[keys[:, 0] + band, keys[:, 1] + band, -keys[:, 2] % nt] = list(modes.values())
     times = np.arange(nt) * (t_window / nt)
     cut = unit_window((times - t_window / 2) / (delta_frac * t_window))
-    return SpaceTimeField(grid=grid, t_window=t_window, values=vals * cut, cutoff=cut)
+    columns = np.fft.ifft(box, axis=2) * (nt * cut)
+    ms = np.arange(-band, band + 1)
+    # e^{i 2 pi m j / n} at grid point j, with the phase reduced mod n.
+    phase = np.exp((2j * np.pi / n) * (np.outer(np.arange(n), ms) % n))
+    vals = phase @ np.tensordot(phase, columns, axes=(1, 0))
+    hat = np.zeros((n, n, nt), dtype=np.complex128)
+    hat[np.ix_(ms % n, ms % n)] = np.fft.fft(columns, axis=2) / nt
+    out = SpaceTimeField(grid=grid, t_window=t_window, values=vals, cutoff=cut)
+    object.__setattr__(out, "hat", hat)  # fills the cached property
+    return out
 
 
 def free_solution_field(
@@ -241,25 +269,32 @@ def free_solution_field(
 # -- norms ----------------------------------------------------------------
 
 
-def _weight(u: SpaceTimeField, s: float, b: float, sign: int) -> np.ndarray:
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 (paraboloid) or -1 (mirrored)")
-    k2 = u.grid.k2[:, :, None]
-    gap = u.tau[None, None, :] - sign * k2
+@lru_cache(maxsize=8)
+def _weight_sq(
+    grid: Grid2D, nt: int, t_window: float, s: float, b: float, sign: int
+) -> np.ndarray:
+    """Squared weight of :func:`xsb_norm`, one read-only array per key."""
+    k2 = grid.k2[:, :, None]
+    tau = _tau(nt, t_window)
+    gap = tau[None, None, :] - sign * k2
     # The single unpaired time frequency aliases +-Nyquist equally; giving
     # it the symmetric (farther) distance for both signs keeps conjugation
     # an exact isometry and the duality pairing an exact Cauchy-Schwarz,
     # instead of leaving a sign ambiguity on that plane.
-    gap[:, :, u.nt // 2] = np.abs(u.tau[u.nt // 2]) + k2[:, :, 0]
+    gap[:, :, nt // 2] = np.abs(tau[nt // 2]) + k2[:, :, 0]
     bracket_tau = np.sqrt(1.0 + gap**2)
     bracket_xi = np.sqrt(1.0 + k2)
-    return bracket_tau**b * bracket_xi**s
+    weight_sq = (bracket_tau**b * bracket_xi**s) ** 2
+    weight_sq.setflags(write=False)
+    return weight_sq
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
     """Weighted space-time norm with weight <tau -+ |xi|^2>^b <xi>^s."""
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 (paraboloid) or -1 (mirrored)")
     measure = u.grid.length**2 * u.t_window
-    total = np.sum(np.abs(u.hat) ** 2 * _weight(u, s, b, sign) ** 2)
+    total = np.sum(np.abs(u.hat) ** 2 * _weight_sq(u.grid, u.nt, u.t_window, s, b, sign))
     return float(np.sqrt(measure * total))
 
 
@@ -334,10 +369,13 @@ def sup_l2_constant(u: SpaceTimeField, b: float) -> float:
     inequality is Cauchy-Schwarz in the time frequency, so it holds
     discretely without any constant slack.
     """
-    k2 = u.grid.k2[:, :, None]
-    gap = u.tau[None, None, :] - k2
+    return _sup_l2_constant(u.grid, u.nt, u.t_window, b)
+
+
+def _sup_l2_constant(grid: Grid2D, nt: int, t_window: float, b: float) -> float:
+    gap = _tau(nt, t_window)[None, None, :] - grid.k2[:, :, None]
     s_max = float(np.max(np.sum((1.0 + gap**2) ** (-b), axis=2)))
-    return float(np.sqrt(s_max / u.t_window))
+    return float(np.sqrt(s_max / t_window))
 
 
 # -- seeded ensembles -------------------------------------------------------
@@ -408,6 +446,39 @@ class Trial:
 FLAVORS = ("white", "paraboloid", "highlow")
 
 
+@dataclass(frozen=True)
+class TrialEnsemble(Sequence):
+    """Seeded trials, realized on demand: indexing builds one, nothing is kept."""
+
+    grid: Grid2D
+    nt: int
+    t_window: float
+    arity: int
+    seeds: tuple[int, ...]
+    space_band: int
+    time_band: int
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, i: int) -> Trial:
+        i = range(len(self.seeds))[i]
+        mseed = self.seeds[i]
+        flavor = FLAVORS[i % len(FLAVORS)]
+        sb, tb = self.space_band, self.time_band
+        factors = []
+        for j in range(self.arity):
+            fseed = mseed + 7919 * j
+            if flavor == "white":
+                modes = white_mode_dict(sb, tb, fseed)
+            elif flavor == "paraboloid":
+                modes = paraboloid_mode_dict(sb, tb, self.grid.length, self.t_window, fseed)
+            else:
+                modes = shell_mode_dict(sb, tb, fseed, "high" if j % 2 == 0 else "low")
+            factors.append(realize_mode_field(self.grid, self.nt, self.t_window, modes))
+        return Trial(fields=tuple(factors), seed=mseed, flavor=flavor)
+
+
 def sample_trials(
     grid: Grid2D,
     nt: int,
@@ -417,32 +488,22 @@ def sample_trials(
     seed: int,
     space_band: int,
     time_band: int,
-) -> list[Trial]:
+) -> TrialEnsemble:
     """Seeded ensemble cycling through the three stress flavors.
 
     Every factor of every trial is reconstructible from the recorded
     member seed alone, so a CSV row naming the argmax seed pins down the
-    worst input exactly.
+    worst input exactly.  Trials are realized when indexed, so a caller
+    holds only the trials it is working on.
     """
+    if n_trials and (space_band >= grid.n // 2 or time_band >= nt // 2):
+        raise ValueError(f"mode band ({space_band}, {time_band}) does not fit inside the grid")
     member_seeds = np.random.SeedSequence(seed).generate_state(n_trials)
-    trials = []
-    for i in range(n_trials):
-        mseed = int(member_seeds[i])
-        flavor = FLAVORS[i % len(FLAVORS)]
-        factors = []
-        for j in range(arity):
-            fseed = mseed + 7919 * j
-            if flavor == "white":
-                modes = white_mode_dict(space_band, time_band, fseed)
-            elif flavor == "paraboloid":
-                modes = paraboloid_mode_dict(space_band, time_band, grid.length, t_window, fseed)
-            else:
-                modes = shell_mode_dict(
-                    space_band, time_band, fseed, "high" if j % 2 == 0 else "low"
-                )
-            factors.append(realize_mode_field(grid, nt, t_window, modes))
-        trials.append(Trial(fields=tuple(factors), seed=mseed, flavor=flavor))
-    return trials
+    return TrialEnsemble(
+        grid=grid, nt=nt, t_window=t_window, arity=arity,
+        seeds=tuple(int(x) for x in member_seeds),
+        space_band=space_band, time_band=time_band,
+    )
 
 
 # -- ratio experiments -------------------------------------------------------
@@ -474,17 +535,38 @@ def write_ratio_csv(reports: Iterable[RatioReport], path: str) -> None:
     write_csv(path, CSV_HEADER, [rep.csv_row() for rep in reports])
 
 
-def _ratio_report(name, trials, eps, s, values) -> RatioReport:
+class _Measured(NamedTuple):
+    """What outlives one trial: its seed, its space-time grid, and the scalars."""
+
+    seed: int
+    grid: Grid2D
+    nt: int
+    t_window: float
+    value: object
+
+
+def _measure(trials: Sequence[Trial], fn: Callable[[Trial], object]) -> list[_Measured]:
+    """fn over every trial, each realized inside its own worker and dropped after."""
+
+    def one(i: int) -> _Measured:
+        trial = trials[i]
+        f = trial.fields[0]
+        return _Measured(trial.seed, f.grid, f.nt, f.t_window, fn(trial))
+
+    return _pmap(one, range(len(trials)))
+
+
+def _ratio_report(name, rows: list[_Measured], eps, s, values) -> RatioReport:
     idx = int(np.argmax(values)) if values else 0
     return RatioReport(
         test_name=name,
-        grid_n=trials[0].fields[0].grid.n if trials else 0,
-        nt=trials[0].fields[0].nt if trials else 0,
+        grid_n=rows[0].grid.n if rows else 0,
+        nt=rows[0].nt if rows else 0,
         eps=eps,
         s=s,
-        ensemble_size=len(trials),
+        ensemble_size=len(rows),
         max_ratio=float(values[idx]) if values else 0.0,
-        argmax_seed=trials[idx].seed if trials else 0,
+        argmax_seed=rows[idx].seed if rows else 0,
         ratios=tuple(float(v) for v in values),
     )
 
@@ -518,9 +600,9 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> list[Rati
             out[name] = xsb_norm(prod, s, b_num, +1) / den
         return out
 
-    rows = _pmap(one, list(trials))
+    rows = _measure(trials, one)
     return [
-        _ratio_report(name, list(trials), eps, s, [r[name] for r in rows])
+        _ratio_report(name, rows, eps, s, [r.value[name] for r in rows])
         for name in CUBIC_VARIANTS
     ]
 
@@ -548,8 +630,8 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
         prod = u[0]._derived(vals, cut)
         return xsb_norm(prod, s, b_num, +1) / den
 
-    values = _pmap(one, list(trials))
-    return _ratio_report("quintic", list(trials), eps, s, values)
+    rows = _measure(trials, one)
+    return _ratio_report("quintic", rows, eps, s, [r.value for r in rows])
 
 
 @dataclass(frozen=True)
@@ -598,11 +680,10 @@ def ratio_test_nullform(trials: Sequence[Trial], eps: float) -> NullFormReport:
         ratio = 0.0 if den == 0.0 else abs(direct) / den
         return ratio, mismatch
 
-    rows = _pmap(one, list(trials))
-    ratios = [r for r, _ in rows]
+    rows = _measure(trials, one)
     return NullFormReport(
-        ratio=_ratio_report("nullform", list(trials), eps, s, ratios),
-        max_assembly_mismatch=float(max(m for _, m in rows)) if rows else 0.0,
+        ratio=_ratio_report("nullform", rows, eps, s, [r.value[0] for r in rows]),
+        max_assembly_mismatch=float(max(r.value[1] for r in rows)) if rows else 0.0,
     )
 
 
@@ -641,16 +722,16 @@ def bilinear_embedding_test(trials: Sequence[Trial], p: float, eps: float) -> Bi
         sup = mixed_norm(u, np.inf, 2) / nu
         return uv, ucv, diag, sup
 
-    rows = _pmap(one, list(trials))
-    trials = list(trials)
+    rows = _measure(trials, one)
+    column = [[r.value[c] for r in rows] for c in range(4)]
     return BilinearReport(
         p=p,
         eps=eps,
-        uv=_ratio_report(f"bilinear_uv_p{p:g}", trials, eps, 0.0, [r[0] for r in rows]),
-        u_conj_v=_ratio_report(f"bilinear_uconjv_p{p:g}", trials, eps, 0.0, [r[1] for r in rows]),
-        diagonal=_ratio_report(f"bilinear_diag_p{p:g}", trials, eps, 0.0, [r[2] for r in rows]),
-        sup_l2_max_ratio=float(max(r[3] for r in rows)) if rows else 0.0,
-        sup_l2_cap=sup_l2_constant(trials[0].fields[0], b) if trials else 0.0,
+        uv=_ratio_report(f"bilinear_uv_p{p:g}", rows, eps, 0.0, column[0]),
+        u_conj_v=_ratio_report(f"bilinear_uconjv_p{p:g}", rows, eps, 0.0, column[1]),
+        diagonal=_ratio_report(f"bilinear_diag_p{p:g}", rows, eps, 0.0, column[2]),
+        sup_l2_max_ratio=float(max(column[3])) if rows else 0.0,
+        sup_l2_cap=_sup_l2_constant(rows[0].grid, rows[0].nt, rows[0].t_window, b) if rows else 0.0,
     )
 
 
@@ -747,62 +828,61 @@ def _alternating_lower_bound(
     is a valid lower bound, and the max over restarts is returned.  The
     first restart is seeded with point masses on the hyperplane point where
     |m| peaks, which already attains the exact norm when k = 2.
+
+    The restarts advance together as the rows of one batch, drawn in the
+    order a restart-by-restart loop draws them; a row leaves the batch at
+    the sweep where that restart alone would stop.
     """
-    size = spec.group_size
-    rng = np.random.default_rng(seed)
-    axes_all = tuple(range(spec.k - 1))
-    best = 0.0
+    size, k = spec.group_size, spec.k
+    # fs[j] holds argument j of every live restart, one row each.
+    fs = [np.zeros((restarts, size), dtype=np.complex128) for _ in range(k)]
     peak = np.unravel_index(int(np.argmax(np.abs(spec.m))), spec.m.shape)
-    for attempt in range(restarts):
-        if attempt == 0:
-            fs = []
-            for j in range(spec.k - 1):
-                f = np.zeros(size, dtype=np.complex128)
-                f[peak[j]] = 1.0
-                fs.append(f)
-            f = np.zeros(size, dtype=np.complex128)
-            f[neg_idx[peak]] = 1.0
-            fs.append(f)
-        else:
-            fs = []
-            for _ in range(spec.k):
-                f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                fs.append(f / np.linalg.norm(f))
-        value = 0.0
-        for _ in range(sweeps):
-            previous = value
-            for j in range(spec.k):
-                if j < spec.k - 1:
-                    weighted = spec.m * fs[spec.k - 1][neg_idx]
-                    for i in range(spec.k - 1):
-                        if i == j:
-                            continue
-                        idx = [None] * (spec.k - 1)
-                        idx[i] = slice(None)
-                        weighted = weighted * fs[i][tuple(idx)]
-                    axes = tuple(a for a in axes_all if a != j)
-                    g = np.sum(weighted, axis=axes)
-                else:
-                    weighted = spec.m.copy()
-                    for i in range(spec.k - 1):
-                        idx = [None] * (spec.k - 1)
-                        idx[i] = slice(None)
-                        weighted = weighted * fs[i][tuple(idx)]
-                    g = np.bincount(
-                        neg_idx.ravel(), weights=np.real(weighted).ravel(), minlength=size
-                    ) + 1j * np.bincount(
-                        neg_idx.ravel(), weights=np.imag(weighted).ravel(), minlength=size
-                    )
-                norm = np.linalg.norm(g)
-                if norm == 0.0:
-                    value = 0.0
-                    break
-                fs[j] = np.conj(g) / norm
-                value = float(norm)
-            if value == 0.0 or abs(value - previous) <= 1e-12 * max(value, 1.0):
-                break
-        best = max(best, value)
-    return best
+    for j in range(k - 1):
+        fs[j][0, peak[j]] = 1.0
+    fs[k - 1][0, neg_idx[peak]] = 1.0
+    draws = np.random.default_rng(seed).standard_normal((restarts - 1, k, 2, size))
+    for j in range(k):
+        f = draws[:, j, 0] + 1j * draws[:, j, 1]
+        fs[j][1:] = f / np.linalg.norm(f, axis=1, keepdims=True)
+
+    def along(f: np.ndarray, axis: int) -> np.ndarray:
+        idx = [None] * (k - 1)
+        idx[axis] = slice(None)
+        return f[(slice(None), *idx)]
+
+    m = spec.m[None]
+    flat_idx = neg_idx.ravel()
+    rows = np.arange(restarts)  # restart index of each live row
+    value = np.zeros(restarts)
+    final = np.zeros(restarts)
+    for _ in range(sweeps):
+        if rows.size == 0:
+            break
+        previous = value
+        live = np.ones(rows.size, dtype=bool)  # no zero functional met this sweep
+        for j in range(k):
+            weighted = m * fs[k - 1][:, neg_idx] if j < k - 1 else m
+            for i in range(k - 1):
+                if i != j:
+                    weighted = weighted * along(fs[i], i)
+            if j < k - 1:
+                g = np.sum(weighted, axis=tuple(a + 1 for a in range(k - 1) if a != j))
+            else:
+                offsets = (np.arange(rows.size)[:, None] * size + flat_idx).ravel()
+                flat = weighted.reshape(-1)
+                g = (
+                    np.bincount(offsets, weights=flat.real, minlength=rows.size * size)
+                    + 1j * np.bincount(offsets, weights=flat.imag, minlength=rows.size * size)
+                ).reshape(rows.size, size)
+            norm = np.linalg.norm(g, axis=1)
+            live &= norm != 0.0
+            fs[j][live] = np.conj(g[live]) / norm[live, None]
+            value = np.where(live, norm, 0.0)
+        done = (value == 0.0) | (np.abs(value - previous) <= 1e-12 * np.maximum(value, 1.0))
+        final[rows[done]] = value[done]
+        rows, value, fs = rows[~done], value[~done], [f[~done] for f in fs]
+    final[rows] = value
+    return float(np.max(final))
 
 
 def multiplier_norm_bounds(

@@ -116,6 +116,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="septic"):
             parse_config(wrap(exp))
 
+    def test_time_must_hold_whole_steps(self):
+        uneven = dict(TINY_MSM, time={"dt": 1e-3, "t_final": 2.5e-3})
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            parse_config(wrap(uneven))
+        # Rounding in t_final / dt (299.99999999999994 here) is not unevenness.
+        assert 4.5e-3 / 1.5e-5 != 300
+        parse_config(wrap(dict(TINY_MSM, time={"dt": 1.5e-5, "t_final": 4.5e-3})))
+
+    def test_oracle_ladder_options_checked(self):
+        oracle = dict(DEFAULT_EXPERIMENTS["msm_oracle"], grid={"n": 16, "length": 1.0})
+        for options, message in (({"rungs": "3"}, "rungs"), ({"steps": 0}, "steps"),
+                                 ({"dt0": -1.0}, "dt0"), ({"dt0": 0.5}, "dt0.*n = 64")):
+            with pytest.raises(ConfigError, match=message):
+                parse_config(wrap(dict(oracle, options=options)))
+        # The finest rung, n = 64 at dt0 / 4, binds: dt0 may sit above the
+        # coarse rung's own bound only by less than the factor 4 / 16.
+        from msmlab.maps import max_stable_dt
+        from msmlab.spectral import Grid2D
+
+        limit = max_stable_dt(Grid2D(n=64, length=1.0))
+        parse_config(wrap(dict(oracle, options={"dt0": 4 * limit})))
+        with pytest.raises(ConfigError, match="dt0"):
+            parse_config(wrap(dict(oracle, options={"dt0": 4.01 * limit})))
+
     def test_defaults_are_valid(self):
         for kind, exp in DEFAULT_EXPERIMENTS.items():
             cfg = parse_config(wrap(exp))[0]
@@ -165,7 +189,7 @@ class TestRunExperiments:
             time={"dt": 1e-3, "t_final": 3e-3},
             preset={"name": "nonexistent"},
         )
-        with pytest.raises(ConfigError, match="nonexistent"):
+        with pytest.raises(ConfigError, match="'tiny-msm' \\(msm_run\\).*nonexistent"):
             run_experiments([cfg], tmp_path)
 
     def test_deterministic_byte_identical(self, tmp_path):
@@ -277,6 +301,28 @@ class TestMain:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err and "second" in err
+        assert not out.exists()
+
+    def test_oracle_dt0_above_finest_bound_exits_2_before_compute(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        first = dict(DEFAULT_EXPERIMENTS["msm_oracle"], name="first")
+        second = dict(first, name="second", grid={"n": 16, "length": 1.0},
+                      options={"dt0": 0.5})
+        cfgfile.write_text(json.dumps(wrap(first, second)))
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dt0" in err and "second" in err
+        assert not out.exists()
+
+    def test_uneven_steps_exit_2_before_compute(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        second = dict(TINY_MSM, name="second", time={"dt": 1e-3, "t_final": 2.5e-3})
+        cfgfile.write_text(json.dumps(wrap(TINY_MSM, second)))
+        out = tmp_path / "out"
+        assert main(["msm", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "whole number of steps" in err and "second" in err
         assert not out.exists()
 
     def test_module_failures_exit_1(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from msmlab.xsb import (
     RatioReport,
     SpaceTimeField,
     Trial,
+    TrialEnsemble,
     bilinear_embedding_test,
     counting_bound,
     duality_pairing,
@@ -37,6 +38,7 @@ from msmlab.xsb import (
     write_ratio_csv,
     xsb_norm,
 )
+from msmlab.windows import unit_window
 
 LENGTH = 4 * np.pi
 TWIN = 4.0
@@ -542,3 +544,213 @@ class TestCsvReport:
         # One table format across the package: "\n" line ends, full floats.
         assert b"\r" not in p1.read_bytes()
         assert rows[1][3] == format_value(0.01)
+
+
+def ifftn_realization(g, nt, t_window, modes, delta_frac=0.35):
+    """Reference: scatter onto the full grid, one 3-D inverse transform, window."""
+    n = g.n
+    coef = np.zeros((n, n, nt), dtype=np.complex128)
+    for (mx, my, mt), c in modes.items():
+        coef[mx % n, my % n, (-mt) % nt] += c
+    times = np.arange(nt) * (t_window / nt)
+    cut = unit_window((times - t_window / 2) / (delta_frac * t_window))
+    return np.fft.ifftn(coef) * coef.size * cut
+
+
+def edge_mode_dict(n, nt):
+    """Modes on the last frequencies that still fit: |m| = n/2 - 1, |mt| = nt/2 - 1."""
+    top, ttop = n // 2 - 1, nt // 2 - 1
+    return {(top, -top, ttop): 1.0 - 0.5j, (-top, 0, -ttop): 0.3 + 2.0j,
+            (0, top, 1): -1.2, (2, -1, -ttop): 0.7j}
+
+
+def _count_3d_transforms(monkeypatch) -> list[int]:
+    """Patch numpy's n-D transforms to count every call."""
+    count = [0]
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, original=original, **kwargs):
+            count[0] += 1
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
+class TestRealizationFromModeBox:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("kind", ["white", "paraboloid", "high", "low", "edge"])
+    def test_matches_full_transforms(self, n, kind):
+        nt = 2 * n
+        sb, tb = min(5, n // 2 - 1), min(10, nt // 2 - 1)
+        modes = {
+            "white": lambda: white_mode_dict(sb, tb, seed=n),
+            "paraboloid": lambda: paraboloid_mode_dict(sb, tb, LENGTH, TWIN, seed=n),
+            "high": lambda: shell_mode_dict(sb, tb, seed=n, kind="high"),
+            "low": lambda: shell_mode_dict(sb, tb, seed=n, kind="low"),
+            "edge": lambda: edge_mode_dict(n, nt),
+        }[kind]()
+        f = realize_mode_field(grid(n), nt, TWIN, modes)
+        full = np.fft.fftn(f.values) / f.values.size
+        assert np.max(np.abs(f.hat - full)) <= 1e-13 * np.max(np.abs(full))
+        old = ifftn_realization(grid(n), nt, TWIN, modes)
+        assert np.max(np.abs(f.values - old)) <= 1e-13 * np.max(np.abs(old))
+
+    def test_empty_dict_is_zero_field(self):
+        f = realize_mode_field(grid(16), 32, TWIN, {})
+        assert not np.any(f.values) and not np.any(f.hat)
+
+    def test_cubic_transforms_only_its_products(self, monkeypatch):
+        # Three products per trial go through fftn; realized factors know
+        # their spectra and need no 3-D transform at all.
+        trials = sample_trials(grid(16), 32, TWIN, 3, 3, seed=1, space_band=3, time_band=4)
+        count = _count_3d_transforms(monkeypatch)
+        ratio_test_cubic(trials, s=1.0, eps=0.01)
+        assert count[0] == 3 * 3
+
+
+def small_trials(arity, n_trials=4, seed=40):
+    return sample_trials(grid(16), 32, TWIN, arity, n_trials, seed, space_band=3, time_band=6)
+
+
+SUITES = {
+    "cubic": (3, lambda t: ratio_test_cubic(t, 1.0, 0.01)),
+    "quintic": (5, lambda t: ratio_test_quintic(t, 0.01)),
+    "nullform": (4, lambda t: ratio_test_nullform(t, 0.01)),
+    "bilinear": (2, lambda t: bilinear_embedding_test(t, 1.0, 0.01)),
+}
+
+
+class TestLazyTrials:
+    def test_indexing_realizes_fresh_equal_trials(self):
+        trials = small_trials(2)
+        assert isinstance(trials, TrialEnsemble) and len(trials) == 4
+        first, again, last = trials[0], trials[0], trials[-1]
+        assert first is not again and first.fields[0] is not again.fields[0]
+        np.testing.assert_array_equal(first.fields[1].values, again.fields[1].values)
+        assert last.seed == trials.seeds[3] and last.flavor == "white"
+        with pytest.raises(IndexError):
+            trials[4]
+
+    def test_band_must_fit_inside_grid(self):
+        with pytest.raises(ValueError, match="fit"):
+            sample_trials(grid(16), 32, TWIN, 2, 3, seed=0, space_band=8, time_band=4)
+        with pytest.raises(ValueError, match="fit"):
+            sample_trials(grid(16), 32, TWIN, 2, 3, seed=0, space_band=3, time_band=16)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_lazy_and_eager_reports_agree(self, suite, threads, monkeypatch):
+        arity, run = SUITES[suite]
+        trials = small_trials(arity)
+        eager = run(list(trials))
+        monkeypatch.setenv("MSMLAB_THREADS", threads)
+        assert run(trials) == eager
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_each_factor_realized_once(self, suite, monkeypatch):
+        import msmlab.xsb as xsb
+
+        arity, run = SUITES[suite]
+        calls = [0]
+        original = xsb.realize_mode_field
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(xsb, "realize_mode_field", counted)
+        run(small_trials(arity))
+        assert calls[0] == 4 * arity
+
+
+def serial_lower_bound(spec, neg_idx, restarts, seed, sweeps=400):
+    """The restart-by-restart loop the batched bound replaced, kept as a reference."""
+    size = spec.group_size
+    rng = np.random.default_rng(seed)
+    axes_all = tuple(range(spec.k - 1))
+    best = 0.0
+    peak = np.unravel_index(int(np.argmax(np.abs(spec.m))), spec.m.shape)
+    for attempt in range(restarts):
+        if attempt == 0:
+            fs = []
+            for j in range(spec.k - 1):
+                f = np.zeros(size, dtype=np.complex128)
+                f[peak[j]] = 1.0
+                fs.append(f)
+            f = np.zeros(size, dtype=np.complex128)
+            f[neg_idx[peak]] = 1.0
+            fs.append(f)
+        else:
+            fs = []
+            for _ in range(spec.k):
+                f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                fs.append(f / np.linalg.norm(f))
+        value = 0.0
+        for _ in range(sweeps):
+            previous = value
+            for j in range(spec.k):
+                if j < spec.k - 1:
+                    weighted = spec.m * fs[spec.k - 1][neg_idx]
+                    for i in range(spec.k - 1):
+                        if i == j:
+                            continue
+                        idx = [None] * (spec.k - 1)
+                        idx[i] = slice(None)
+                        weighted = weighted * fs[i][tuple(idx)]
+                    axes = tuple(a for a in axes_all if a != j)
+                    g = np.sum(weighted, axis=axes)
+                else:
+                    weighted = spec.m.copy()
+                    for i in range(spec.k - 1):
+                        idx = [None] * (spec.k - 1)
+                        idx[i] = slice(None)
+                        weighted = weighted * fs[i][tuple(idx)]
+                    g = np.bincount(
+                        neg_idx.ravel(), weights=np.real(weighted).ravel(), minlength=size
+                    ) + 1j * np.bincount(
+                        neg_idx.ravel(), weights=np.imag(weighted).ravel(), minlength=size
+                    )
+                norm = np.linalg.norm(g)
+                if norm == 0.0:
+                    value = 0.0
+                    break
+                fs[j] = np.conj(g) / norm
+                value = float(norm)
+            if value == 0.0 or abs(value - previous) <= 1e-12 * max(value, 1.0):
+                break
+        best = max(best, value)
+    return best
+
+
+class TestBatchedLowerBound:
+    @staticmethod
+    def random_spec(k, modulus, dim, seed):
+        rng = np.random.default_rng(seed)
+        shape = (modulus**dim,) * (k - 1)
+        return MultiplierSpec(k=k, modulus=modulus, dim=dim,
+                              m=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("k,modulus,dim", [(2, 8, 1), (3, 8, 1), (3, 3, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_serial_restarts(self, k, modulus, dim, seed):
+        from msmlab.xsb import _alternating_lower_bound, _negated_sum_index
+
+        specs = [self.random_spec(k, modulus, dim, 100 + seed)]
+        if (k, dim) == (3, 1):
+            specs.append(indicator_pair_multiplier(8, [0, 1, 5], [2, 3]))
+        for spec in specs:
+            neg_idx = _negated_sum_index(spec)
+            for restarts, sweeps in ((1, 400), (20, 400), (20, 2)):
+                batched = _alternating_lower_bound(spec, neg_idx, restarts, seed, sweeps)
+                serial = serial_lower_bound(spec, neg_idx, restarts, seed, sweeps)
+                assert batched == pytest.approx(serial, rel=1e-12)
+
+    def test_zero_functional_stops_every_restart(self):
+        from msmlab.xsb import _alternating_lower_bound, _negated_sum_index
+
+        spec = MultiplierSpec(k=3, modulus=4, dim=1, m=np.zeros((4, 4)))
+        neg_idx = _negated_sum_index(spec)
+        assert _alternating_lower_bound(spec, neg_idx, 5, 0) == 0.0
+        assert serial_lower_bound(spec, neg_idx, 5, 0) == 0.0
