@@ -6,7 +6,7 @@ preset, and RNG seed.  Outputs are deterministic functions of the config
 (CSV tables and binary snapshots under one directory, listed with SHA-256
 checksums in ``manifest.json``), so rerunning a config reproduces every
 artifact byte for byte.  The environment variable ``MSMLAB_THREADS`` caps
-the worker pool used by the ensemble suites.
+the worker pool used by the ensemble suites; it must be a positive integer.
 """
 
 from __future__ import annotations
@@ -530,6 +530,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     kind = COMMAND_KINDS[args.command]
     try:
+        xsb.max_workers()  # a malformed MSMLAB_THREADS stops the run before compute
         if args.config is not None:
             try:
                 raw = json.loads(Path(args.config).read_text())

@@ -26,6 +26,7 @@ alternating maximization from below.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TooLargeError
+from .errors import ConfigError, TooLargeError
 from .gauge import beta_hat
 from .spectral import Grid2D
 from .storage import write_csv
@@ -51,6 +52,7 @@ __all__ = [
     "free_solution_norm_check",
     "free_solution_slope",
     "sup_l2_constant",
+    "max_workers",
     "white_mode_dict",
     "paraboloid_mode_dict",
     "shell_mode_dict",
@@ -80,11 +82,16 @@ MAX_ENUMERATION = 10**6
 BOUNDARY_TOL = 1e-8
 
 
-def _max_workers() -> int:
+def max_workers() -> int:
+    """Worker count from MSMLAB_THREADS (default 1); a positive integer or ConfigError."""
+    raw = os.environ.get("MSMLAB_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MSMLAB_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MSMLAB_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _pmap(fn: Callable, items: Sequence):
@@ -93,7 +100,7 @@ def _pmap(fn: Callable, items: Sequence):
     A task runs only once a worker is free, so tasks that build their own
     input keep one such input live per worker.
     """
-    workers = _max_workers()
+    workers = max_workers()
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -113,12 +120,22 @@ class SpaceTimeField:
     at the first and last slice must be below BOUNDARY_TOL relative to the
     field's sup, so that treating the time axis as periodic is exact to
     rounding rather than an O(1) lie.
+
+    ``band``, when known, bounds the spatial frequency indices of the
+    continuum field that ``values`` samples (``max(|mx|, |my|) <= band``);
+    ``None`` means unknown.  A band of n/2 or more is allowed: the samples
+    are still exact, only their grid spectrum aliases.  ``box``, when
+    known, holds the space-time coefficients of the (2 band + 1)^2 spatial
+    columns, modes -band..band along each axis in increasing order; every
+    other coefficient is zero.
     """
 
     grid: Grid2D
     t_window: float
     values: np.ndarray
     cutoff: np.ndarray
+    band: int | None = None
+    box: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         nt = self.values.shape[2] if self.values.ndim == 3 else 0
@@ -130,13 +147,21 @@ class SpaceTimeField:
             raise ValueError(f"time axis must hold a power of two samples, got {nt}")
         if not self.t_window > 0:
             raise ValueError("t_window must be positive")
-        if not np.all(np.isfinite(self.values)):
+        # One pass: the sup is NaN or inf exactly when an entry is not finite.
+        top = float(np.max(np.abs(self.values)))
+        if not np.isfinite(top):
             raise ValueError("values contain non-finite entries")
         if self.cutoff.shape != (nt,):
             raise ValueError("cutoff must be sampled on the time axis")
+        if self.band is not None and self.band < 0:
+            raise ValueError(f"band must be nonnegative, got {self.band}")
+        if self.box is not None and (
+            self.band is None or 2 * self.band >= self.grid.n
+            or self.box.shape != (2 * self.band + 1,) * 2 + (nt,)
+        ):
+            raise ValueError("box must hold the (2 band + 1)^2 x nt coefficients of the grid")
         if self.values.dtype != np.complex128:
             object.__setattr__(self, "values", self.values.astype(np.complex128))
-        top = float(np.max(np.abs(self.values)))
         if top > 0:
             edge = max(float(np.max(np.abs(self.values[:, :, 0]))),
                        float(np.max(np.abs(self.values[:, :, -1]))))
@@ -166,20 +191,31 @@ class SpaceTimeField:
     @cached_property
     def hat(self) -> np.ndarray:
         """Space-time coefficients, unitary up to the measure L^2 T."""
-        return np.fft.fftn(self.values) / self.values.size
+        if self.box is None:
+            return np.fft.fftn(self.values) / self.values.size
+        out = np.zeros(self.values.shape, dtype=np.complex128)
+        idx = _box_index(self.band, self.grid.n)
+        out[np.ix_(idx, idx)] = self.box
+        return out
 
     def conjugate(self) -> "SpaceTimeField":
         return SpaceTimeField(
             grid=self.grid, t_window=self.t_window,
-            values=np.conj(self.values), cutoff=self.cutoff,
+            values=np.conj(self.values), cutoff=self.cutoff, band=self.band,
         )
 
     def scaled(self, factor: complex) -> "SpaceTimeField":
-        return self._derived(factor * self.values, self.cutoff)
-
-    def _derived(self, values: np.ndarray, cutoff: np.ndarray) -> "SpaceTimeField":
+        box = None if self.box is None else factor * self.box
         return SpaceTimeField(
-            grid=self.grid, t_window=self.t_window, values=values, cutoff=cutoff,
+            grid=self.grid, t_window=self.t_window, values=factor * self.values,
+            cutoff=self.cutoff, band=self.band, box=box,
+        )
+
+    def _derived(
+        self, values: np.ndarray, cutoff: np.ndarray, band: int | None = None
+    ) -> "SpaceTimeField":
+        return SpaceTimeField(
+            grid=self.grid, t_window=self.t_window, values=values, cutoff=cutoff, band=band,
         )
 
 
@@ -194,6 +230,17 @@ def _compatible(fields: Sequence[SpaceTimeField]) -> None:
             raise ValueError("fields live on different space-time grids")
 
 
+def _box_index(band: int, n: int) -> np.ndarray:
+    """Grid index of the spatial modes -band..band on an n-point axis."""
+    return np.arange(-band, band + 1) % n
+
+
+def _band_sum(fields: Sequence[SpaceTimeField]) -> int | None:
+    """Band of the fields' product, None when any band is unknown."""
+    bands = [f.band for f in fields]
+    return None if None in bands else sum(bands)
+
+
 def _product(factors: Sequence[SpaceTimeField], conj: Sequence[bool]) -> SpaceTimeField:
     _compatible(factors)
     vals = np.ones_like(factors[0].values)
@@ -201,7 +248,37 @@ def _product(factors: Sequence[SpaceTimeField], conj: Sequence[bool]) -> SpaceTi
     for f, c in zip(factors, conj):
         vals = vals * (np.conj(f.values) if c else f.values)
         cut = cut * f.cutoff
-    return factors[0]._derived(vals, cut)
+    return factors[0]._derived(vals, cut, _band_sum(factors))
+
+
+def _unaliased(
+    fields: Sequence[SpaceTimeField], bound: Callable[[list[int]], int]
+) -> tuple[SpaceTimeField, ...]:
+    """The fields sampled on the smallest grid with more than bound(bands) points a side.
+
+    The caller's ``bound``, a function of the fields' bands, makes the step
+    it takes on the coarse grid unaliased.  The grid is a power of two with
+    at least 8 points and more than twice every band, so each field is
+    sampled exactly: every (n/m)-th point of its values is the same
+    continuum field on the coarse grid.  When a band is unknown, or no grid
+    smaller than the fields' own qualifies, the fields come back unchanged.
+    """
+    grid = fields[0].grid
+    bands = [f.band for f in fields]
+    if None in bands:
+        return tuple(fields)
+    m = 8
+    while m <= max(bound(bands), 2 * max(bands)):
+        m *= 2
+    if m >= grid.n:
+        return tuple(fields)
+    coarse = Grid2D(n=m, length=grid.length)
+    step = grid.n // m
+    return tuple(
+        SpaceTimeField(grid=coarse, t_window=f.t_window, values=f.values[::step, ::step],
+                       cutoff=f.cutoff, band=f.band, box=f.box)
+        for f in fields
+    )
 
 
 def realize_mode_field(
@@ -220,8 +297,9 @@ def realize_mode_field(
 
     The window acts along t only, so every occupied spatial frequency
     keeps its own windowed time series: the field's spectrum is known
-    exactly from the mode box (zero outside it), and the values follow
-    from two small matrix products instead of a full 3-D transform.
+    exactly from the mode box (zero outside it) and is kept as the
+    field's ``box``, and the values follow from two small matrix products
+    instead of a full 3-D transform.
     """
     n = grid.n
     keys = np.array(list(modes), dtype=np.int64).reshape(-1, 3)
@@ -241,11 +319,8 @@ def realize_mode_field(
     # e^{i 2 pi m j / n} at grid point j, with the phase reduced mod n.
     phase = np.exp((2j * np.pi / n) * (np.outer(np.arange(n), ms) % n))
     vals = phase @ np.tensordot(phase, columns, axes=(1, 0))
-    hat = np.zeros((n, n, nt), dtype=np.complex128)
-    hat[np.ix_(ms % n, ms % n)] = np.fft.fft(columns, axis=2) / nt
-    out = SpaceTimeField(grid=grid, t_window=t_window, values=vals, cutoff=cut)
-    object.__setattr__(out, "hat", hat)  # fills the cached property
-    return out
+    return SpaceTimeField(grid=grid, t_window=t_window, values=vals, cutoff=cut,
+                          band=band, box=np.fft.fft(columns, axis=2) / nt)
 
 
 def free_solution_field(
@@ -294,7 +369,13 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 (paraboloid) or -1 (mirrored)")
     measure = u.grid.length**2 * u.t_window
-    total = np.sum(np.abs(u.hat) ** 2 * _weight_sq(u.grid, u.nt, u.t_window, s, b, sign))
+    weight_sq = _weight_sq(u.grid, u.nt, u.t_window, s, b, sign)
+    if u.box is None:
+        coef = u.hat
+    else:  # every coefficient outside the box is zero
+        idx = _box_index(u.band, u.grid.n)
+        coef, weight_sq = u.box, weight_sq[np.ix_(idx, idx)]
+    total = np.sum(np.abs(coef) ** 2 * weight_sq)
     return float(np.sqrt(measure * total))
 
 
@@ -381,19 +462,19 @@ def _sup_l2_constant(grid: Grid2D, nt: int, t_window: float, b: float) -> float:
 # -- seeded ensembles -------------------------------------------------------
 
 
-def _complex_coef(rng: np.random.Generator) -> complex:
-    return complex(rng.standard_normal(), rng.standard_normal())
+def _complex_coefs(rng: np.random.Generator, count: int) -> list[complex]:
+    """count complex coefficients, each drawn as a (real, imaginary) pair.
+
+    One call draws the same stream as count pairs of scalar draws.
+    """
+    return rng.standard_normal(2 * count).view(np.complex128).tolist()
 
 
 def white_mode_dict(space_band: int, time_band: int, seed: int) -> dict:
     """Independent unit-variance coefficients on the full mode box."""
-    rng = np.random.default_rng(seed)
-    out = {}
-    for mx in range(-space_band, space_band + 1):
-        for my in range(-space_band, space_band + 1):
-            for mt in range(-time_band, time_band + 1):
-                out[(mx, my, mt)] = _complex_coef(rng)
-    return out
+    space = range(-space_band, space_band + 1)
+    keys = list(itertools.product(space, space, range(-time_band, time_band + 1)))
+    return dict(zip(keys, _complex_coefs(np.random.default_rng(seed), len(keys))))
 
 
 def paraboloid_mode_dict(
@@ -404,16 +485,16 @@ def paraboloid_mode_dict(
     seed: int,
 ) -> dict:
     """Mass only within two time modes of tau = |xi|^2: the hard regime."""
-    rng = np.random.default_rng(seed)
+    space = range(-space_band, space_band + 1)
+    coefs = iter(_complex_coefs(np.random.default_rng(seed), 3 * len(space) ** 2))
     out = {}
-    for mx in range(-space_band, space_band + 1):
-        for my in range(-space_band, space_band + 1):
-            xi2 = (2 * np.pi / length) ** 2 * (mx**2 + my**2)
-            center = int(round(xi2 * t_window / (2 * np.pi)))
-            for mt in range(center - 1, center + 2):
-                mt_c = min(max(mt, -time_band), time_band)
-                key = (mx, my, mt_c)
-                out[key] = out.get(key, 0.0) + _complex_coef(rng)
+    for mx, my in itertools.product(space, space):
+        xi2 = (2 * np.pi / length) ** 2 * (mx**2 + my**2)
+        center = int(round(xi2 * t_window / (2 * np.pi)))
+        for mt in range(center - 1, center + 2):
+            mt_c = min(max(mt, -time_band), time_band)
+            key = (mx, my, mt_c)
+            out[key] = out.get(key, 0.0) + next(coefs)
     return out
 
 
@@ -425,15 +506,13 @@ def shell_mode_dict(space_band: int, time_band: int, seed: int, kind: str) -> di
         keep = lambda m: m <= max(1, space_band // 4)
     else:
         raise ValueError(f"kind must be 'high' or 'low', got {kind!r}")
-    rng = np.random.default_rng(seed)
-    out = {}
-    for mx in range(-space_band, space_band + 1):
-        for my in range(-space_band, space_band + 1):
-            if not keep(max(abs(mx), abs(my))):
-                continue
-            for mt in range(-time_band, time_band + 1):
-                out[(mx, my, mt)] = _complex_coef(rng)
-    return out
+    space = range(-space_band, space_band + 1)
+    keys = [
+        (mx, my, mt)
+        for mx, my in itertools.product(space, space) if keep(max(abs(mx), abs(my)))
+        for mt in range(-time_band, time_band + 1)
+    ]
+    return dict(zip(keys, _complex_coefs(np.random.default_rng(seed), len(keys))))
 
 
 @dataclass(frozen=True)
@@ -591,20 +670,39 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> list[Rati
     def one(trial: Trial) -> dict[str, float]:
         dens = [xsb_norm(f, s, b_den, +1) for f in trial.fields]
         den = float(np.prod(dens))
-        out = {}
-        for name, conj in CUBIC_VARIANTS.items():
-            if den == 0.0:
-                out[name] = 0.0
-                continue
-            prod = _product(trial.fields, conj)
-            out[name] = xsb_norm(prod, s, b_num, +1) / den
-        return out
+        if den == 0.0:
+            return dict.fromkeys(CUBIC_VARIANTS, 0.0)
+        # The product's norm only reads its spectrum, exact on any grid
+        # with more than twice the product's band.
+        factors = _unaliased(trial.fields, lambda bands: 2 * sum(bands))
+        return {
+            name: xsb_norm(_product(factors, conj), s, b_num, +1) / den
+            for name, conj in CUBIC_VARIANTS.items()
+        }
 
     rows = _measure(trials, one)
     return [
         _ratio_report(name, rows, eps, s, [r.value[name] for r in rows])
         for name in CUBIC_VARIANTS
     ]
+
+
+def _grad_potential(
+    grid: Grid2D, coarse: Grid2D, source: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient, sampled on grid, of the zero-mean inverse Laplacian of source.
+
+    ``source`` is sampled on ``coarse``, where its spectrum is unaliased;
+    the potential's spectrum is zero-padded to ``grid`` before the two
+    inverse transforms.
+    """
+    ph = coarse.inverse_laplacian_symbol[:, :, None] * coarse.fft(source)
+    if coarse != grid:
+        idx = coarse.modes % grid.n
+        padded = np.zeros(grid.shape + ph.shape[2:], dtype=np.complex128)
+        padded[np.ix_(idx, idx)] = ph * (grid.n / coarse.n) ** 2
+        ph = padded
+    return grid.grad_from_hat(ph)
 
 
 def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
@@ -621,13 +719,22 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
         den = float(np.prod([xsb_norm(f, s, b_den, +1) for f in u]))
         if den == 0.0:
             return 0.0
-        g1x, g1y = u[0].grid.grad_inverse_laplacian(u[0].values * np.conj(u[1].values))
-        g2x, g2y = u[2].grid.grad_inverse_laplacian(u[2].values * np.conj(u[3].values))
-        vals = (g1x * g2x + g1y * g2y) * u[4].values
+        # The pair sources and their potentials on a grid where the sources
+        # are unaliased; the band-5B product itself stays on the fine grid.
+        pairs = _unaliased(u[:4], lambda b: 2 * max(b[0] + b[1], b[2] + b[3]))
+        grid, coarse = u[0].grid, pairs[0].grid
+        g1x, g1y = _grad_potential(grid, coarse, pairs[0].values * np.conj(pairs[1].values))
+        g2x, g2y = _grad_potential(grid, coarse, pairs[2].values * np.conj(pairs[3].values))
+        del pairs
+        vals = g1x * g2x
+        del g1x, g2x
+        vals += g1y * g2y
+        del g1y, g2y
+        vals *= u[4].values
         cut = np.ones(u[0].nt)
         for f in u:
             cut = cut * f.cutoff
-        prod = u[0]._derived(vals, cut)
+        prod = u[0]._derived(vals, cut, _band_sum(u))
         return xsb_norm(prod, s, b_num, +1) / den
 
     rows = _measure(trials, one)
@@ -642,16 +749,19 @@ class NullFormReport:
 
 def _nullform_values(trial: Trial) -> tuple[complex, complex]:
     """Direct and integrated-by-parts assemblies of the transport pairing."""
-    u1, u2, u3, w = trial.fields
+    # A grid sum keeps only the integrand's zero mode, exact on any grid with
+    # more points than the integrand's band; the stream source (band of the
+    # pair u1, u2) needs twice its band to stay unaliased.
+    u1, u2, u3, w = _unaliased(trial.fields, lambda b: max(sum(b), 2 * (b[0] + b[1])))
     grid = u1.grid
     # Stream potential of the pair (u1, u2), slicewise in time.
     beta_x, beta_y = (d.real for d in grid.grad_from_hat(
         beta_hat(grid, u1.values, u2.values, 1.0)))
+    u3_x, u3_y = grid.grad_from_hat(grid.fft(u3.values))
+    w_x, w_y = grid.grad_from_hat(grid.fft(w.values))
     measure = grid.spacing**2 * u1.dt
-    direct = measure * np.sum(
-        w.values * (beta_x * grid.dy(u3.values) - beta_y * grid.dx(u3.values)))
-    parts = measure * np.sum(
-        u3.values * (beta_y * grid.dx(w.values) - beta_x * grid.dy(w.values)))
+    direct = measure * np.sum(w.values * (beta_x * u3_y - beta_y * u3_x))
+    parts = measure * np.sum(u3.values * (beta_y * w_x - beta_x * w_y))
     return complex(direct), complex(parts)
 
 

@@ -325,6 +325,16 @@ class TestMain:
         assert "whole number of steps" in err and "second" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["two", "1.5", "", "0", "-3"])
+    def test_malformed_thread_count_exits_2_before_compute(self, tmp_path, capsys,
+                                                          monkeypatch, threads):
+        monkeypatch.setenv("MSMLAB_THREADS", threads)
+        out = tmp_path / "out"
+        assert main(["multipliers", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "MSMLAB_THREADS" in err and repr(threads) in err
+        assert not out.exists()
+
     def test_module_failures_exit_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
         # Data far too large for the Picard iteration to contract at this dt.

@@ -754,3 +754,222 @@ class TestBatchedLowerBound:
         neg_idx = _negated_sum_index(spec)
         assert _alternating_lower_bound(spec, neg_idx, 5, 0) == 0.0
         assert serial_lower_bound(spec, neg_idx, 5, 0) == 0.0
+
+
+def scalar_coef(rng):
+    return complex(rng.standard_normal(), rng.standard_normal())
+
+
+def scalar_white(space_band, time_band, seed):
+    """One draw per coefficient: the loop the vectorised dicts replaced, kept as a reference."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for mx in range(-space_band, space_band + 1):
+        for my in range(-space_band, space_band + 1):
+            for mt in range(-time_band, time_band + 1):
+                out[(mx, my, mt)] = scalar_coef(rng)
+    return out
+
+
+def scalar_paraboloid(space_band, time_band, length, t_window, seed):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for mx in range(-space_band, space_band + 1):
+        for my in range(-space_band, space_band + 1):
+            xi2 = (2 * np.pi / length) ** 2 * (mx**2 + my**2)
+            center = int(round(xi2 * t_window / (2 * np.pi)))
+            for mt in range(center - 1, center + 2):
+                key = (mx, my, min(max(mt, -time_band), time_band))
+                out[key] = out.get(key, 0.0) + scalar_coef(rng)
+    return out
+
+
+def scalar_shell(space_band, time_band, seed, kind):
+    low, high = max(1, space_band // 4), max(1, int(np.ceil(0.7 * space_band)))
+    rng = np.random.default_rng(seed)
+    out = {}
+    for mx in range(-space_band, space_band + 1):
+        for my in range(-space_band, space_band + 1):
+            m = max(abs(mx), abs(my))
+            if (m >= high) if kind == "high" else (m <= low):
+                for mt in range(-time_band, time_band + 1):
+                    out[(mx, my, mt)] = scalar_coef(rng)
+    return out
+
+
+class TestVectorisedDraws:
+    @pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
+    @pytest.mark.parametrize("sb,tb", [(5, 10), (3, 2), (1, 6)])
+    def test_dicts_match_scalar_draws(self, seed, sb, tb):
+        # Equal keys in equal order with bit-equal values: the clamped
+        # paraboloid keys (tb=2 clamps most of them) accumulate in order.
+        cases = [
+            (white_mode_dict(sb, tb, seed), scalar_white(sb, tb, seed)),
+            (paraboloid_mode_dict(sb, tb, LENGTH, TWIN, seed),
+             scalar_paraboloid(sb, tb, LENGTH, TWIN, seed)),
+            (shell_mode_dict(sb, tb, seed, "high"), scalar_shell(sb, tb, seed, "high")),
+            (shell_mode_dict(sb, tb, seed, "low"), scalar_shell(sb, tb, seed, "low")),
+        ]
+        for vectorised, scalar in cases:
+            assert list(vectorised.items()) == list(scalar.items())
+            assert all(type(k[0]) is int and type(v) is complex for k, v in vectorised.items())
+
+
+def banded_trials(arity, n, n_trials=3, seed=61):
+    """Trials whose coarse grid lies below n: band 2 at n=32, band 5 at n=64."""
+    band = 2 if n == 32 else 5
+    return list(sample_trials(grid(n), 64, TWIN, arity, n_trials, seed,
+                              space_band=band, time_band=10))
+
+
+def unbanded(trial):
+    """The trial's fields with band and box forgotten: the n-grid path."""
+    fields = tuple(SpaceTimeField(grid=f.grid, t_window=f.t_window, values=f.values,
+                                  cutoff=f.cutoff) for f in trial.fields)
+    return Trial(fields=fields, seed=trial.seed, flavor=trial.flavor)
+
+
+def n_grid_cubic(trial, s, eps):
+    """Cubic ratios with every product formed and transformed on the fields' grid."""
+    u = unbanded(trial).fields
+    den = np.prod([xsb_norm(f, s, 0.5 + eps, +1) for f in u])
+    out = {}
+    for name, (c1, c2, c3) in {"cubic_conj2": (False, True, False),
+                               "cubic_conj23": (False, True, True),
+                               "cubic_plain": (False, False, False)}.items():
+        vals = (u[0].values * (np.conj(u[1].values) if c2 else u[1].values)
+                * (np.conj(u[2].values) if c3 else u[2].values))
+        cut = u[0].cutoff * u[1].cutoff * u[2].cutoff
+        prod = SpaceTimeField(grid=u[0].grid, t_window=TWIN, values=vals, cutoff=cut)
+        out[name] = xsb_norm(prod, s, -0.5 + 2 * eps, +1) / den
+    return out
+
+
+def n_grid_quintic(trial, eps):
+    u = unbanded(trial).fields
+    g = u[0].grid
+    s = 100 * eps
+    den = np.prod([xsb_norm(f, s, 0.5 + eps, +1) for f in u])
+    g1 = g.grad_inverse_laplacian(u[0].values * np.conj(u[1].values))
+    g2 = g.grad_inverse_laplacian(u[2].values * np.conj(u[3].values))
+    vals = (g1[0] * g2[0] + g1[1] * g2[1]) * u[4].values
+    cut = np.prod([f.cutoff for f in u], axis=0)
+    prod = SpaceTimeField(grid=g, t_window=TWIN, values=vals, cutoff=cut)
+    return xsb_norm(prod, s, -0.5 + 2 * eps, +1) / den
+
+
+def n_grid_nullform(trial, eps):
+    from msmlab.gauge import beta_hat
+
+    u1, u2, u3, w = unbanded(trial).fields
+    g = u1.grid
+    s = 100 * eps
+    beta = g.ifft(beta_hat(g, u1.values, u2.values, 1.0)).real
+    direct = g.spacing**2 * u1.dt * np.sum(
+        w.values * (g.dx(beta) * g.dy(u3.values) - g.dy(beta) * g.dx(u3.values)))
+    den = (xsb_norm(u1, s, 0.5 + eps, +1) * xsb_norm(u2, s, 0.5 + eps, +1)
+           * xsb_norm(u3, s, 0.5 + eps, +1) * xsb_norm(w, -s, 0.5 - 2 * eps, -1))
+    return abs(direct) / den
+
+
+def _record_fft_shapes(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Patch numpy's multi-axis transforms to record the shape of every input."""
+    shapes = []
+    for name in ("fftn", "ifftn", "fft2", "ifft2"):
+        original = getattr(np.fft, name)
+
+        def recorded(a, *args, name=name, original=original, **kwargs):
+            shapes.append((name, np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    return shapes
+
+
+class TestSmallestUnaliasedGrid:
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_cubic_matches_n_grid_products(self, n):
+        trials = banded_trials(3, n)
+        reports = {r.test_name: r for r in ratio_test_cubic(trials, 1.0, 0.01)}
+        for i, trial in enumerate(trials):
+            for name, expect in n_grid_cubic(trial, 1.0, 0.01).items():
+                assert reports[name].ratios[i] == pytest.approx(expect, rel=1e-12)
+        assert all(r.grid_n == n for r in reports.values())
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_quintic_matches_n_grid_potentials(self, n):
+        trials = banded_trials(5, n)
+        report = ratio_test_quintic(trials, 0.01)
+        assert report.grid_n == n
+        for i, trial in enumerate(trials):
+            assert report.ratios[i] == pytest.approx(n_grid_quintic(trial, 0.01), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_nullform_matches_n_grid_pairing(self, n):
+        trials = banded_trials(4, n)
+        report = ratio_test_nullform(trials, 0.01)
+        assert report.ratio.grid_n == n
+        assert report.max_assembly_mismatch < 1e-12
+        for i, trial in enumerate(trials):
+            assert report.ratio.ratios[i] == pytest.approx(n_grid_nullform(trial, 0.01), rel=1e-12)
+
+    @pytest.mark.parametrize("s,b,sign", [(1.0, 0.51, +1), (-1.0, 0.48, -1), (0.0, 0.0, +1)])
+    def test_box_norm_is_grid_free_and_matches_full_spectrum(self, s, b, sign):
+        modes = white_mode_dict(5, 10, seed=62)
+        coarse = realize_mode_field(grid(32), 64, TWIN, modes)
+        fine = realize_mode_field(grid(64), 64, TWIN, modes)
+        assert xsb_norm(fine, s, b, sign) == pytest.approx(xsb_norm(coarse, s, b, sign), rel=1e-13)
+        full = unbanded(Trial(fields=(fine,), seed=0, flavor="white")).fields[0]
+        assert xsb_norm(full, s, b, sign) == pytest.approx(xsb_norm(fine, s, b, sign), rel=1e-12)
+
+    def test_cubic_products_transform_on_the_coarse_grid(self, monkeypatch):
+        # Band-5 factors at n=64: the band-15 products fit a 32^2 grid.
+        trials = banded_trials(3, 64, n_trials=1)
+        shapes = _record_fft_shapes(monkeypatch)
+        ratio_test_cubic(trials, 1.0, 0.01)
+        assert shapes == [("fftn", (32, 32, 64))] * 3
+
+    @pytest.mark.parametrize("suite", ["cubic", "quintic", "nullform"])
+    def test_unknown_band_keeps_the_n_grid(self, suite, monkeypatch):
+        arity, run = SUITES[suite]
+        trials = [unbanded(t) for t in banded_trials(arity, 64, n_trials=1)]
+        shapes = _record_fft_shapes(monkeypatch)
+        run(trials)
+        assert shapes and all(shape[:2] == (64, 64) for _, shape in shapes)
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_no_suite_builds_a_realized_full_spectrum(self, suite, monkeypatch):
+        import msmlab.xsb as xsb
+
+        arity, run = SUITES[suite]
+        realized = []
+        original = xsb.realize_mode_field
+
+        def kept(*args, **kwargs):
+            realized.append(original(*args, **kwargs))
+            return realized[-1]
+
+        monkeypatch.setattr(xsb, "realize_mode_field", kept)
+        run(sample_trials(grid(32), 64, TWIN, arity, 3, seed=63, space_band=2, time_band=10))
+        assert len(realized) == 3 * arity
+        assert not any("hat" in f.__dict__ for f in realized)
+
+    def test_band_and_box_validated(self):
+        f = white_field(8, sb=3)
+        assert f.band == 3 and f.box.shape == (7, 7, 64)
+        with pytest.raises(ValueError, match="band"):
+            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, cutoff=f.cutoff, band=-1)
+        with pytest.raises(ValueError, match="box"):
+            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, cutoff=f.cutoff,
+                           band=2, box=f.box)
+        with pytest.raises(ValueError, match="box"):
+            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, cutoff=f.cutoff,
+                           box=f.box)
+
+    def test_scaled_and_conjugate_keep_the_band(self):
+        f = white_field(9, sb=3)
+        scaled = f.scaled(2 - 1j)
+        assert scaled.band == 3 and f.conjugate().band == 3
+        np.testing.assert_array_equal(scaled.box, (2 - 1j) * f.box)
+        np.testing.assert_allclose(scaled.hat, np.fft.fftn(scaled.values) / scaled.values.size,
+                                   atol=1e-13 * np.max(np.abs(scaled.box)))
