@@ -185,8 +185,9 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
         if not isinstance(preset.get("params", {}), dict):
             raise ConfigError(f"{where}.preset.params must be an object")
         table = MSM_PRESETS if kind == "msm_run" else MAP_PRESETS
+        dim = _MAP_FLOW_GRIDS.get(kind, Grid2D).dim
         try:
-            preset_params(table, preset["name"], preset.get("params"))
+            preset_params(table, preset["name"], preset.get("params"), dim)
         except ConfigError as err:
             raise ConfigError(f"{where}.preset: {err}") from err
     options = dict(raw.get("options", {}))

@@ -239,7 +239,7 @@ def hasimoto_1d(mf: MapField) -> np.ndarray:
     and u solves the focusing cubic NLS up to a spatially constant,
     time-dependent phase drift (the zero mode of a_0).
     """
-    if not isinstance(mf.grid, Grid1D):
+    if mf.grid.dim != 1:
         raise ValueError("hasimoto_1d expects a map on a 1-D grid")
     grid = mf.grid
     w = mf.stereo()

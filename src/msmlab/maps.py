@@ -32,7 +32,7 @@ import numpy as np
 
 from .conventions import LL_SIGN
 from .errors import ChartUndefinedError, NoConvergenceError
-from .spectral import Grid1D, Grid2D
+from .spectral import PeriodicGrid
 
 __all__ = [
     "Target",
@@ -85,12 +85,6 @@ class Target(Enum):
         return float(np.max(np.abs(self.dot(v, v) - want)))
 
 
-def _axes_derivatives(grid, f: np.ndarray) -> list[np.ndarray]:
-    if isinstance(grid, Grid2D):
-        return [grid.dx(f), grid.dy(f)]
-    return [grid.dx(f)]
-
-
 def _componentwise(grid, op, s3: np.ndarray) -> np.ndarray:
     return np.stack([op(s3[..., c]) for c in range(3)], axis=-1)
 
@@ -99,12 +93,12 @@ def _componentwise(grid, op, s3: np.ndarray) -> np.ndarray:
 class MapField:
     """A map into the target, sampled on a periodic grid."""
 
-    grid: Grid1D | Grid2D
+    grid: PeriodicGrid
     s3: np.ndarray
     target: Target = Target.SPHERE
 
     def __post_init__(self):
-        expected = tuple(getattr(self.grid, "shape", (self.grid.n,))) + (3,)
+        expected = self.grid.shape + (3,)
         if self.s3.shape != expected:
             raise ValueError(f"map values must have shape {expected}, got {self.s3.shape}")
         if not np.all(np.isfinite(self.s3)):
@@ -120,8 +114,7 @@ class MapField:
 
     @classmethod
     def constant(cls, grid, point=(0.0, 0.0, -1.0), target: Target = Target.SPHERE) -> "MapField":
-        shape = tuple(getattr(grid, "shape", (grid.n,)))
-        s3 = np.broadcast_to(np.asarray(point, dtype=float), shape + (3,)).copy()
+        s3 = np.broadcast_to(np.asarray(point, dtype=float), grid.shape + (3,)).copy()
         return cls.create(grid, s3, target)
 
     @classmethod
@@ -169,11 +162,9 @@ def energy(mf: MapField) -> float:
     total = np.zeros(s3.shape[:-1])
     for c in range(3):
         weight = 1.0 if mf.target is Target.SPHERE else _MINK[c]
-        for d in _axes_derivatives(grid, s3[..., c]):
+        for d in grid.gradient(s3[..., c]):
             total += weight * d**2
-    if isinstance(grid, Grid2D):
-        return 0.5 * grid.integral(total)
-    return 0.5 * float(np.sum(total) * grid.spacing)
+    return 0.5 * grid.integral(total)
 
 
 def energy_chart(mf: MapField) -> float:
@@ -183,15 +174,11 @@ def energy_chart(mf: MapField) -> float:
     Agrees with :func:`energy` to spectral accuracy away from the pole.
     """
     w = mf.stereo()
-    grid = mf.grid
     dens = (1.0 + np.abs(w) ** 2) ** 2
     total = np.zeros(w.shape)
-    for d in _axes_derivatives(grid, w):
+    for d in mf.grid.gradient(w):
         total += np.abs(d) ** 2
-    integrand = total / dens
-    if isinstance(grid, Grid2D):
-        return 2.0 * grid.integral(integrand)
-    return 2.0 * float(np.sum(integrand) * grid.spacing)
+    return 2.0 * mf.grid.integral(total / dens)
 
 
 def _ll_values(grid, target: Target, s3: np.ndarray) -> np.ndarray:
@@ -220,11 +207,7 @@ def max_stable_dt(grid) -> float:
     The inner map has Lipschitz constant about max |k|^2 / 2 per unit dt,
     so we require dt * max|k|^2 / 2 <= 0.8.
     """
-    if isinstance(grid, Grid2D):
-        kmax2 = float(np.max(grid.k2))
-    else:
-        kmax2 = float(np.max(grid.k**2))
-    return 1.6 / kmax2
+    return 1.6 / float(np.max(grid.k2))
 
 
 def step_geometric(

@@ -72,6 +72,10 @@ ALL_TERMS = (TERM_NULL, TERM_ALPHA_CUBIC, TERM_IM_CUBIC, TERM_QUINTIC)
 
 SCHEMES = ("strang_split", "etd_rk4", "picard_duhamel")
 
+# Iteration budget and relative update tolerance of the Picard step.
+PICARD_MAX_ITERS = 40
+PICARD_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MSMState:
@@ -106,9 +110,6 @@ class SolverConfig:
     dt: float
     t_final: float
     scheme: str = "strang_split"
-    picard_max_iters: int = 40
-    picard_tol: float = 1e-12
-    epsilon: float = 0.01
     terms: tuple[str, ...] = ALL_TERMS
     dealias: bool = True
 
@@ -119,10 +120,6 @@ class SolverConfig:
             raise ConfigError("t_final must be nonnegative")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.picard_max_iters < 1:
-            raise ConfigError("picard_max_iters must be at least 1")
-        if self.picard_tol <= 0:
-            raise ConfigError("picard_tol must be positive")
         if not isinstance(self.dealias, bool):
             raise ConfigError(f"dealias must be true or false, got {self.dealias!r}")
         unknown = set(self.terms) - set(ALL_TERMS)
@@ -266,7 +263,7 @@ def _step_picard(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     w1, w2 = prop * v1, prop * v2
     scale0 = max(np.linalg.norm(w1), np.linalg.norm(w2), 1e-300)
     trace: list[float] = []
-    for _ in range(cfg.picard_max_iters):
+    for _ in range(PICARD_MAX_ITERS):
         n1 = _nonlinearity_hat(state, w1, w2, cfg.terms, cfg.dealias)
         new1 = base1 + (cfg.dt / 2) * n1[0]
         new2 = base2 + (cfg.dt / 2) * n1[1]
@@ -276,12 +273,12 @@ def _step_picard(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
         if not np.isfinite(delta) or scale > 1e8 * scale0:
             raise PicardDivergedError("iterates blew past the initial scale", trace)
         w1, w2 = new1, new2
-        if delta <= cfg.picard_tol:
+        if delta <= PICARD_TOL:
             return w1, w2
         if len(trace) >= 3 and trace[-1] > trace[-2] > trace[-3] and trace[-1] > 10 * trace[0]:
             raise PicardDivergedError("fixed-point iteration is expanding", trace)
     raise PicardDivergedError(
-        f"no contraction to {cfg.picard_tol:g} within {cfg.picard_max_iters} iterations", trace
+        f"no contraction to {PICARD_TOL:g} within {PICARD_MAX_ITERS} iterations", trace
     )
 
 
@@ -486,10 +483,6 @@ class PersistenceReport:
     capped: bool
     times: np.ndarray
     hk_norms: np.ndarray
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(self.hk_norms))
 
 
 def regularity_persistence_test(

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError
 from .maps import MapField
 from .msm import MSMState
-from .spectral import Grid1D, Grid2D
+from .spectral import Grid2D, PeriodicGrid
 
 # Each preset's parameters with their defaults.  The builders below and the
 # up-front config check both read these tables.
@@ -32,8 +32,28 @@ MSM_PRESETS = {
 }
 
 
-def preset_params(table: dict, name: str, params: dict | None = None) -> dict:
-    """A preset's defaults merged with ``params``, rejecting unknown names and keys."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_value(name: str, key: str, value, default, dim: int) -> None:
+    """Reject a value whose type does not match its default; ``k`` may be a pair in 2-D."""
+    if key == "k":
+        ok = _is_int(value) or (dim == 2 and isinstance(value, (list, tuple))
+                                and len(value) == 2 and all(map(_is_int, value)))
+        want = "an integer or a pair of integers" if dim == 2 else "an integer"
+    elif isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = _is_int(value) and value >= 0, "a nonnegative integer"
+    else:
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    if not ok:
+        raise ConfigError(f"parameter {key!r} of preset {name!r} must be {want}, got {value!r}")
+
+
+def preset_params(table: dict, name: str, params: dict | None, dim: int) -> dict:
+    """A preset's defaults merged with ``params``; rejects unknown names, keys and types."""
     if name not in table:
         raise ConfigError(f"unknown preset {name!r} (available: {sorted(table)})")
     extra = set(params or {}) - set(table[name])
@@ -42,55 +62,49 @@ def preset_params(table: dict, name: str, params: dict | None = None) -> dict:
             f"unknown parameter {sorted(extra)[0]!r} for preset {name!r} "
             f"(allowed: {sorted(table[name])})"
         )
+    for key, value in (params or {}).items():
+        _check_value(name, key, value, table[name][key], dim)
     return {**table[name], **(params or {})}
 
 
-def _mode_phase(grid, k) -> np.ndarray:
-    if isinstance(grid, Grid1D):
-        return np.exp(2j * np.pi * int(k) * grid.x / grid.length)
-    kx, ky = (int(k[0]), int(k[1])) if np.iterable(k) else (int(k), 0)
-    return np.exp(2j * np.pi * (kx * grid.x + ky * grid.y) / grid.length)
+def _mode_phase(grid: PeriodicGrid, k) -> np.ndarray:
+    """exp(i k.x) for the integer mode k; a scalar k lies along the first axis."""
+    phase = sum(m * x for m, x in zip(np.atleast_1d(k), grid.coords))
+    return np.exp(2j * np.pi * phase / grid.length)
 
 
-def _bump_envelope(grid, width: float) -> np.ndarray:
+def _bump_envelope(grid: Grid2D, width: float) -> np.ndarray:
     c = grid.length / 2
-    if isinstance(grid, Grid1D):
-        r2 = ((grid.x - c) / (width * grid.length)) ** 2
-    else:
-        r2 = (((grid.x - c) ** 2) + (grid.y - c) ** 2) / (width * grid.length) ** 2
+    r2 = sum((x - c) ** 2 for x in grid.coords) / (width * grid.length) ** 2
     return np.exp(-0.5 * r2)
 
 
-def _random_chart(grid, band: int, amplitude: float, seed: int) -> np.ndarray:
+def _random_chart(grid: PeriodicGrid, band: int, amplitude: float, seed: int) -> np.ndarray:
+    """Gaussian coefficients on the mode box |m_j| <= band, scaled to sup ``amplitude``.
+
+    One draw fills the box in row-major order, real then imaginary part per mode.
+    """
     rng = np.random.default_rng(seed)
-    if isinstance(grid, Grid1D):
-        coef = np.zeros(grid.n, dtype=complex)
-        for m in range(-band, band + 1):
-            coef[m] = rng.standard_normal() + 1j * rng.standard_normal()
-        w = np.fft.ifft(coef) * grid.n
-    else:
-        coef = np.zeros(grid.shape, dtype=complex)
-        for mx in range(-band, band + 1):
-            for my in range(-band, band + 1):
-                coef[mx, my] = rng.standard_normal() + 1j * rng.standard_normal()
-        w = grid.ifft(coef)
+    side = 2 * band + 1
+    draw = rng.standard_normal(2 * side**grid.dim).reshape((side,) * grid.dim + (2,))
+    coef = np.zeros(grid.shape, dtype=complex)
+    box = np.arange(-band, band + 1)
+    coef[np.ix_(*[box] * grid.dim)] = draw[..., 0] + 1j * draw[..., 1]
+    w = grid.ifft(coef)
     top = float(np.max(np.abs(w)))
     return w * (amplitude / top) if top > 0 else w
 
 
 def map_preset(grid, name: str, params: dict | None = None, seed: int = 0) -> MapField:
     """Build a named initial map on the given periodic grid."""
-    p = preset_params(MAP_PRESETS, name, params)
+    p = preset_params(MAP_PRESETS, name, params, grid.dim)
     if name == "zero":
         return MapField.constant(grid)
     if name == "single_mode":
         return MapField.from_stereo(grid, p["amplitude"] * _mode_phase(grid, p["k"]))
     if name == "smooth_bump":
         c = grid.length / 2
-        if isinstance(grid, Grid1D):
-            z = (grid.x - c) / (p["width"] * grid.length) + 0j
-        else:
-            z = ((grid.x - c) + 1j * (grid.y - c)) / (p["width"] * grid.length)
+        z = sum(e * (x - c) for e, x in zip((1, 1j), grid.coords)) / (p["width"] * grid.length)
         w = p["amplitude"] * z * np.exp(-0.5 * np.abs(z) ** 2) * np.exp(0.7j * np.real(z))
         return MapField.from_stereo(grid, w)
     if name == "near_north_pole":
@@ -110,7 +124,7 @@ def map_preset(grid, name: str, params: dict | None = None, seed: int = 0) -> Ma
 
 def msm_preset(grid: Grid2D, name: str, params: dict | None = None, seed: int = 0) -> MSMState:
     """Build a named derivative-field pair on a 2-D grid."""
-    p = preset_params(MSM_PRESETS, name, params)
+    p = preset_params(MSM_PRESETS, name, params, grid.dim)
     if name == "zero":
         return MSMState.zero(grid)
     if name == "single_mode":

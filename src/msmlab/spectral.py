@@ -1,18 +1,20 @@
-"""Fourier infrastructure on square periodic grids.
+"""Fourier infrastructure on periodic grids in one and two dimensions.
 
-A :class:`Grid2D` owns the wavenumber arrays, dealias mask and
-Littlewood-Paley windows for an ``n x n`` grid on ``[0, L)^2`` and exposes the
-spectral operations used everywhere else: derivatives, the zero-mean inverse
-Laplacian, Riesz transforms, dyadic frequency projections and Sobolev norms.
+:class:`PeriodicGrid` is one spectral layer for both dimensions: shape,
+coordinates, wavenumbers, the Laplacian, the gradient, the norms and the
+quadrature integral are written once, so callers never ask which grid class
+they hold.  :class:`Grid1D` and :class:`Grid2D` fix ``dim`` and their numpy
+transform pair; :class:`Grid2D` adds the zero-mean inverse Laplacian, Riesz
+transforms, dealiasing and dyadic frequency projections.
 
 Discrete norms approximate their continuum counterparts: ``norm2`` carries
 the quadrature weight ``(L/n)^d`` so that Plancherel holds exactly between
 ``norm2`` and ``sobolev_norm(..., s=0)``.  A single Fourier mode
 ``A * exp(i k.x)`` has ``sobolev_norm = |A| * (1 + |k|^2)^(s/2) * L^(d/2)``.
 
-Every :class:`Grid2D` operator transforms axes (0, 1) and broadcasts over
-any trailing axes, so an ``(n, n, nt)`` stack of fields is processed slice
-by slice in one call.  Each operator is a Fourier multiplier applied through
+Every operator transforms the leading ``dim`` axes and broadcasts over any
+trailing axes, so an ``(n, n, nt)`` stack of fields is processed slice by
+slice in one call.  Each operator is a Fourier multiplier applied through
 one private helper.
 
 Grids are immutable; derived arrays, including the multipliers, are computed
@@ -23,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import NonzeroMeanError
 from .windows import PLATEAU_EDGE, lp_annulus_window, lp_low_window
 
-__all__ = ["Grid1D", "Grid2D", "MEAN_TOL_FACTOR"]
+__all__ = ["PeriodicGrid", "Grid1D", "Grid2D", "MEAN_TOL_FACTOR"]
 
 # An inverse Laplacian is refused (rather than silently projected) when the
 # data mean exceeds this factor times the L2 norm of the data.
@@ -48,8 +51,13 @@ def _real_like(template: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Periodic interval [0, length) sampled at n points."""
+class PeriodicGrid:
+    """Periodic box [0, length)^dim sampled at n points per axis.
+
+    A subclass sets ``dim`` and supplies the transform pair ``fft``/``ifft``.
+    """
+
+    dim: ClassVar[int]
 
     n: int
     length: float
@@ -58,93 +66,122 @@ class Grid1D:
         _validate_size(self.n)
         if not self.length > 0:
             raise ValueError("length must be positive")
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n) * (self.length / self.n)
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
 
     @property
     def spacing(self) -> float:
         return self.length / self.n
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fft(f)
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.n,) * self.dim
 
-    def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(fh)
+    @cached_property
+    def coords(self) -> tuple[np.ndarray, ...]:
+        """Coordinate arrays, one per axis; the j-th varies along axis j."""
+        ax = np.arange(self.n) * self.spacing
+        return tuple(np.meshgrid(*[ax] * self.dim, indexing="ij"))
 
-    def dx(self, f: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(1j * self.k * np.fft.fft(f))
-        return _real_like(f, out)
+    @cached_property
+    def wavenumbers(self) -> tuple[np.ndarray, ...]:
+        """Angular wavenumbers in FFT storage order, one array per axis."""
+        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        return tuple(np.meshgrid(*[k1] * self.dim, indexing="ij"))
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        return sum(k**2 for k in self.wavenumbers)
+
+    # -- Fourier multipliers -----------------------------------------------
+
+    def _times(self, symbol: np.ndarray, fh: np.ndarray) -> np.ndarray:
+        """A grid-shaped multiplier times a spectrum, broadcast over trailing axes."""
+        return symbol.reshape(symbol.shape + (1,) * (fh.ndim - self.dim)) * fh
+
+    def _apply(self, symbol: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return _real_like(f, self.ifft(self._times(symbol, self.fft(f))))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(-(self.k**2) * np.fft.fft(f))
-        return _real_like(f, out)
+        return self._apply(-self.k2, f)
+
+    def gradient(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The derivatives of f along each axis, in axis order."""
+        return tuple(self._apply(1j * k, f) for k in self.wavenumbers)
+
+    # -- norms -------------------------------------------------------------
+
+    def norm2(self, f: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(np.abs(f) ** 2)) * self.spacing ** (self.dim / 2))
+
+    def sobolev_norm(self, f: np.ndarray, s: float) -> float:
+        coeff = self.fft(f) / self.n**self.dim
+        weight = (1.0 + self.k2) ** s
+        return float(self.length ** (self.dim / 2) * np.sqrt(np.sum(weight * np.abs(coeff) ** 2)))
+
+    def integral(self, f: np.ndarray):
+        """Grid quadrature of f over the box (spectrally exact for smooth f)."""
+        val = np.sum(f) * self.spacing**self.dim
+        return float(val.real) if not np.iscomplexobj(f) else complex(val)
+
+
+class Grid1D(PeriodicGrid):
+    """Periodic interval [0, length) sampled at n points."""
+
+    dim = 1
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.coords[0]
+
+    @property
+    def k(self) -> np.ndarray:
+        return self.wavenumbers[0]
+
+    def fft(self, f: np.ndarray) -> np.ndarray:
+        return np.fft.fft(f, axis=0)
+
+    def ifft(self, fh: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(fh, axis=0)
+
+    def dx(self, f: np.ndarray) -> np.ndarray:
+        return self._apply(1j * self.k, f)
 
     def antiderivative_zero_mean(self, f: np.ndarray) -> np.ndarray:
         """Zero-mean solution of g' = f - mean(f)."""
-        fh = np.fft.fft(f)
+        fh = self.fft(f)
         gh = np.zeros_like(fh)
         nz = self.k != 0
         gh[nz] = fh[nz] / (1j * self.k[nz])
-        return _real_like(f, np.fft.ifft(gh))
-
-    def norm2(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(np.abs(f) ** 2) * self.spacing))
-
-    def sobolev_norm(self, f: np.ndarray, s: float) -> float:
-        coeff = np.fft.fft(f) / self.n
-        weight = (1.0 + self.k**2) ** s
-        return float(np.sqrt(self.length * np.sum(weight * np.abs(coeff) ** 2)))
+        return _real_like(f, self.ifft(gh))
 
 
-@dataclass(frozen=True)
-class Grid2D:
+class Grid2D(PeriodicGrid):
     """Periodic square [0, length)^2 sampled at n x n points."""
 
-    n: int
-    length: float
-
-    def __post_init__(self):
-        _validate_size(self.n)
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+    dim = 2
 
     # -- coordinates and wavenumbers -------------------------------------
 
-    @cached_property
+    @property
     def x(self) -> np.ndarray:
         """x coordinate, shape (n, n), varying along axis 0."""
-        ax = np.arange(self.n) * (self.length / self.n)
-        return np.broadcast_to(ax[:, None], (self.n, self.n)).copy()
+        return self.coords[0]
 
-    @cached_property
+    @property
     def y(self) -> np.ndarray:
-        ax = np.arange(self.n) * (self.length / self.n)
-        return np.broadcast_to(ax[None, :], (self.n, self.n)).copy()
+        return self.coords[1]
 
     @cached_property
     def modes(self) -> np.ndarray:
         """Integer frequencies in FFT storage order."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
 
-    @cached_property
+    @property
     def kx(self) -> np.ndarray:
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
-        return np.broadcast_to(k1[:, None], (self.n, self.n)).copy()
+        return self.wavenumbers[0]
 
-    @cached_property
+    @property
     def ky(self) -> np.ndarray:
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
-        return np.broadcast_to(k1[None, :], (self.n, self.n)).copy()
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        return self.kx**2 + self.ky**2
+        return self.wavenumbers[1]
 
     @cached_property
     def kmag(self) -> np.ndarray:
@@ -170,14 +207,6 @@ class Grid2D:
         kmag = np.where(self.kmag > 0, self.kmag, 1.0)
         return self.kx / kmag, self.ky / kmag
 
-    @property
-    def spacing(self) -> float:
-        return self.length / self.n
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
     # -- transforms and derivatives --------------------------------------
 
     def fft(self, f: np.ndarray) -> np.ndarray:
@@ -186,21 +215,11 @@ class Grid2D:
     def ifft(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(fh, axes=(0, 1))
 
-    def _times(self, symbol: np.ndarray, fh: np.ndarray) -> np.ndarray:
-        """An (n, n) multiplier times a spectrum, broadcast over trailing axes."""
-        return symbol.reshape(symbol.shape + (1,) * (fh.ndim - 2)) * fh
-
-    def _apply(self, symbol: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return _real_like(f, self.ifft(self._times(symbol, self.fft(f))))
-
     def dx(self, f: np.ndarray) -> np.ndarray:
         return self._apply(1j * self.kx, f)
 
     def dy(self, f: np.ndarray) -> np.ndarray:
         return self._apply(1j * self.ky, f)
-
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self._apply(-self.k2, f)
 
     def inverse_laplacian(self, f: np.ndarray, project_mean: bool = True) -> np.ndarray:
         """Zero-mean solution of ``laplacian g = f``, slice by slice.
@@ -220,8 +239,7 @@ class Grid2D:
 
     def grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complex gradient (d_x f, d_y f) of the field whose spectrum is fh."""
-        return (self.ifft(self._times(1j * self.kx, fh)),
-                self.ifft(self._times(1j * self.ky, fh)))
+        return tuple(self.ifft(self._times(1j * k, fh)) for k in self.wavenumbers)
 
     def grad_inverse_laplacian(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of the zero-mean inverse Laplacian of f (mean discarded)."""
@@ -266,18 +284,3 @@ class Grid2D:
 
     def lp_project(self, f: np.ndarray, level: int) -> np.ndarray:
         return self._apply(self.lp_window(level), f)
-
-    # -- norms -------------------------------------------------------------
-
-    def norm2(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(np.abs(f) ** 2)) * self.spacing)
-
-    def sobolev_norm(self, f: np.ndarray, s: float) -> float:
-        coeff = self.fft(f) / self.n**2
-        weight = (1.0 + self.k2) ** s
-        return float(self.length * np.sqrt(np.sum(weight * np.abs(coeff) ** 2)))
-
-    def integral(self, f: np.ndarray):
-        """Grid quadrature of f over the box (spectrally exact for smooth f)."""
-        val = np.sum(f) * self.spacing**2
-        return float(val.real) if not np.iscomplexobj(f) else complex(val)

@@ -36,8 +36,7 @@ FORMAT_VERSION = 1
 
 
 def _grid_meta(grid) -> dict:
-    dim = 1 if isinstance(grid, Grid1D) else 2
-    return {"dim": dim, "n": grid.n, "length": grid.length}
+    return {"dim": grid.dim, "n": grid.n, "length": grid.length}
 
 
 def _grid_from_meta(meta: dict):

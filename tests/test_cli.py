@@ -289,7 +289,12 @@ class TestMain:
          "contraction bound"),
         (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"], time={"dt": 1e-3, "t_final": 2e-3}),
          "contraction bound"),
-    ], ids=["msm-preset", "msm-param", "evolve-param", "evolve-dt", "hasimoto-dt"])
+        (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"],
+              preset={"name": "single_mode", "params": {"k": [1, 2]}}), "'k'"),
+        (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"],
+              preset={"name": "single_mode", "params": {"amplitude": "big"}}), "'amplitude'"),
+    ], ids=["msm-preset", "msm-param", "evolve-param", "evolve-dt", "hasimoto-dt",
+            "hasimoto-k-pair", "hasimoto-amplitude-text"])
     def test_bad_preset_or_map_dt_exits_2_before_compute(self, tmp_path, capsys,
                                                          second, message):
         cfgfile = tmp_path / "run.json"

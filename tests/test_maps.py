@@ -91,6 +91,21 @@ class TestEnergy:
         expected = 0.5 * np.sum(tprime**2) * g.spacing**2
         assert abs(energy(mf) - expected) < 1e-10 * max(expected, 1.0)
 
+    def test_one_dimensional_grid(self):
+        # The profile above on a line, near the south pole so the chart holds:
+        # the energy is 1/2 int t'^2 = eps^2 k0^2 L / 4.
+        g = Grid1D(n=64, length=8.0)
+        assert MapField.constant(g).s3.shape == (64, 3)
+        assert energy(MapField.constant(g)) < 1e-28
+        eps = 0.3
+        k0 = 2 * np.pi / g.length
+        theta = eps * np.cos(k0 * g.x)
+        s3 = np.stack([np.sin(theta), np.zeros_like(theta), -np.cos(theta)], axis=-1)
+        mf = MapField.create(g, s3)
+        expected = eps**2 * k0**2 * g.length / 4
+        assert energy(mf) == pytest.approx(expected, rel=1e-12)
+        assert energy_chart(mf) == pytest.approx(expected, rel=1e-10)
+
     def test_chart_matches_embedded(self):
         g = Grid2D(n=64, length=8.0)
         mf = bump_chart_map(g, amplitude=0.5)

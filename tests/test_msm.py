@@ -105,8 +105,6 @@ class TestStateAndConfig:
             {"dt": -0.1, "t_final": 1.0},
             {"dt": 0.1, "t_final": -1.0},
             {"dt": 0.1, "t_final": 1.0, "scheme": "leapfrog"},
-            {"dt": 0.1, "t_final": 1.0, "picard_max_iters": 0},
-            {"dt": 0.1, "t_final": 1.0, "picard_tol": 0.0},
             {"dt": 0.1, "t_final": 1.0, "terms": ("null", "septic")},
             {"dt": 0.1, "t_final": 1.0, "dealias": "yes"},
         ],
@@ -573,4 +571,4 @@ class TestRegularityPersistence:
         assert not large.capped
         assert large.lifetime < cfg.t_final / 2
         assert len(large.times) == len(large.hk_norms)
-        assert large.sup_norm > hk_norm(bandlimited_state(32, 2 * np.pi, 2.0, 3, seed=11), k)
+        assert np.max(large.hk_norms) > hk_norm(bandlimited_state(32, 2 * np.pi, 2.0, 3, seed=11), k)

@@ -1,13 +1,25 @@
 """Named initial-data families."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from msmlab.errors import ChartUndefinedError, ConfigError
 from msmlab.maps import MapField
 from msmlab.msm import MSMState
-from msmlab.presets import MAP_PRESETS, MSM_PRESETS, map_preset, msm_preset
+from msmlab.presets import MAP_PRESETS, MSM_PRESETS, _random_chart, map_preset, msm_preset
 from msmlab.spectral import Grid1D, Grid2D
+
+
+def loop_chart(grid, band, amplitude, seed):
+    """Reference for the random chart: one scalar draw per part, mode by mode."""
+    rng = np.random.default_rng(seed)
+    coef = np.zeros(grid.shape, dtype=complex)
+    for m in itertools.product(range(-band, band + 1), repeat=grid.dim):
+        coef[m] = rng.standard_normal() + 1j * rng.standard_normal()
+    w = grid.ifft(coef)
+    return w * (amplitude / float(np.max(np.abs(w))))
 
 
 class TestMapPresets:
@@ -61,6 +73,13 @@ class TestMapPresets:
         w = mf.stereo()
         assert np.max(np.abs(w.imag)) < 1e-12
         assert np.max(np.abs(w)) == pytest.approx(0.4, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [Grid1D(n=64, length=2.0), Grid2D(n=16, length=1.0)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_chart_matches_scalar_loop(self, grid, seed):
+        np.testing.assert_array_equal(_random_chart(grid, 3, 0.4, seed),
+                                      loop_chart(grid, 3, 0.4, seed))
 
     def test_amplitude_is_the_chart_sup(self):
         g = Grid2D(n=16, length=1.0)

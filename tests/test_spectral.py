@@ -1,5 +1,6 @@
 """Tests for the periodic spectral infrastructure."""
 
+import re
 import warnings
 from pathlib import Path
 
@@ -264,10 +265,35 @@ class TestGrid1D:
         got = g.dx(g.antiderivative_zero_mean(f))
         assert np.max(np.abs(got - f)) < 1e-11
 
-    def test_sobolev_plancherel(self):
-        g = Grid1D(n=32, length=3.0)
-        f = random_complex(32, RNG)
-        assert abs(g.sobolev_norm(f, 0.0) - g.norm2(f)) < 1e-12
+
+@pytest.mark.parametrize("cls", [Grid1D, Grid2D])
+def test_shared_operators_in_either_dimension(cls):
+    g = cls(n=16, length=3.0)
+    assert g.shape == (16,) * g.dim and g.k2.shape == g.shape
+    assert len(g.coords) == len(g.wavenumbers) == g.dim
+    k0 = 2 * np.pi / g.length
+    mode = (3, -2)[: g.dim]
+    kvec = [m * k0 for m in mode]
+    ksq = sum(k**2 for k in kvec)
+    assert g.k2[mode] == pytest.approx(ksq, rel=1e-14)
+
+    phase = sum(k * x for k, x in zip(kvec, g.coords))
+    f = 0.7 * np.exp(1j * phase)
+    np.testing.assert_allclose(g.laplacian(f), -ksq * f, atol=1e-11)
+    grad = g.gradient(f)
+    assert len(grad) == g.dim
+    for k, d in zip(kvec, grad):
+        np.testing.assert_allclose(d, 1j * k * f, atol=1e-11)
+    assert not np.iscomplexobj(g.gradient(f.real)[0])
+
+    # Integral of cos^2 of a mode is half the box volume; of the mode, zero.
+    assert g.integral(np.cos(phase) ** 2) == pytest.approx(g.length**g.dim / 2, rel=1e-12)
+    assert abs(g.integral(f)) < 1e-12
+
+    expected = 0.7 * (1.0 + ksq) ** 0.5 * g.length ** (g.dim / 2)
+    assert g.sobolev_norm(f, 1.0) == pytest.approx(expected, rel=1e-12)
+    r = random_complex(g.shape, RNG)
+    assert g.sobolev_norm(r, 0.0) == pytest.approx(g.norm2(r), rel=1e-12)
 
 
 def test_package_sources_compile_without_warnings():
@@ -276,3 +302,14 @@ def test_package_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+def test_only_spectral_branches_on_the_grid_class():
+    # Callers read grid.dim, grid.shape and grid.coords; storage's
+    # dim-to-class table only maps a file header back to a class.
+    branch = re.compile(r"isinstance\([^)]*(Grid1D|Grid2D|PeriodicGrid)"
+                        r"|getattr\([^,]*grid[^,]*, *[\"']shape[\"']")
+    for path in sorted(Path(msmlab.__file__).parent.glob("*.py")):
+        if path.name != "spectral.py":
+            found = branch.search(path.read_text())
+            assert found is None, f"{path.name}: {found.group(0)}"
