@@ -105,6 +105,8 @@ class TestStateAndConfig:
             {"dt": -0.1, "t_final": 1.0},
             {"dt": 0.1, "t_final": -1.0},
             {"dt": 0.1, "t_final": 1.0, "scheme": "leapfrog"},
+            {"dt": 0.1, "t_final": 1.0, "scheme": "Strang_Split"},
+            {"dt": 0.1, "t_final": 1.0, "dealias": 1},
             {"dt": 0.1, "t_final": 1.0, "terms": ("null", "septic")},
             {"dt": 0.1, "t_final": 1.0, "dealias": "yes"},
         ],
