@@ -186,8 +186,11 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
             raise ConfigError(f"{where}.preset.params must be an object")
         table = MSM_PRESETS if kind == "msm_run" else MAP_PRESETS
         dim = _MAP_FLOW_GRIDS.get(kind, Grid2D).dim
+        # A random band must fit the smallest grid the preset is built on:
+        # the least of a gauge check's sizes, an oracle ladder's first rung.
+        smallest = min(grid["sizes"]) if "sizes" in grid else grid["n"]
         try:
-            preset_params(table, preset["name"], preset.get("params"), dim)
+            preset_params(table, preset["name"], preset.get("params"), dim, n=smallest)
         except ConfigError as err:
             raise ConfigError(f"{where}.preset: {err}") from err
     options = dict(raw.get("options", {}))

@@ -21,6 +21,15 @@ preserves the pointwise normalization up to solver tolerance; a
 renormalization after each step removes the residual drift.  The inner
 iteration contracts only when ``dt * max|k|^2 / 2 < 1``, which gives the
 grid-tied step bound enforced by :func:`max_stable_dt`.
+
+Each right-hand side evaluation Laplaces the three stacked components in
+one real transform pair (:meth:`~msmlab.spectral.PeriodicGrid.laplacian`)
+and forms the cross product component by component in the layout of its
+first factor.  :func:`step_geometric` copies the map once per step into
+component-major memory, still indexed ``(..., 3)``: each component is then
+one contiguous plane for the transforms and the pointwise work of every
+inner iteration, and the step's result does not depend on the memory layout
+of its input.
 """
 
 from __future__ import annotations
@@ -67,9 +76,13 @@ class Target(Enum):
         return np.sum(a * b * _MINK, axis=-1)
 
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        c = np.cross(a, b)
+        """The target's cross product, in the memory layout of ``a``."""
+        c = np.empty_like(a)
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j], out=c[..., i])
         if self is Target.HYPERBOLIC:
-            c = c * _MINK
+            c[..., 2] *= -1.0
         return c
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
@@ -83,10 +96,6 @@ class Target(Enum):
     def normalization_error(self, v: np.ndarray) -> float:
         want = 1.0 if self is Target.SPHERE else -1.0
         return float(np.max(np.abs(self.dot(v, v) - want)))
-
-
-def _componentwise(grid, op, s3: np.ndarray) -> np.ndarray:
-    return np.stack([op(s3[..., c]) for c in range(3)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ def energy_chart(mf: MapField) -> float:
 
 def _ll_values(grid, target: Target, s3: np.ndarray) -> np.ndarray:
     """LL_SIGN * (s x lap s) for any array of 3-vectors, on the target or not."""
-    return LL_SIGN * target.cross(s3, _componentwise(grid, grid.laplacian, s3))
+    return LL_SIGN * target.cross(s3, grid.laplacian(s3))
 
 
 def ll_rhs(mf: MapField, target: Target | None = None) -> np.ndarray:
@@ -193,7 +202,7 @@ def ll_rhs(mf: MapField, target: Target | None = None) -> np.ndarray:
 
 def harmonic_residual(mf: MapField) -> np.ndarray:
     """Tension field: the tangential projection of lap s (zero iff harmonic)."""
-    lap = _componentwise(mf.grid, mf.grid.laplacian, mf.s3)
+    lap = mf.grid.laplacian(mf.s3)
     coeff = mf.target.dot(lap, mf.s3)
     if mf.target is Target.SPHERE:
         return lap - coeff[..., None] * mf.s3
@@ -223,7 +232,9 @@ def step_geometric(
             f"dt = {dt:.3e} exceeds the contraction bound {limit:.3e} "
             "for this grid; refine the step"
         )
-    grid, target, s0 = mf.grid, mf.target, mf.s3
+    grid, target = mf.grid, mf.target
+    # Component-major copy (see the module docstring).
+    s0 = np.moveaxis(np.moveaxis(mf.s3, -1, 0).copy(), 0, -1)
     # The midpoint iterate is off the target, so it stays a bare array.
     mid = s0 + 0.5 * dt * _ll_values(grid, target, s0)
     scale = float(np.max(np.abs(s0))) + 1e-30

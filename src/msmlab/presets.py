@@ -8,6 +8,9 @@ parameters raise :class:`~msmlab.errors.ConfigError` naming the offender.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .errors import ConfigError
@@ -32,12 +35,26 @@ MSM_PRESETS = {
 }
 
 
+# Parameters with a range narrower than the finite numbers, as (open lower
+# bound, closed upper bound, description): a bump width divides a length,
+# and a pole distance is a height on the unit sphere, whose south pole is 2.
+_RANGES = {
+    "width": (0.0, sys.float_info.max, "a finite positive number"),
+    "distance": (0.0, 2.0, "a number in (0, 2]"),
+}
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _in_range(value, lo: float, hi: float) -> bool:
+    # The comparison also refuses NaN, infinities and ints beyond a float.
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and lo < value <= hi
+
+
 def _check_value(name: str, key: str, value, default, dim: int) -> None:
-    """Reject a value whose type does not match its default; ``k`` may be a pair in 2-D."""
+    """Reject a value whose type or range does not fit; ``k`` may be a pair in 2-D."""
     if key == "k":
         ok = _is_int(value) or (dim == 2 and isinstance(value, (list, tuple))
                                 and len(value) == 2 and all(map(_is_int, value)))
@@ -47,13 +64,28 @@ def _check_value(name: str, key: str, value, default, dim: int) -> None:
     elif isinstance(default, int):
         ok, want = _is_int(value) and value >= 0, "a nonnegative integer"
     else:
-        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        lo, hi, want = _RANGES.get(key, (-math.inf, sys.float_info.max, "a finite number"))
+        ok = _in_range(value, lo, hi)
     if not ok:
         raise ConfigError(f"parameter {key!r} of preset {name!r} must be {want}, got {value!r}")
 
 
-def preset_params(table: dict, name: str, params: dict | None, dim: int) -> dict:
-    """A preset's defaults merged with ``params``; rejects unknown names, keys and types."""
+def _check_band(band: int, n: int) -> None:
+    """The mode box |m_j| <= band must fit the grid without aliasing a mode."""
+    if band > n // 2 - 1:
+        raise ConfigError(
+            f"parameter 'band' = {band} does not fit a grid of n = {n}: "
+            f"the mode box needs band <= n/2 - 1 = {n // 2 - 1}"
+        )
+
+
+def preset_params(table: dict, name: str, params: dict | None, dim: int,
+                  n: int | None = None) -> dict:
+    """A preset's defaults merged with ``params``; rejects unknown names, keys and types.
+
+    With ``n``, the smallest grid the preset will be built on, a
+    ``random_seeded`` band is also checked against that grid.
+    """
     if name not in table:
         raise ConfigError(f"unknown preset {name!r} (available: {sorted(table)})")
     extra = set(params or {}) - set(table[name])
@@ -64,7 +96,10 @@ def preset_params(table: dict, name: str, params: dict | None, dim: int) -> dict
         )
     for key, value in (params or {}).items():
         _check_value(name, key, value, table[name][key], dim)
-    return {**table[name], **(params or {})}
+    merged = {**table[name], **(params or {})}
+    if n is not None and "band" in merged:
+        _check_band(merged["band"], n)
+    return merged
 
 
 def _mode_phase(grid: PeriodicGrid, k) -> np.ndarray:
@@ -84,6 +119,7 @@ def _random_chart(grid: PeriodicGrid, band: int, amplitude: float, seed: int) ->
 
     One draw fills the box in row-major order, real then imaginary part per mode.
     """
+    _check_band(band, grid.n)
     rng = np.random.default_rng(seed)
     side = 2 * band + 1
     draw = rng.standard_normal(2 * side**grid.dim).reshape((side,) * grid.dim + (2,))

@@ -17,6 +17,15 @@ trailing axes, so an ``(n, n, nt)`` stack of fields is processed slice by
 slice in one call.  Each operator is a Fourier multiplier applied through
 one private helper.
 
+Besides the complex pair ``fft``/``ifft`` each grid has a real pair
+``rfft``/``irfft`` on the half spectrum (the last transformed axis keeps
+``n // 2 + 1`` modes).  :meth:`PeriodicGrid.laplacian` sends real fields
+through it: the symbol ``-|k|^2`` is real and even, so the result equals the
+complex path up to rounding at half the transform work.  Complex fields, and
+every odd multiplier, keep the complex pair.  The real pair follows the
+memory layout of its input, so a stack whose trailing index is the slowest
+in memory is transformed one contiguous plane at a time.
+
 Grids are immutable; derived arrays, including the multipliers, are computed
 once and cached.
 """
@@ -54,7 +63,8 @@ def _real_like(template: np.ndarray, values: np.ndarray) -> np.ndarray:
 class PeriodicGrid:
     """Periodic box [0, length)^dim sampled at n points per axis.
 
-    A subclass sets ``dim`` and supplies the transform pair ``fft``/``ifft``.
+    A subclass sets ``dim`` and supplies the complex transform pair
+    ``fft``/``ifft`` and the real pair ``rfft``/``irfft``.
     """
 
     dim: ClassVar[int]
@@ -91,6 +101,11 @@ class PeriodicGrid:
     def k2(self) -> np.ndarray:
         return sum(k**2 for k in self.wavenumbers)
 
+    @cached_property
+    def _half_laplacian_symbol(self) -> np.ndarray:
+        """-|k|^2 on the half spectrum of the real transform pair."""
+        return np.ascontiguousarray(-self.k2[..., : self.n // 2 + 1])
+
     # -- Fourier multipliers -----------------------------------------------
 
     def _times(self, symbol: np.ndarray, fh: np.ndarray) -> np.ndarray:
@@ -101,7 +116,9 @@ class PeriodicGrid:
         return _real_like(f, self.ifft(self._times(symbol, self.fft(f))))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self._apply(-self.k2, f)
+        if np.iscomplexobj(f):
+            return self._apply(-self.k2, f)
+        return self.irfft(self._times(self._half_laplacian_symbol, self.rfft(f)))
 
     def gradient(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """The derivatives of f along each axis, in axis order."""
@@ -141,6 +158,12 @@ class Grid1D(PeriodicGrid):
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.ifft(fh, axis=0)
+
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(f, axis=0)
+
+    def irfft(self, fh: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(fh, n=self.n, axis=0)
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         return self._apply(1j * self.k, f)
@@ -214,6 +237,12 @@ class Grid2D(PeriodicGrid):
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(fh, axes=(0, 1))
+
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        return np.fft.rfft2(f, axes=(0, 1))
+
+    def irfft(self, fh: np.ndarray) -> np.ndarray:
+        return np.fft.irfft2(fh, s=self.shape, axes=(0, 1))
 
     def dx(self, f: np.ndarray) -> np.ndarray:
         return self._apply(1j * self.kx, f)

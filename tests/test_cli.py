@@ -200,6 +200,21 @@ class TestRunExperiments:
                     "tiny-mult/multipliers.csv", "manifest.json"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    def test_map_flow_reruns_byte_identical(self, tmp_path):
+        evolve = dict(DEFAULT_EXPERIMENTS["evolve_map"], grid={"n": 16, "length": 1.0},
+                      time={"dt": 1e-4, "t_final": 4e-4}, options={"store_every": 2})
+        line = dict(DEFAULT_EXPERIMENTS["hasimoto_1d"], grid={"n": 32, "length": 6.28},
+                    time={"dt": 1e-3, "t_final": 4e-3},
+                    options={"n_data": 1, "soliton_n": 64, "soliton_length": 50.0})
+        cfg = parse_config(wrap(evolve, line))
+        manifest = run_experiments(cfg, tmp_path / "a").read_bytes()
+        assert run_experiments(cfg, tmp_path / "b").read_bytes() == manifest
+        paths = [e["path"] for e in json.loads(manifest)["artifacts"]]
+        assert paths == ["evolve-smooth-bump/final_map.msmf", "evolve-smooth-bump/trajectory.csv",
+                         "hasimoto-line/hasimoto.csv"]
+        for rel in paths:
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
     def test_multiplier_bounds_ordered(self, tmp_path):
         cfg = parse_config(wrap(TINY_MULT))[0]
         run_experiments([cfg], tmp_path)
@@ -293,15 +308,39 @@ class TestMain:
               preset={"name": "single_mode", "params": {"k": [1, 2]}}), "'k'"),
         (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"],
               preset={"name": "single_mode", "params": {"amplitude": "big"}}), "'amplitude'"),
+        (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"],
+              preset={"name": "random_seeded", "params": {"band": 300}}), "'band' = 300"),
+        (dict(TINY_MSM, preset={"name": "random_seeded", "params": {"band": 8}}),
+         "'band' = 8"),
+        (dict(DEFAULT_EXPERIMENTS["gauge_check"], grid={"sizes": [64, 16], "length": 1.0},
+              preset={"name": "random_seeded", "params": {"band": 8}}), "n = 16"),
+        (dict(DEFAULT_EXPERIMENTS["msm_oracle"],
+              preset={"name": "random_seeded", "params": {"band": 16}}), "n = 32"),
+        (dict(DEFAULT_EXPERIMENTS["evolve_map"],
+              preset={"name": "smooth_bump", "params": {"width": 0}}), "'width'"),
+        (dict(TINY_MSM, preset={"name": "smooth_bump", "params": {"width": -0.1}}), "'width'"),
+        (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"],
+              preset={"name": "near_north_pole", "params": {"distance": -1}}), "'distance'"),
+        (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"],
+              preset={"name": "near_north_pole", "params": {"distance": 2.5}}), "'distance'"),
+        (dict(DEFAULT_EXPERIMENTS["evolve_map"],
+              preset={"name": "smooth_bump", "params": {"amplitude": float("nan")}}),
+         "'amplitude'"),
+        (dict(TINY_MSM, preset={"name": "single_mode", "params": {"amplitude": float("inf")}}),
+         "'amplitude'"),
     ], ids=["msm-preset", "msm-param", "evolve-param", "evolve-dt", "hasimoto-dt",
-            "hasimoto-k-pair", "hasimoto-amplitude-text"])
+            "hasimoto-k-pair", "hasimoto-amplitude-text", "hasimoto-band", "msm-band",
+            "gauge-band-smallest-size", "oracle-band-first-rung", "evolve-width-zero",
+            "msm-width-negative", "hasimoto-distance-negative", "hasimoto-distance-past-pole",
+            "evolve-amplitude-nan", "msm-amplitude-inf"])
     def test_bad_preset_or_map_dt_exits_2_before_compute(self, tmp_path, capsys,
                                                          second, message):
         cfgfile = tmp_path / "run.json"
         first = dict(DEFAULT_EXPERIMENTS[second["kind"]], name="first")
         cfgfile.write_text(json.dumps(wrap(first, dict(second, name="second"))))
         out = tmp_path / "out"
-        command = {"msm_run": "msm", "evolve_map": "evolve", "hasimoto_1d": "hasimoto"}
+        command = {"msm_run": "msm", "evolve_map": "evolve", "hasimoto_1d": "hasimoto",
+                   "gauge_check": "gauge-check", "msm_oracle": "oracle"}
         assert main([command[second["kind"]], "--config", str(cfgfile),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err

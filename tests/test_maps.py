@@ -40,6 +40,17 @@ def random_rotation(rng):
     return q
 
 
+def hyperbolic_wave_map(grid):
+    u = 0.3 * np.sin(2 * np.pi * grid.x / grid.length)
+    raw = np.stack([np.sinh(u), np.zeros_like(u), np.cosh(u)], axis=-1)
+    return MapField.create(grid, raw, Target.HYPERBOLIC)
+
+
+def component_major(s3):
+    """The same values, with each component one contiguous plane."""
+    return np.moveaxis(np.moveaxis(s3, -1, 0).copy(), 0, -1)
+
+
 class TestMapField:
     def test_constant_map_roundtrips_chart(self):
         g = Grid2D(n=16, length=1.0)
@@ -256,12 +267,36 @@ class TestStepGeometric:
 
     def test_hyperbolic_step_stays_on_surface(self):
         g = Grid2D(n=32, length=4.0)
-        u = 0.3 * np.sin(2 * np.pi * g.x / g.length)
-        raw = np.stack([np.sinh(u), np.zeros_like(u), np.cosh(u)], axis=-1)
-        mf = MapField.create(g, raw, Target.HYPERBOLIC)
+        mf = hyperbolic_wave_map(g)
         stepped = step_geometric(mf, 0.2 * max_stable_dt(g))
         assert stepped.normalization_error() < 1e-12
         assert stepped.target is Target.HYPERBOLIC
+
+
+    @pytest.mark.parametrize("target", [Target.SPHERE, Target.HYPERBOLIC])
+    def test_step_is_bitwise_independent_of_layout(self, target):
+        g = Grid2D(n=16, length=4.0)
+        mf = bump_chart_map(g) if target is Target.SPHERE else hyperbolic_wave_map(g)
+        dt = 0.5 * max_stable_dt(g)
+        want = step_geometric(mf, dt).s3
+        for s3 in (component_major(mf.s3), np.asfortranarray(mf.s3)):
+            got = step_geometric(MapField(g, s3, target), dt).s3
+            np.testing.assert_array_equal(got, want)
+
+
+class TestCross:
+    @pytest.mark.parametrize("target", [Target.SPHERE, Target.HYPERBOLIC])
+    @pytest.mark.parametrize("layout", ["C", "component-major"])
+    def test_matches_numpy_reference(self, target, layout):
+        a, b = RNG.standard_normal((2, 8, 8, 3))
+        if layout != "C":
+            a, b = component_major(a), component_major(b)
+        want = np.cross(a, b)
+        if target is Target.HYPERBOLIC:
+            want = want * np.array([1.0, 1.0, -1.0])
+        got = target.cross(a, b)
+        np.testing.assert_array_equal(got, want)
+        assert got.strides == a.strides
 
 
 class TestEvolve:

@@ -415,9 +415,9 @@ class TestStepping:
 
 
 def _count_2d_transforms(monkeypatch) -> list[int]:
-    """Patch numpy's 2-D transforms to count every transformed slice."""
+    """Patch numpy's complex and real 2-D transforms to count every transformed slice."""
     count = [0]
-    for name in ("fft2", "ifft2"):
+    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
         original = getattr(np.fft, name)
 
         def counted(a, *args, original=original, **kwargs):
@@ -465,11 +465,36 @@ class TestTransformCounts:
         build_gauge_state(mf)
         assert count[0] == 18
 
+    def test_map_step_costs_six_per_evaluation(self, monkeypatch):
+        # One real pair on the three stacked components per right-hand side.
+        from msmlab import maps
+
+        evaluations = [0]
+        ll_values = maps._ll_values
+
+        def counted(*args):
+            evaluations[0] += 1
+            return ll_values(*args)
+
+        monkeypatch.setattr(maps, "_ll_values", counted)
+        def refuse(*args, **kwargs):
+            raise AssertionError("complex 2-D transform in a map step")
+
+        mf = bump_map(32)
+        count = _count_2d_transforms(monkeypatch)
+        for name in ("fft2", "ifft2"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        maps.step_geometric(mf, 0.5 * max_stable_dt(mf.grid))
+        assert evaluations[0] > 2
+        assert count[0] == 6 * evaluations[0]
+
     def test_stacked_calls_count_every_slice(self, monkeypatch):
         g = Grid2D(n=16, length=1.0)
         count = _count_2d_transforms(monkeypatch)
         g.ifft(g.fft(np.zeros(g.shape + (3,))))
         assert count[0] == 6
+        g.irfft(g.rfft(np.zeros(g.shape + (3,))))
+        assert count[0] == 12
 
 
 class TestGaugeTrajectoryOracle:

@@ -96,6 +96,39 @@ class TestMapPresets:
             assert isinstance(map_preset(g, name), MapField)
 
 
+    @pytest.mark.parametrize("grid", [Grid1D(n=16, length=2.0), Grid2D(n=16, length=1.0)],
+                             ids=["1d", "2d"])
+    def test_band_must_fit_the_grid(self, grid):
+        # band <= n/2 - 1 keeps every mode of the box distinct from the others.
+        assert np.any(_random_chart(grid, 7, 0.4, 0))
+        with pytest.raises(ConfigError, match="'band' = 8.*n = 16"):
+            _random_chart(grid, 8, 0.4, 0)
+        with pytest.raises(ConfigError, match="'band' = 300"):
+            map_preset(grid, "random_seeded", {"band": 300})
+
+    @pytest.mark.parametrize("name,params", [
+        ("smooth_bump", {"width": 0}),
+        ("smooth_bump", {"width": -0.5}),
+        ("smooth_bump", {"width": float("inf")}),
+        ("near_north_pole", {"distance": -1}),
+        ("near_north_pole", {"distance": 0.0}),
+        ("near_north_pole", {"distance": 2.5}),
+        ("single_mode", {"amplitude": float("nan")}),
+        ("random_seeded", {"amplitude": -float("inf")}),
+        ("smooth_bump", {"amplitude": 10**400}),
+    ])
+    def test_out_of_range_values_rejected(self, name, params):
+        key = next(iter(params))
+        with pytest.raises(ConfigError, match=f"{key!r} of preset {name!r}"):
+            map_preset(Grid2D(n=16, length=1.0), name, params)
+
+    def test_range_edges_accepted(self):
+        g = Grid1D(n=16, length=1.0)
+        south = map_preset(g, "near_north_pole", {"distance": 2, "amplitude": 0.0})
+        np.testing.assert_allclose(south.s3[..., 2], -1.0)
+        assert map_preset(g, "smooth_bump", {"width": 3, "amplitude": -1}).normalization_error() < 1e-12
+
+
 class TestMsmPresets:
     def test_zero(self):
         st = msm_preset(Grid2D(n=16, length=1.0), "zero")
@@ -126,6 +159,10 @@ class TestMsmPresets:
             msm_preset(g, "plane_wave")
         with pytest.raises(ConfigError, match="winding"):
             msm_preset(g, "single_mode", {"winding": 2})
+        with pytest.raises(ConfigError, match="'width'"):
+            msm_preset(g, "smooth_bump", {"width": 0.0})
+        with pytest.raises(ConfigError, match="'band' = 8"):
+            msm_preset(g, "random_seeded", {"band": 8})
         for name in MSM_PRESETS:
             assert isinstance(msm_preset(g, name), MSMState)
 

@@ -250,6 +250,46 @@ class TestBroadcasting:
         assert np.max(np.abs(gy - g.dy(inv))) < 1e-13
 
 
+def component_major(f):
+    """The same values, with the trailing index slowest in memory."""
+    return np.moveaxis(np.moveaxis(f, -1, 0).copy(), 0, -1)
+
+
+class TestRealPair:
+    """A real field's Laplacian runs on the half spectrum, a complex one does not."""
+
+    @pytest.mark.parametrize("cls", [Grid1D, Grid2D])
+    @pytest.mark.parametrize("trailing", [(), (3,)], ids=["single", "stacked"])
+    @pytest.mark.parametrize("layout", ["C", "component-major"])
+    def test_real_laplacian_matches_complex_symbol(self, cls, trailing, layout):
+        g = cls(n=16, length=3.0)
+        f = RNG.standard_normal(g.shape + trailing)
+        # Put weight on the Nyquist plane of the last transformed axis, the
+        # mode the half spectrum stores once.
+        f += np.cos(np.pi * g.coords[-1] / g.spacing).reshape(g.shape + (1,) * len(trailing))
+        if layout != "C":
+            f = component_major(f) if trailing else np.asfortranarray(f)
+        got = g.laplacian(f)
+        want = g._apply(-g.k2, f)
+        assert got.dtype == np.float64 and got.shape == f.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_real_pair_roundtrip_keeps_component_planes(self):
+        g = Grid2D(n=16, length=2.0)
+        f = component_major(RNG.standard_normal(g.shape + (3,)))
+        fh = g.rfft(f)
+        assert fh.shape == (16, 9, 3)
+        back = g.irfft(fh)
+        assert np.moveaxis(back, -1, 0).flags.c_contiguous
+        assert np.max(np.abs(back - f)) < 1e-14
+
+    @pytest.mark.parametrize("cls", [Grid1D, Grid2D])
+    def test_complex_laplacian_keeps_complex_pair(self, cls):
+        g = cls(n=16, length=3.0)
+        f = random_complex(g.shape + (2,), RNG)
+        np.testing.assert_array_equal(g.laplacian(f), g.ifft(g._times(-g.k2, g.fft(f))))
+
+
 class TestGrid1D:
     def test_derivative(self):
         g = Grid1D(n=64, length=2 * np.pi)
