@@ -110,7 +110,6 @@ def _pmap(fn: Callable, items: Sequence):
 # -- windowed space-time fields ------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpaceTimeField:
     """Complex field on (x, y, t), smoothly vanishing at the time seam.
 
@@ -128,52 +127,80 @@ class SpaceTimeField:
     known, holds the space-time coefficients of the (2 band + 1)^2 spatial
     columns, modes -band..band along each axis in increasing order; every
     other coefficient is zero.
+
+    A field may be built from its box alone (``values=None``).  Its values
+    on its grid are then synthesized from the box the first time they are
+    read and kept; ``nt``, ``hat`` and the weighted norms never read them.
+    The finiteness and seam checks run at construction on the box's time
+    columns c_t instead: the seam values are at most the l1 sum of c_t at
+    the first and last slice, and by Parseval the sup is at least the
+    largest l2 norm of a c_t, so passing with those two bounds implies
+    passing on the values.
     """
 
-    grid: Grid2D
-    t_window: float
-    values: np.ndarray
-    cutoff: np.ndarray
-    band: int | None = None
-    box: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        nt = self.values.shape[2] if self.values.ndim == 3 else 0
-        if self.values.ndim != 3 or self.values.shape[:2] != self.grid.shape:
-            raise ValueError(
-                f"values must have shape {self.grid.shape + ('nt',)}, got {self.values.shape}"
-            )
+    def __init__(
+        self,
+        grid: Grid2D,
+        t_window: float,
+        values: np.ndarray | None,
+        cutoff: np.ndarray,
+        band: int | None = None,
+        box: np.ndarray | None = None,
+    ):
+        self.grid, self.t_window, self.cutoff, self.band, self.box = (
+            grid, t_window, cutoff, band, box)
+        if values is None:
+            if box is None:
+                raise ValueError("a field needs its values or its box")
+            nt = cutoff.size
+        else:
+            nt = values.shape[2] if values.ndim == 3 else 0
+            if values.ndim != 3 or values.shape[:2] != grid.shape:
+                raise ValueError(
+                    f"values must have shape {grid.shape + ('nt',)}, got {values.shape}"
+                )
         if nt < 2 or nt & (nt - 1):
             raise ValueError(f"time axis must hold a power of two samples, got {nt}")
-        if not self.t_window > 0:
+        if not t_window > 0:
             raise ValueError("t_window must be positive")
-        # One pass: the sup is NaN or inf exactly when an entry is not finite.
-        top = float(np.max(np.abs(self.values)))
-        if not np.isfinite(top):
-            raise ValueError("values contain non-finite entries")
-        if self.cutoff.shape != (nt,):
+        if cutoff.shape != (nt,):
             raise ValueError("cutoff must be sampled on the time axis")
-        if self.band is not None and self.band < 0:
-            raise ValueError(f"band must be nonnegative, got {self.band}")
-        if self.box is not None and (
-            self.band is None or 2 * self.band >= self.grid.n
-            or self.box.shape != (2 * self.band + 1,) * 2 + (nt,)
+        if band is not None and band < 0:
+            raise ValueError(f"band must be nonnegative, got {band}")
+        if box is not None and (
+            band is None or 2 * band >= grid.n or box.shape != (2 * band + 1,) * 2 + (nt,)
         ):
             raise ValueError("box must hold the (2 band + 1)^2 x nt coefficients of the grid")
-        if self.values.dtype != np.complex128:
-            object.__setattr__(self, "values", self.values.astype(np.complex128))
-        if top > 0:
-            edge = max(float(np.max(np.abs(self.values[:, :, 0]))),
-                       float(np.max(np.abs(self.values[:, :, -1]))))
-            if edge > BOUNDARY_TOL * top:
-                raise ValueError(
-                    f"field does not vanish at the time boundary "
-                    f"(relative edge value {edge / top:.2e})"
-                )
+        if values is None:
+            # Checked before the transform, which would spread and warn.
+            if not np.all(np.isfinite(box)):
+                raise ValueError("box contains non-finite entries")
+            # Time series of the box's spatial columns, kept for the synthesis.
+            cols = self._columns = np.fft.ifft(box, axis=2) * nt
+            top = float(np.max(np.linalg.norm(cols.reshape(-1, nt), axis=0)))
+            edge = float(np.sum(np.abs(cols[:, :, [0, -1]])))
+        else:
+            # One pass: the sup is NaN or inf exactly when an entry is not finite.
+            top = float(np.max(np.abs(values)))
+            if not np.isfinite(top):
+                raise ValueError("values contain non-finite entries")
+            self.values = values.astype(np.complex128, copy=False)
+            edge = max(float(np.max(np.abs(values[:, :, 0]))),
+                       float(np.max(np.abs(values[:, :, -1]))))
+        if edge > BOUNDARY_TOL * top:
+            raise ValueError(
+                f"field does not vanish at the time boundary "
+                f"(relative edge value {edge / top:.2e})"
+            )
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Samples on the grid, synthesized from the box on first read."""
+        return _synthesize(self._columns, self.grid.n)
 
     @property
     def nt(self) -> int:
-        return self.values.shape[2]
+        return self.cutoff.shape[0]
 
     @property
     def dt(self) -> float:
@@ -193,7 +220,7 @@ class SpaceTimeField:
         """Space-time coefficients, unitary up to the measure L^2 T."""
         if self.box is None:
             return np.fft.fftn(self.values) / self.values.size
-        out = np.zeros(self.values.shape, dtype=np.complex128)
+        out = np.zeros(self.grid.shape + (self.nt,), dtype=np.complex128)
         idx = _box_index(self.band, self.grid.n)
         out[np.ix_(idx, idx)] = self.box
         return out
@@ -205,10 +232,12 @@ class SpaceTimeField:
         )
 
     def scaled(self, factor: complex) -> "SpaceTimeField":
-        box = None if self.box is None else factor * self.box
+        if self.box is not None:
+            return SpaceTimeField(grid=self.grid, t_window=self.t_window, values=None,
+                                  cutoff=self.cutoff, band=self.band, box=factor * self.box)
         return SpaceTimeField(
             grid=self.grid, t_window=self.t_window, values=factor * self.values,
-            cutoff=self.cutoff, band=self.band, box=box,
+            cutoff=self.cutoff, band=self.band,
         )
 
     def _derived(
@@ -241,11 +270,26 @@ def _band_sum(fields: Sequence[SpaceTimeField]) -> int | None:
     return None if None in bands else sum(bands)
 
 
+def _synthesize(columns: np.ndarray, m: int) -> np.ndarray:
+    """Samples on an m x m grid of the field with the given spatial columns.
+
+    ``columns`` holds the time series of the spatial modes -b..b along each
+    axis, in increasing order, with b = (len(columns) - 1) / 2.  The field
+    is summed mode by mode, in two small matrix products, so its samples
+    are exact on any grid; with m > 2b they also determine it.
+    """
+    band = columns.shape[0] // 2
+    ms = np.arange(-band, band + 1)
+    # e^{i 2 pi k j / m} at grid point j, with the phase reduced mod m.
+    phase = np.exp((2j * np.pi / m) * (np.outer(np.arange(m), ms) % m))
+    return phase @ np.tensordot(phase, columns, axes=(1, 0))
+
+
 def _product(factors: Sequence[SpaceTimeField], conj: Sequence[bool]) -> SpaceTimeField:
     _compatible(factors)
-    vals = np.ones_like(factors[0].values)
-    cut = np.ones(factors[0].nt)
-    for f, c in zip(factors, conj):
+    vals = np.conj(factors[0].values) if conj[0] else factors[0].values
+    cut = factors[0].cutoff
+    for f, c in zip(factors[1:], conj[1:]):
         vals = vals * (np.conj(f.values) if c else f.values)
         cut = cut * f.cutoff
     return factors[0]._derived(vals, cut, _band_sum(factors))
@@ -259,24 +303,24 @@ def _unaliased(
     The caller's ``bound``, a function of the fields' bands, makes the step
     it takes on the coarse grid unaliased.  The grid is a power of two with
     at least 8 points and more than twice every band, so each field is
-    sampled exactly: every (n/m)-th point of its values is the same
-    continuum field on the coarse grid.  When a band is unknown, or no grid
-    smaller than the fields' own qualifies, the fields come back unchanged.
+    sampled exactly: it is rebuilt from its box on the coarse grid, where
+    its values are synthesized when read.  When a field has no box, or no
+    grid smaller than the fields' own qualifies, the fields come back
+    unchanged.
     """
     grid = fields[0].grid
-    bands = [f.band for f in fields]
-    if None in bands:
+    if any(f.box is None for f in fields):
         return tuple(fields)
+    bands = [f.band for f in fields]
     m = 8
     while m <= max(bound(bands), 2 * max(bands)):
         m *= 2
     if m >= grid.n:
         return tuple(fields)
     coarse = Grid2D(n=m, length=grid.length)
-    step = grid.n // m
     return tuple(
-        SpaceTimeField(grid=coarse, t_window=f.t_window, values=f.values[::step, ::step],
-                       cutoff=f.cutoff, band=f.band, box=f.box)
+        SpaceTimeField(grid=coarse, t_window=f.t_window, values=None, cutoff=f.cutoff,
+                       band=f.band, box=f.box)
         for f in fields
     )
 
@@ -298,8 +342,9 @@ def realize_mode_field(
     The window acts along t only, so every occupied spatial frequency
     keeps its own windowed time series: the field's spectrum is known
     exactly from the mode box (zero outside it) and is kept as the
-    field's ``box``, and the values follow from two small matrix products
-    instead of a full 3-D transform.
+    field's ``box``.  The field is built from the box alone; its values on
+    any grid are synthesized by two small matrix products, and only when
+    a suite reads them there.
     """
     n = grid.n
     keys = np.array(list(modes), dtype=np.int64).reshape(-1, 3)
@@ -308,18 +353,17 @@ def realize_mode_field(
     if bad.any():
         mode = tuple(int(m) for m in keys[np.argmax(bad)])
         raise ValueError(f"mode {mode} does not fit inside the grid")
+    coefs = np.array(list(modes.values()), dtype=np.complex128)
+    if not np.all(np.isfinite(coefs)):
+        raise ValueError("mode coefficients must be finite")
     band = int(reach.max(initial=0))
     box = np.zeros((2 * band + 1, 2 * band + 1, nt), dtype=np.complex128)
     # Distinct keys land on distinct cells: |mt| < nt/2 keeps -mt mod nt one-to-one.
-    box[keys[:, 0] + band, keys[:, 1] + band, -keys[:, 2] % nt] = list(modes.values())
+    box[keys[:, 0] + band, keys[:, 1] + band, -keys[:, 2] % nt] = coefs
     times = np.arange(nt) * (t_window / nt)
     cut = unit_window((times - t_window / 2) / (delta_frac * t_window))
     columns = np.fft.ifft(box, axis=2) * (nt * cut)
-    ms = np.arange(-band, band + 1)
-    # e^{i 2 pi m j / n} at grid point j, with the phase reduced mod n.
-    phase = np.exp((2j * np.pi / n) * (np.outer(np.arange(n), ms) % n))
-    vals = phase @ np.tensordot(phase, columns, axes=(1, 0))
-    return SpaceTimeField(grid=grid, t_window=t_window, values=vals, cutoff=cut,
+    return SpaceTimeField(grid=grid, t_window=t_window, values=None, cutoff=cut,
                           band=band, box=np.fft.fft(columns, axis=2) / nt)
 
 
@@ -688,21 +732,25 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> list[Rati
 
 
 def _grad_potential(
-    grid: Grid2D, coarse: Grid2D, source: np.ndarray
+    grid: Grid2D, coarse: Grid2D, source: np.ndarray, band: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient, sampled on grid, of the zero-mean inverse Laplacian of source.
 
-    ``source`` is sampled on ``coarse``, where its spectrum is unaliased;
-    the potential's spectrum is zero-padded to ``grid`` before the two
-    inverse transforms.
+    ``source`` is sampled on ``coarse`` and has spatial band ``band``.
+    When the band is known and coarse has more than twice as many points,
+    the spectrum there is unaliased: the potential's (2 band + 1)^2
+    columns are cut from it, and each derivative is synthesized from them
+    on ``grid``.  Otherwise ``coarse`` is ``grid`` and the gradient comes
+    from the potential's spectrum by two inverse transforms.
     """
-    ph = coarse.inverse_laplacian_symbol[:, :, None] * coarse.fft(source)
-    if coarse != grid:
-        idx = coarse.modes % grid.n
-        padded = np.zeros(grid.shape + ph.shape[2:], dtype=np.complex128)
-        padded[np.ix_(idx, idx)] = ph * (grid.n / coarse.n) ** 2
-        ph = padded
-    return grid.grad_from_hat(ph)
+    sh = coarse.fft(source)
+    if band is None or 2 * band >= coarse.n:
+        return grid.grad_from_hat(coarse.inverse_laplacian_symbol[:, :, None] * sh)
+    cells = np.ix_(*[_box_index(band, coarse.n)] * 2)
+    box = (coarse.inverse_laplacian_symbol[cells] / coarse.n**2)[:, :, None] * sh[cells]
+    ik = (2j * np.pi / grid.length) * np.arange(-band, band + 1)
+    return (_synthesize(ik[:, None, None] * box, grid.n),
+            _synthesize(ik[None, :, None] * box, grid.n))
 
 
 def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
@@ -723,17 +771,17 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
         # are unaliased; the band-5B product itself stays on the fine grid.
         pairs = _unaliased(u[:4], lambda b: 2 * max(b[0] + b[1], b[2] + b[3]))
         grid, coarse = u[0].grid, pairs[0].grid
-        g1x, g1y = _grad_potential(grid, coarse, pairs[0].values * np.conj(pairs[1].values))
-        g2x, g2y = _grad_potential(grid, coarse, pairs[2].values * np.conj(pairs[3].values))
+        g1x, g1y = _grad_potential(grid, coarse, pairs[0].values * np.conj(pairs[1].values),
+                                   _band_sum(u[:2]))
+        g2x, g2y = _grad_potential(grid, coarse, pairs[2].values * np.conj(pairs[3].values),
+                                   _band_sum(u[2:4]))
         del pairs
         vals = g1x * g2x
         del g1x, g2x
         vals += g1y * g2y
         del g1y, g2y
         vals *= u[4].values
-        cut = np.ones(u[0].nt)
-        for f in u:
-            cut = cut * f.cutoff
+        cut = np.prod([f.cutoff for f in u], axis=0)
         prod = u[0]._derived(vals, cut, _band_sum(u))
         return xsb_norm(prod, s, b_num, +1) / den
 

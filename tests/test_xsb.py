@@ -9,6 +9,7 @@ from msmlab.errors import TooLargeError
 from msmlab.spectral import Grid2D
 from msmlab.storage import format_value
 from msmlab.xsb import (
+    FLAVORS,
     BilinearReport,
     MultiplierSpec,
     RatioReport,
@@ -37,6 +38,7 @@ from msmlab.xsb import (
     white_mode_dict,
     write_ratio_csv,
     xsb_norm,
+    _unaliased,
 )
 from msmlab.windows import unit_window
 
@@ -959,3 +961,129 @@ class TestSmallestUnaliasedGrid:
         np.testing.assert_array_equal(scaled.box, (2 - 1j) * f.box)
         np.testing.assert_allclose(scaled.hat, np.fft.fftn(scaled.values) / scaled.values.size,
                                    atol=1e-13 * np.max(np.abs(scaled.box)))
+
+
+def _count_syntheses(monkeypatch) -> list[tuple[int, int]]:
+    """Patch the box synthesis to record (number of modes a side, grid points a side)."""
+    import msmlab.xsb as xsb
+
+    calls = []
+    original = xsb._synthesize
+
+    def recorded(columns, m):
+        calls.append((columns.shape[0], m))
+        return original(columns, m)
+
+    monkeypatch.setattr(xsb, "_synthesize", recorded)
+    return calls
+
+
+class TestSynthesisFromTheBox:
+    def test_values_synthesized_once_on_first_read(self, monkeypatch):
+        calls = _count_syntheses(monkeypatch)
+        f = white_field(70, sb=3)
+        assert f.nt == 64 and f.hat.shape == (32, 32, 64)
+        xsb_norm(f, 1.0, 0.51)
+        assert calls == [] and "values" not in f.__dict__
+        first = f.values
+        assert f.values is first and calls == [(7, 32)]
+
+    @pytest.mark.parametrize("case", ["seam", "nan", "inf"])
+    def test_realized_field_rejected_before_any_synthesis(self, case, monkeypatch):
+        calls = _count_syntheses(monkeypatch)
+        modes = white_mode_dict(3, 6, seed=71)
+        kwargs = {}
+        if case == "seam":
+            kwargs["delta_frac"] = 0.6
+        else:
+            modes[(1, -2, 3)] = complex(np.nan if case == "nan" else np.inf, 1.0)
+        with pytest.raises(ValueError, match="time boundary" if case == "seam" else "finite"):
+            realize_mode_field(grid(32), 64, TWIN, modes, **kwargs)
+        if case != "seam":
+            f = white_field(71)
+            box = f.box.copy()
+            box[1, 2, 3] = modes[(1, -2, 3)]
+            with pytest.raises(ValueError, match="non-finite"):
+                SpaceTimeField(grid=f.grid, t_window=TWIN, values=None, cutoff=f.cutoff,
+                               band=f.band, box=box)
+        assert calls == []
+
+    def test_band_at_half_the_grid_rejected_before_any_synthesis(self, monkeypatch):
+        calls = _count_syntheses(monkeypatch)
+        cut = white_field(72).cutoff
+        with pytest.raises(ValueError, match="box"):
+            SpaceTimeField(grid=grid(16), t_window=TWIN, values=None, cutoff=cut[::2],
+                           band=8, box=np.zeros((17, 17, 32), complex))
+        with pytest.raises(ValueError, match="fit"):
+            realize_mode_field(grid(16), 32, TWIN, {(8, 1, 0): 1.0})
+        with pytest.raises(ValueError, match="values or its box"):
+            SpaceTimeField(grid=grid(16), t_window=TWIN, values=None, cutoff=cut[::2])
+        assert calls == []
+
+    def test_seam_check_on_the_box_is_no_weaker(self):
+        # Any field the box check accepts also passes the check on its values.
+        for seed, delta_frac in [(73, 0.35), (74, 0.45), (75, 0.49)]:
+            f = realize_mode_field(grid(32), 64, TWIN, white_mode_dict(4, 8, seed), delta_frac)
+            top = np.max(np.abs(f.values))
+            edge = max(np.max(np.abs(f.values[:, :, 0])), np.max(np.abs(f.values[:, :, -1])))
+            assert edge <= 1e-8 * top
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_coarse_synthesis_matches_every_step_th_sample(self, n):
+        trials = banded_trials(1, n)
+        assert [t.flavor for t in trials] == list(FLAVORS)
+        for trial in trials:
+            fine = trial.fields[0]
+            (coarse,) = _unaliased(trial.fields, lambda bands: 0)
+            step = n // coarse.grid.n
+            assert step > 1 and coarse.box is fine.box
+            expect = fine.values[::step, ::step]
+            assert np.max(np.abs(coarse.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_quintic_runs_no_two_dimensional_transform_on_the_fine_grid(self, monkeypatch):
+        # Band-5 factors at n=64: the band-10 pair sources go through fft2 on
+        # 32^2, the potentials' gradients are synthesized, and only the
+        # product's fftn runs on 64^2.
+        trials = banded_trials(5, 64, n_trials=1)
+        shapes = _record_fft_shapes(monkeypatch)
+        ratio_test_quintic(trials, 0.01)
+        assert shapes == [("fft2", (32, 32, 64))] * 2 + [("fftn", (64, 64, 64))]
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_only_bilinear_and_the_fifth_quintic_factor_synthesize_on_n(self, suite, monkeypatch):
+        arity, run = SUITES[suite]
+        trials = banded_trials(arity, 64, n_trials=2)
+        calls = _count_syntheses(monkeypatch)
+        run(trials)
+        on_n = [modes for modes, m in calls if m == 64]
+        factors_on_n = on_n.count(11)  # the band-5 factors; potentials have band 10
+        expected = {"cubic": 0, "nullform": 0, "quintic": 1, "bilinear": 2}[suite]
+        assert factors_on_n == expected * len(trials)
+        if suite == "quintic":
+            assert on_n.count(21) == 4 * len(trials)
+        else:
+            assert len(on_n) == factors_on_n
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_coarse_grid_reports_do_not_depend_on_threads(self, suite, monkeypatch):
+        arity, run = SUITES[suite]
+        trials = sample_trials(grid(64), 64, TWIN, arity, 3, seed=76, space_band=5, time_band=10)
+        serial = run(trials)
+        monkeypatch.setenv("MSMLAB_THREADS", "2")
+        assert run(trials) == serial
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_suites_match_the_n_grid_relatively(self, n):
+        # pytest.approx always adds an absolute 1e-12, loose for ratios of
+        # 1e-11 to 1e-4; compare relative to rounding only.
+        trials = banded_trials(3, n)
+        reports = {r.test_name: r for r in ratio_test_cubic(trials, 1.0, 0.01)}
+        for i, trial in enumerate(trials):
+            for name, expect in n_grid_cubic(trial, 1.0, 0.01).items():
+                assert reports[name].ratios[i] == pytest.approx(expect, rel=1e-12, abs=0)
+        trials = banded_trials(5, n)
+        for trial, ratio in zip(trials, ratio_test_quintic(trials, 0.01).ratios):
+            assert ratio == pytest.approx(n_grid_quintic(trial, 0.01), rel=1e-12, abs=0)
+        trials = banded_trials(4, n)
+        for trial, ratio in zip(trials, ratio_test_nullform(trials, 0.01).ratio.ratios):
+            assert ratio == pytest.approx(n_grid_nullform(trial, 0.01), rel=1e-12, abs=0)
