@@ -5,10 +5,6 @@ class MsmLabError(Exception):
     """Base class for all package-specific failures."""
 
 
-class NonzeroMeanError(MsmLabError):
-    """Poisson solve requested on data with a non-negligible mean."""
-
-
 class ChartUndefinedError(MsmLabError):
     """Stereographic chart evaluated at or too close to its excluded pole."""
 

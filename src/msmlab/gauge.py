@@ -32,8 +32,8 @@ The time-direction potential ``a_0`` solves
 normalized to zero mean.  It and the stream potential beta are assembled
 once, in Fourier space (:func:`alpha_hat`, :func:`beta_hat`); the MSM solver
 filters the same two spectra, so the trajectory oracle checks the potentials
-the solver uses.  The same right side through iterated Riesz transforms
-(:func:`alpha_potential` with ``form="riesz"``) is the independent reference.
+the solver uses.  The independent reference, the same right side through
+iterated Riesz transforms, lives in the tests.
 
 The 1-D reduction :func:`hasimoto_1d` maps a closed-curve map to a complex
 field solving the focusing cubic NLS; see :mod:`msmlab.conventions` for
@@ -64,7 +64,6 @@ __all__ = [
     "verify_consistency",
     "beta_hat",
     "alpha_hat",
-    "alpha_potential",
     "hasimoto_1d",
     "NLSFit",
     "fit_nls_coefficient",
@@ -98,34 +97,6 @@ def alpha_hat(grid: Grid2D, u1: np.ndarray, u2: np.ndarray, sign: float) -> np.n
     mixed = grid.kx**2 * p1 + 2.0 * grid.kx * grid.ky * cross_hat + grid.ky**2 * p2
     rhs = -ALPHA_MIXED_COEF * mixed - ALPHA_DIAG_COEF * grid.k2 * (p1 + p2)
     return (sign * grid.inverse_laplacian_symbol) * rhs
-
-
-def alpha_potential(
-    grid: Grid2D,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    sign: float,
-    form: str = "poisson",
-) -> np.ndarray:
-    """Scalar potential of the time component, zero mean.
-
-    ``form="poisson"`` inverts :func:`alpha_hat`, the assembly the solver
-    uses; ``form="riesz"`` evaluates the same multiplier as iterated Riesz
-    transforms plus a local term and is kept as the independent reference.
-    """
-    if form == "poisson":
-        return grid.ifft(alpha_hat(grid, u1, u2, sign)).real
-    if form == "riesz":
-        us = (u1, u2)
-        out = np.zeros(grid.shape)
-        for k in range(2):
-            for j in range(2):
-                mixed = np.real(us[k] * np.conj(us[j]))
-                out += ALPHA_MIXED_COEF * np.real(grid.riesz(k, grid.riesz(j, mixed)))
-        dens = np.abs(u1) ** 2 + np.abs(u2) ** 2
-        out += ALPHA_DIAG_COEF * (dens - np.mean(dens))
-        return sign * (out - np.mean(out))
-    raise ValueError(f"unknown form {form!r}")
 
 
 # -- gauge construction -----------------------------------------------------
@@ -165,12 +136,12 @@ def build_gauge_state(mf: MapField) -> GaugeState:
     b1, b2 = b_fields(mf)
     m1 = 2.0 * np.imag(np.conj(b1) * w)
     m2 = 2.0 * np.imag(np.conj(b2) * w)
-    psi = grid.inverse_laplacian(grid.dx(m1) + grid.dy(m2), project_mean=True)
+    psi = grid.inverse_laplacian(grid.dx(m1) + grid.dy(m2))
     phase = np.exp(1j * psi)
     u1, u2 = phase * b1, phase * b2
     a1, a2 = m1 - grid.dx(psi), m2 - grid.dy(psi)
     sign = mf.target.sign
-    a0 = alpha_potential(grid, u1, u2, sign)
+    a0 = grid.ifft(alpha_hat(grid, u1, u2, sign)).real
     return GaugeState(grid=grid, sign=sign, u1=u1, u2=u2, a1=a1, a2=a2, a0=a0, psi=psi)
 
 

@@ -49,9 +49,6 @@ __all__ = [
     "MapTrajectory",
     "max_stable_dt",
     "energy",
-    "energy_chart",
-    "ll_rhs",
-    "harmonic_residual",
     "step_geometric",
     "evolve",
 ]
@@ -176,38 +173,9 @@ def energy(mf: MapField) -> float:
     return 0.5 * grid.integral(total)
 
 
-def energy_chart(mf: MapField) -> float:
-    """Energy through the stereographic chart: 2 int |grad w|^2 / (1+|w|^2)^2.
-
-    The conformal factor of the chart is 2/(1+|w|^2), whence the prefactor.
-    Agrees with :func:`energy` to spectral accuracy away from the pole.
-    """
-    w = mf.stereo()
-    dens = (1.0 + np.abs(w) ** 2) ** 2
-    total = np.zeros(w.shape)
-    for d in mf.grid.gradient(w):
-        total += np.abs(d) ** 2
-    return 2.0 * mf.grid.integral(total / dens)
-
-
 def _ll_values(grid, target: Target, s3: np.ndarray) -> np.ndarray:
     """LL_SIGN * (s x lap s) for any array of 3-vectors, on the target or not."""
     return LL_SIGN * target.cross(s3, grid.laplacian(s3))
-
-
-def ll_rhs(mf: MapField, target: Target | None = None) -> np.ndarray:
-    """Right-hand side LL_SIGN * (s x lap s); tangent to the target pointwise."""
-    return _ll_values(mf.grid, target or mf.target, mf.s3)
-
-
-def harmonic_residual(mf: MapField) -> np.ndarray:
-    """Tension field: the tangential projection of lap s (zero iff harmonic)."""
-    lap = mf.grid.laplacian(mf.s3)
-    coeff = mf.target.dot(lap, mf.s3)
-    if mf.target is Target.SPHERE:
-        return lap - coeff[..., None] * mf.s3
-    # <s, s> = -1 on the hyperboloid, so the projection adds the component.
-    return lap + coeff[..., None] * mf.s3
 
 
 def max_stable_dt(grid) -> float:

@@ -50,7 +50,6 @@ __all__ = [
     "MSMState",
     "SolverConfig",
     "nonlinearity",
-    "term_breakdown",
     "step",
     "evolve",
     "mass",
@@ -177,11 +176,6 @@ def nonlinearity(state: MSMState, terms: tuple[str, ...] = ALL_TERMS, dealias: b
     g, fields = state.grid, (state.u1, state.u2)
     h1, h2 = _nonlinearity_hat(state, g.fft(state.u1), g.fft(state.u2), terms, dealias, fields)
     return g.ifft(h1), g.ifft(h2)
-
-
-def term_breakdown(state: MSMState, dealias: bool = True) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each nonlinearity class evaluated separately, for diagnostics."""
-    return {t: nonlinearity(state, terms=(t,), dealias=dealias) for t in ALL_TERMS}
 
 
 # -- time stepping -----------------------------------------------------------

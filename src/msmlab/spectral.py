@@ -4,8 +4,10 @@
 coordinates, wavenumbers, the Laplacian, the gradient, the norms and the
 quadrature integral are written once, so callers never ask which grid class
 they hold.  :class:`Grid1D` and :class:`Grid2D` fix ``dim`` and their numpy
-transform pair; :class:`Grid2D` adds the zero-mean inverse Laplacian, Riesz
-transforms, dealiasing and dyadic frequency projections.
+transform pair; :class:`Grid2D` adds the zero-mean inverse Laplacian and
+dealiasing.  There are no Riesz transforms and no dyadic (Littlewood-Paley)
+projections: the gauge potentials are assembled from the inverse Laplacian
+alone.
 
 Discrete norms approximate their continuum counterparts: ``norm2`` carries
 the quadrature weight ``(L/n)^d`` so that Plancherel holds exactly between
@@ -38,14 +40,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NonzeroMeanError
-from .windows import PLATEAU_EDGE, lp_annulus_window, lp_low_window
-
-__all__ = ["PeriodicGrid", "Grid1D", "Grid2D", "MEAN_TOL_FACTOR"]
-
-# An inverse Laplacian is refused (rather than silently projected) when the
-# data mean exceeds this factor times the L2 norm of the data.
-MEAN_TOL_FACTOR = 1e-10
+__all__ = ["PeriodicGrid", "Grid1D", "Grid2D"]
 
 
 def _validate_size(n: int) -> None:
@@ -207,10 +202,6 @@ class Grid2D(PeriodicGrid):
         return self.wavenumbers[1]
 
     @cached_property
-    def kmag(self) -> np.ndarray:
-        return np.sqrt(self.k2)
-
-    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds rule: keep integer frequencies with |m| <= n/3."""
         keep = np.abs(self.modes) <= self.n // 3
@@ -223,12 +214,6 @@ class Grid2D(PeriodicGrid):
         nz = self.k2 > 0
         out[nz] = 1.0 / -self.k2[nz]
         return out
-
-    @cached_property
-    def riesz_symbols(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real odd multipliers k_j / |k| of the two Riesz transforms (0 at k=0)."""
-        kmag = np.where(self.kmag > 0, self.kmag, 1.0)
-        return self.kx / kmag, self.ky / kmag
 
     # -- transforms and derivatives --------------------------------------
 
@@ -250,66 +235,14 @@ class Grid2D(PeriodicGrid):
     def dy(self, f: np.ndarray) -> np.ndarray:
         return self._apply(1j * self.ky, f)
 
-    def inverse_laplacian(self, f: np.ndarray, project_mean: bool = True) -> np.ndarray:
-        """Zero-mean solution of ``laplacian g = f``, slice by slice.
-
-        With ``project_mean`` the zero mode of ``f`` is discarded; otherwise a
-        slice mean exceeding ``MEAN_TOL_FACTOR * norm2(f)`` raises
-        :class:`NonzeroMeanError`.
-        """
-        if not project_mean:
-            m = np.max(np.abs(np.mean(f, axis=(0, 1))))
-            if m > MEAN_TOL_FACTOR * max(self.norm2(f), 1e-300):
-                raise NonzeroMeanError(
-                    f"inverse Laplacian of data with mean {m:.3e} "
-                    f"(tolerance {MEAN_TOL_FACTOR:.1e} * ||f||)"
-                )
+    def inverse_laplacian(self, f: np.ndarray) -> np.ndarray:
+        """Zero-mean solution of ``laplacian g = f - mean(f)``, slice by slice."""
         return self._apply(self.inverse_laplacian_symbol, f)
 
     def grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complex gradient (d_x f, d_y f) of the field whose spectrum is fh."""
         return tuple(self.ifft(self._times(1j * k, fh)) for k in self.wavenumbers)
 
-    def grad_inverse_laplacian(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of the zero-mean inverse Laplacian of f (mean discarded)."""
-        gx, gy = self.grad_from_hat(self._times(self.inverse_laplacian_symbol, self.fft(f)))
-        return _real_like(f, gx), _real_like(f, gy)
-
-    def riesz(self, axis: int, f: np.ndarray) -> np.ndarray:
-        """Riesz transform R_axis f with multiplier k_axis / |k| (0 at k=0).
-
-        The multiplier is odd and real, so a single transform of a real
-        field is purely imaginary; the result is therefore always returned
-        complex.  Compositions of two transforms map real back to real.
-        """
-        return self.ifft(self._times(self.riesz_symbols[axis], self.fft(f)))
-
     def dealias(self, f: np.ndarray) -> np.ndarray:
         return self._apply(self.dealias_mask, f)
 
-    # -- Littlewood-Paley decomposition -----------------------------------
-
-    @cached_property
-    def lp_levels(self) -> tuple[int, ...]:
-        """Dyadic levels (0 marks the low block) covering the whole grid."""
-        kmax = float(np.max(self.kmag))
-        top = 1
-        while top < kmax:
-            top *= 2
-        levels = [0]
-        level = 1
-        while level <= top:
-            levels.append(level)
-            level *= 2
-        return tuple(levels)
-
-    def lp_window(self, level: int) -> np.ndarray:
-        """Frequency-space window of one dyadic block, evaluated on the grid."""
-        if level == 0:
-            return lp_low_window(self.kmag)
-        if level < 1 or level & (level - 1) != 0:
-            raise ValueError(f"level must be 0 or a power of two, got {level}")
-        return lp_annulus_window(self.kmag, float(level))
-
-    def lp_project(self, f: np.ndarray, level: int) -> np.ndarray:
-        return self._apply(self.lp_window(level), f)

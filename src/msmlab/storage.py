@@ -66,23 +66,36 @@ def _write_snapshot(path, kind: str, grid, arrays: dict[str, np.ndarray], scalar
             fh.write(blob)
 
 
+def _read_exactly(fh, path, size: int, what: str) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError(f"{path}: truncated {what} ({len(buf)} of {size} bytes)")
+    return buf
+
+
 def read_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse any snapshot file into its header and named arrays."""
+    """Parse any snapshot file into its header and named arrays.
+
+    A file cut short anywhere, or carrying bytes past its last array, is
+    rejected with a ValueError naming the path.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a field snapshot (magic {magic!r})")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        version, hlen = struct.unpack("<II", _read_exactly(fh, path, 8, "header"))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
-        header = json.loads(fh.read(hlen).decode())
+        header = json.loads(_read_exactly(fh, path, hlen, "header").decode())
         arrays = {}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             dtype = np.dtype(entry["dtype"])
-            buf = fh.read(count * dtype.itemsize)
+            buf = _read_exactly(fh, path, count * dtype.itemsize, f"array {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
     return header, arrays
 
 

@@ -40,7 +40,6 @@ from .errors import ConfigError, TooLargeError
 from .gauge import beta_hat
 from .spectral import Grid2D
 from .storage import write_csv
-from .windows import unit_window
 
 __all__ = [
     "SpaceTimeField",
@@ -51,7 +50,6 @@ __all__ = [
     "mixed_norm",
     "free_solution_norm_check",
     "free_solution_slope",
-    "sup_l2_constant",
     "max_workers",
     "white_mode_dict",
     "paraboloid_mode_dict",
@@ -108,6 +106,29 @@ def _pmap(fn: Callable, items: Sequence):
 
 
 # -- windowed space-time fields ------------------------------------------
+
+
+def _mollifier(t: np.ndarray) -> np.ndarray:
+    """The C-infinity bump g(t) = exp(-1/t) for t > 0, and 0 otherwise."""
+    out = np.zeros_like(t, dtype=float)
+    pos = t > 0.0
+    # Clip to avoid overflow in exp for tiny positive arguments.
+    out[pos] = np.exp(-1.0 / np.clip(t[pos], 1e-12, None))
+    return out
+
+
+def _smooth_step(t: np.ndarray) -> np.ndarray:
+    """C-infinity monotone step g(t) / (g(t) + g(1 - t)): 0 for t <= 0, 1 for t >= 1."""
+    num = _mollifier(t)
+    return num / (num + _mollifier(1.0 - t))
+
+
+def unit_window(t) -> np.ndarray:
+    """Smooth characteristic function of (-1, 1), equal to 1 on |t| <= 3/4.
+
+    Every field's time cutoff is psi((t - T/2) / delta) with psi this window.
+    """
+    return _smooth_step(4.0 * (1.0 - np.abs(np.asarray(t, dtype=float))))
 
 
 class SpaceTimeField:
@@ -486,7 +507,7 @@ def free_solution_slope(
     return float(np.polyfit(np.log(np.asarray(deltas)), np.log(ratios), 1)[0])
 
 
-def sup_l2_constant(u: SpaceTimeField, b: float) -> float:
+def _sup_l2_constant(grid: Grid2D, nt: int, t_window: float, b: float) -> float:
     """Exact discrete constant in  sup_t ||u||_{L^2} <= C ||u||_{X_{0,b}}.
 
     C^2 is the largest over spatial frequencies of the sum over time
@@ -494,10 +515,6 @@ def sup_l2_constant(u: SpaceTimeField, b: float) -> float:
     inequality is Cauchy-Schwarz in the time frequency, so it holds
     discretely without any constant slack.
     """
-    return _sup_l2_constant(u.grid, u.nt, u.t_window, b)
-
-
-def _sup_l2_constant(grid: Grid2D, nt: int, t_window: float, b: float) -> float:
     gap = _tau(nt, t_window)[None, None, :] - grid.k2[:, :, None]
     s_max = float(np.max(np.sum((1.0 + gap**2) ** (-b), axis=2)))
     return float(np.sqrt(s_max / t_window))
@@ -862,7 +879,7 @@ def bilinear_embedding_test(trials: Sequence[Trial], p: float, eps: float) -> Bi
     Also evaluates the diagonal single-function embedding into
     L^{2p'}_t L^{2p}_x and, independently, the following exact reduction:
     sup_t L^2 is bounded by the b > 1/2 norm with the computable discrete
-    constant from :func:`sup_l2_constant`.
+    constant from :func:`_sup_l2_constant`.
     """
     if not 1 <= p <= 2:
         raise ValueError("p must lie in [1, 2]")

@@ -12,7 +12,7 @@ from msmlab.conventions import (
     IM_CUBIC_COEF,
 )
 from msmlab.errors import ConfigError, PicardDivergedError, SolverBlowupError
-from msmlab.gauge import alpha_potential, beta_hat, build_gauge_state
+from msmlab.gauge import alpha_hat, beta_hat, build_gauge_state
 from msmlab.maps import MapField, evolve as evolve_map, max_stable_dt
 from msmlab.msm import (
     ALL_TERMS,
@@ -27,9 +27,9 @@ from msmlab.msm import (
     scale_state,
     scaling_invariance_test,
     step,
-    term_breakdown,
 )
 from msmlab.spectral import Grid2D
+from reference_ops import riesz_alpha
 
 
 def bandlimited_state(n, length, amp, band, seed, sign=1.0) -> MSMState:
@@ -129,9 +129,14 @@ def _beta(st: MSMState, dealias: bool = True) -> np.ndarray:
     return st.grid.dealias(beta) if dealias else beta
 
 
-def _alpha(st: MSMState, form: str = "poisson", dealias: bool = True) -> np.ndarray:
-    alpha = alpha_potential(st.grid, st.u1, st.u2, st.sign, form=form)
+def _alpha(st: MSMState, dealias: bool = True) -> np.ndarray:
+    alpha = st.grid.ifft(alpha_hat(st.grid, st.u1, st.u2, st.sign)).real
     return st.grid.dealias(alpha) if dealias else alpha
+
+
+def _term_breakdown(st: MSMState, dealias: bool = True) -> dict:
+    """Each nonlinearity class evaluated on its own."""
+    return {t: nonlinearity(st, terms=(t,), dealias=dealias) for t in ALL_TERMS}
 
 
 class TestPotentials:
@@ -168,15 +173,10 @@ class TestPotentials:
         # below the contracted 1e-9: one differentiates the solved
         # potential, the other composes Riesz multipliers on the source.
         st = bandlimited_state(64, 2 * np.pi, 0.8, 10, seed=5)
-        a_p = _alpha(st, form="poisson", dealias=False)
-        a_r = _alpha(st, form="riesz", dealias=False)
+        a_p = _alpha(st, dealias=False)
+        a_r = riesz_alpha(st.grid, st.u1, st.u2, st.sign)
         scale = max(st.grid.norm2(a_p), 1e-300)
         assert st.grid.norm2(a_p - a_r) / scale < 1e-9
-
-    def test_alpha_bad_form_rejected(self):
-        st = bandlimited_state(16, 2 * np.pi, 0.5, 2, seed=6)
-        with pytest.raises(ValueError):
-            _alpha(st, form="cholesky")
 
 
 class TestNonlinearity:
@@ -190,14 +190,14 @@ class TestNonlinearity:
         # so only the alpha term survives (the Im coupling dies pointwise).
         st = bandlimited_state(32, 2 * np.pi, 0.6, 3, seed=7)
         aligned = MSMState(grid=st.grid, u1=st.u1, u2=2.0 * st.u1)
-        parts = term_breakdown(aligned)
+        parts = _term_breakdown(aligned)
         for name in ("null", "quintic", "im_cubic"):
             assert max(np.max(np.abs(parts[name][0])), np.max(np.abs(parts[name][1]))) < 1e-13
         assert np.max(np.abs(parts["alpha_cubic"][0])) > 1e-3
 
     def test_breakdown_sums_to_full(self):
         st = bandlimited_state(32, 2 * np.pi, 0.8, 4, seed=8)
-        parts = term_breakdown(st)
+        parts = _term_breakdown(st)
         f1, f2 = nonlinearity(st)
         s1 = sum(parts[t][0] for t in ALL_TERMS)
         s2 = sum(parts[t][1] for t in ALL_TERMS)
@@ -210,7 +210,7 @@ class TestNonlinearity:
         # the transport term is advection by a divergence-free field.
         st = bandlimited_state(32, 2 * np.pi, 0.8, 4, seed=9)
         g = st.grid
-        for name, (f1, f2) in term_breakdown(st, dealias=False).items():
+        for name, (f1, f2) in _term_breakdown(st, dealias=False).items():
             pairing = g.integral(np.real(np.conj(st.u1) * f1 + np.conj(st.u2) * f2))
             assert abs(pairing) < 1e-12, name
 
@@ -268,7 +268,7 @@ def _reference_nonlinearity(st: MSMState, terms, dealias: bool):
         f1 += -1j * filt((bx**2 + by**2) * u1)
         f2 += -1j * filt((bx**2 + by**2) * u2)
     if "alpha_cubic" in terms:
-        alpha = _alpha(st, form="riesz", dealias=dealias)
+        alpha = filt(riesz_alpha(g, u1, u2, st.sign))
         f1 += -1j * filt(alpha * u1)
         f2 += -1j * filt(alpha * u2)
     if "im_cubic" in terms:

@@ -1,16 +1,17 @@
 """Tests for the periodic spectral infrastructure."""
 
+import ast
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import msmlab
-from msmlab.errors import NonzeroMeanError
 from msmlab.spectral import Grid1D, Grid2D
-from msmlab.windows import PLATEAU_EDGE
+from reference_ops import grad_inverse_laplacian, riesz
 
 RNG = np.random.default_rng(1234)
 GRID_SIZES = [8, 16, 32, 64]
@@ -90,11 +91,6 @@ class TestInverseLaplacian:
         f -= f.mean()
         assert np.max(np.abs(g.laplacian(g.inverse_laplacian(f)) - f)) < 1e-10
 
-    def test_constant_raises_without_projection(self):
-        g = Grid2D(n=16, length=1.0)
-        with pytest.raises(NonzeroMeanError):
-            g.inverse_laplacian(np.ones((16, 16)), project_mean=False)
-
     def test_projection_discards_mean(self):
         g = Grid2D(n=16, length=1.0)
         f = RNG.standard_normal((16, 16))
@@ -105,22 +101,24 @@ class TestInverseLaplacian:
 
     def test_zero_field(self):
         g = Grid2D(n=16, length=1.0)
-        out = g.inverse_laplacian(np.zeros((16, 16)), project_mean=False)
+        out = g.inverse_laplacian(np.zeros((16, 16)))
         assert np.max(np.abs(out)) == 0.0
 
 
 class TestRiesz:
+    """The test-side Riesz reference behind the independent a_0 assembly."""
+
     def test_axis_mode_is_fixed_point(self):
         g = Grid2D(n=16, length=2 * np.pi)
         f = np.exp(1j * g.x)  # mode (1, 0): multiplier k1/|k| = 1
-        assert np.max(np.abs(g.riesz(0, f) - f)) < 1e-12
+        assert np.max(np.abs(riesz(g, 0, f) - f)) < 1e-12
 
     def test_norm_never_increases(self):
         g = Grid2D(n=32, length=2.0)
         for _ in range(5):
             f = random_complex((32, 32), RNG)
             for axis in (0, 1):
-                assert g.norm2(g.riesz(axis, f)) <= g.norm2(f) + 1e-12
+                assert g.norm2(riesz(g, axis, f)) <= g.norm2(f) + 1e-12
 
     def test_squares_sum_to_identity_on_mean_free(self):
         # With the real multiplier k_j/|k|, R1^2 + R2^2 acts as
@@ -128,48 +126,8 @@ class TestRiesz:
         g = Grid2D(n=32, length=5.0)
         f = RNG.standard_normal((32, 32))
         f -= f.mean()
-        got = g.riesz(0, g.riesz(0, f)) + g.riesz(1, g.riesz(1, f))
+        got = riesz(g, 0, riesz(g, 0, f)) + riesz(g, 1, riesz(g, 1, f))
         assert np.max(np.abs(got - f)) < 1e-12
-
-
-class TestLittlewoodPaley:
-    def test_partition_reassembles_field(self):
-        g = Grid2D(n=32, length=7.0)
-        f = random_complex((32, 32), RNG)
-        total = sum(g.lp_project(f, lev) for lev in g.lp_levels)
-        assert np.max(np.abs(total - f)) < 1e-12
-
-    def test_windows_sum_to_one(self):
-        g = Grid2D(n=64, length=11.0)
-        total = sum(g.lp_window(lev) for lev in g.lp_levels)
-        assert np.max(np.abs(total - 1.0)) < 1e-14
-
-    def test_plateau_mode_recovered_by_single_block(self):
-        # On L = 4 pi the mode m = (3, 0) has |k| = 1.5, inside the sole
-        # support [edge, 2] of the level-2 annulus (edge = 1.5), where the
-        # partition forces the window value to be exactly 1.
-        g = Grid2D(n=16, length=4 * np.pi)
-        assert PLATEAU_EDGE == 1.5
-        f = np.exp(1j * 1.5 * g.x)
-        assert np.max(np.abs(g.lp_project(f, 2) - f)) < 1e-12
-        for lev in g.lp_levels:
-            if lev != 2:
-                assert np.max(np.abs(g.lp_project(f, lev))) < 1e-12
-
-    def test_window_values_match_mode_amplitudes(self):
-        # Generic derived check: each block scales a single mode by its
-        # window evaluated at that mode's frequency.
-        g = Grid2D(n=16, length=4 * np.pi)
-        f = np.exp(1j * (2 * (2 * np.pi / g.length)) * (g.x + g.y))
-        kmode = g.kmag[2, 2]
-        for lev in g.lp_levels:
-            w = g.lp_window(lev)[2, 2]
-            assert np.max(np.abs(g.lp_project(f, lev) - w * f)) < 1e-12
-
-    def test_rejects_non_dyadic_level(self):
-        g = Grid2D(n=16, length=1.0)
-        with pytest.raises(ValueError):
-            g.lp_window(3)
 
 
 class TestNorms:
@@ -233,18 +191,21 @@ class TestBroadcasting:
                 assert np.max(np.abs(got[:, :, t] - want)) < 1e-13
 
     def test_grad_inverse_laplacian_stack_equals_slices(self):
+        # The test-side reference that the quintic ratio tests read on stacks.
         g = Grid2D(n=16, length=3.0)
         for f in self.stack(g):
-            gx, gy = g.grad_inverse_laplacian(f)
+            gx, gy = grad_inverse_laplacian(g, f)
             for t in range(self.NT):
-                sx, sy = g.grad_inverse_laplacian(f[:, :, t])
+                sx, sy = grad_inverse_laplacian(g, f[:, :, t])
                 assert np.max(np.abs(gx[:, :, t] - sx)) < 1e-13
                 assert np.max(np.abs(gy[:, :, t] - sy)) < 1e-13
 
     def test_grad_inverse_laplacian_is_composition(self):
         g = Grid2D(n=32, length=2.5)
         f = RNG.standard_normal((32, 32))
-        gx, gy = g.grad_inverse_laplacian(f)
+        # A real field's derivatives are the real parts (the odd Nyquist line
+        # leaves an imaginary remainder that the package's dx discards).
+        gx, gy = (d.real for d in grad_inverse_laplacian(g, f))
         inv = g.inverse_laplacian(f)
         assert np.max(np.abs(gx - g.dx(inv))) < 1e-13
         assert np.max(np.abs(gy - g.dy(inv))) < 1e-13
@@ -353,3 +314,64 @@ def test_only_spectral_branches_on_the_grid_class():
         if path.name != "spectral.py":
             found = branch.search(path.read_text())
             assert found is None, f"{path.name}: {found.group(0)}"
+
+
+# Public names that no package module reads, kept on purpose.
+CONTRACT = {
+    # Called by the acceptance tests (Grid2D.y builds their test fields).
+    "duality_pairing", "exact_norm_k2", "free_solution_slope",
+    "regularity_persistence_test", "scaling_invariance_test", "y",
+    # The readers of the package's own .msmf artifacts.
+    "load_map_field", "load_msm_state",
+    # Wrapped by the benchmark's tracer; the steppers call its private core.
+    "nonlinearity",
+}
+
+
+def _public_definitions(tree):
+    """(name, node) for a module's public surface.
+
+    That is the names in ``__all__`` (every public top-level name where a
+    module has none) and the public methods and properties of the grid classes.
+    """
+    top = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            top[node.name] = node
+        elif isinstance(node, ast.Assign):
+            top.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    if "__all__" in top:
+        names = [ast.literal_eval(elt) for elt in top["__all__"].value.elts]
+    else:
+        names = [name for name in top if not name.startswith("_")]
+    out = [(name, top[name]) for name in names]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in ("PeriodicGrid", "Grid1D", "Grid2D"):
+            out += [(item.name, item) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def _reads(node):
+    """Names read anywhere under node: loaded names, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_public_name_has_a_package_reader():
+    # No public function that only a test calls: each public name must be
+    # read by package code outside its own definition.  The re-exports of
+    # __init__.py do not count as a reader.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(msmlab.__file__).parent.glob("*.py"))}
+    del trees["__init__.py"]
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = [f"{module}:{name}" for module, tree in trees.items()
+              for name, node in _public_definitions(tree)
+              if name not in CONTRACT and reads[name] == Counter(_reads(node))[name]]
+    assert unread == []

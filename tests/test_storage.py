@@ -91,6 +91,23 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="msm_state"):
             load_map_field(path)
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda blob, hlen: blob[:6], "truncated header"),
+        (lambda blob, hlen: blob[:12 + hlen // 2], "truncated header"),
+        (lambda blob, hlen: blob[:12 + hlen + 100], "truncated array 'u1'"),
+        (lambda blob, hlen: blob[:-1], "truncated array 'u2'"),
+        (lambda blob, hlen: blob + b"\x00\x00", "trailing bytes"),
+    ], ids=["fixed-header", "json-header", "mid-array", "last-byte", "trailing"])
+    def test_cut_or_padded_file_rejected(self, tmp_path, cut, message):
+        path = tmp_path / "state.msmf"
+        save_msm_state(path, random_state())
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        path.write_bytes(cut(blob, hlen))
+        with pytest.raises(ValueError, match=message) as info:
+            read_snapshot(path)
+        assert str(path) in str(info.value)
+
     def test_magic_is_first_bytes(self, tmp_path):
         path = tmp_path / "state.msmf"
         save_msm_state(path, random_state())

@@ -34,13 +34,13 @@ from msmlab.xsb import (
     realize_mode_field,
     sample_trials,
     shell_mode_dict,
-    sup_l2_constant,
+    unit_window,
     white_mode_dict,
     write_ratio_csv,
     xsb_norm,
     _unaliased,
 )
-from msmlab.windows import unit_window
+from reference_ops import grad_inverse_laplacian
 
 LENGTH = 4 * np.pi
 TWIN = 4.0
@@ -324,14 +324,6 @@ class TestCubicRatios:
             assert rc.max_ratio < 2 * rf.max_ratio
 
 
-def independent_grad_potential(g, dens):
-    """Reference gradient-of-inverse-Laplacian used to cross-check ratios."""
-    dh = np.fft.fft2(dens)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(g.k2 > 0, -dh / g.k2, 0.0)
-    return np.fft.ifft2(1j * g.kx * inv), np.fft.ifft2(1j * g.ky * inv)
-
-
 class TestQuinticRatios:
     def test_matches_stream_potential_square(self):
         # |grad beta|^2 u decomposes exactly into three gradient-potential
@@ -355,8 +347,8 @@ class TestQuinticRatios:
         lhs = (g.dx(beta) ** 2 + g.dy(beta) ** 2) * u
 
         def pairing(a, b, c, d, e):
-            g1 = independent_grad_potential(g, a * np.conj(b))
-            g2 = independent_grad_potential(g, c * np.conj(d))
+            g1 = grad_inverse_laplacian(g, a * np.conj(b))
+            g2 = grad_inverse_laplacian(g, c * np.conj(d))
             return (g1[0] * g2[0] + g1[1] * g2[1]) * e
 
         rhs = 4 * (
@@ -435,8 +427,11 @@ class TestBilinearEmbedding:
         # a computable constant, no unquantified slack involved.
         report = bilinear_embedding_test(self.trials(), 1.0, 0.01)
         assert report.sup_l2_max_ratio <= report.sup_l2_cap * (1 + 1e-9)
+        # C^2 = max over xi of sum over tau of <tau - |xi|^2>^(-2b), over T, at b = 1/2 + eps.
         f = self.trials(1)[0].fields[0]
-        assert report.sup_l2_cap == pytest.approx(sup_l2_constant(f, 0.51), rel=1e-12)
+        gap = f.tau[None, None, :] - f.grid.k2[:, :, None]
+        cap = np.sqrt(np.max(np.sum((1.0 + gap**2) ** -0.51, axis=2)) / TWIN)
+        assert report.sup_l2_cap == pytest.approx(cap, rel=1e-12)
 
 
 class TestMultiplierBounds:
@@ -852,8 +847,8 @@ def n_grid_quintic(trial, eps):
     g = u[0].grid
     s = 100 * eps
     den = np.prod([xsb_norm(f, s, 0.5 + eps, +1) for f in u])
-    g1 = g.grad_inverse_laplacian(u[0].values * np.conj(u[1].values))
-    g2 = g.grad_inverse_laplacian(u[2].values * np.conj(u[3].values))
+    g1 = grad_inverse_laplacian(g, u[0].values * np.conj(u[1].values))
+    g2 = grad_inverse_laplacian(g, u[2].values * np.conj(u[3].values))
     vals = (g1[0] * g2[0] + g1[1] * g2[1]) * u[4].values
     cut = np.prod([f.cutoff for f in u], axis=0)
     prod = SpaceTimeField(grid=g, t_window=TWIN, values=vals, cutoff=cut)
