@@ -2,11 +2,15 @@
 
 A run is described by a JSON document with a schema version and a list of
 experiments; every experiment names its kind, grid, time stepping, data
-preset, and RNG seed.  Outputs are deterministic functions of the config
-(CSV tables and binary snapshots under one directory, listed with SHA-256
-checksums in ``manifest.json``), so rerunning a config reproduces every
-artifact byte for byte.  The environment variable ``MSMLAB_THREADS`` caps
-the worker pool used by the ensemble suites; it must be a positive integer.
+preset, RNG seed and options.  ``OPTIONS`` holds each kind's options with
+their defaults; :func:`parse_config` checks every value against it, the
+preset tables and the rules that tie values together before any
+experiment runs, and the runners read the resolved options by name.
+Outputs are deterministic functions of the config (CSV tables and binary
+snapshots under one directory, listed with SHA-256 checksums in
+``manifest.json``), so rerunning a config reproduces every artifact byte
+for byte.  The environment variable ``MSMLAB_THREADS`` caps the worker
+pool used by the ensemble suites; it must be a positive integer.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .msm import (
     mass,
     msm_residual_of_gauge_trajectory,
 )
-from .presets import MAP_PRESETS, MSM_PRESETS, map_preset, msm_preset, preset_params
-from .spectral import Grid1D, Grid2D, _validate_size
+from .presets import MAP_PRESETS, MSM_PRESETS, check_params, map_preset, msm_preset, preset_params
+from .spectral import Grid1D, Grid2D
 from .storage import save_map_field, save_msm_state, write_csv, write_manifest
 
 CONFIG_VERSION = 1
@@ -66,21 +70,22 @@ _REQUIRED_SECTIONS = {
     "multiplier_suite": (),
     "hasimoto_1d": ("grid", "time", "preset"),
 }
-_GRID_KEYS = {
-    "gauge_check": {"sizes", "length"},
-}
-_OPTION_KEYS = {
-    "evolve_map": {"store_every"},
-    "gauge_check": set(),
-    "msm_run": {"scheme", "dealias", "store_every", "terms"},
-    "msm_oracle": {"rungs", "steps", "dt0"},
-    "ratio_suite": {"eps", "s", "n_trials", "space_band", "time_band",
-                    "nt", "t_window", "suites", "p"},
-    "multiplier_suite": {"modulus", "n_pairs", "restarts"},
-    "hasimoto_1d": {"n_data", "eta", "store_every", "soliton_n", "soliton_length"},
-}
 
 RATIO_SUITES = ("cubic", "quintic", "nullform", "bilinear")
+
+# Each kind's options with their defaults.  None marks a value worked out when
+# unset: an oracle's dt0 from the finest rung's bound, a ratio suite's s as 100 eps.
+OPTIONS = {
+    "evolve_map": {"store_every": 1},
+    "gauge_check": {},
+    "msm_run": {"scheme": "strang_split", "dealias": True, "terms": ALL_TERMS, "store_every": 1},
+    "msm_oracle": {"rungs": 3, "steps": 4, "dt0": None},
+    "ratio_suite": {"nt": 64, "t_window": 4.0, "eps": 0.01, "s": None, "n_trials": 6,
+                    "space_band": 5, "time_band": 10, "suites": RATIO_SUITES, "p": 1.0},
+    "multiplier_suite": {"modulus": 8, "n_pairs": 20, "restarts": 50},
+    "hasimoto_1d": {"n_data": 3, "eta": 1.0, "store_every": 1,
+                    "soliton_n": 512, "soliton_length": 50.0},
+}
 
 # A time section must hold a whole number of steps to this relative
 # tolerance; the runners step round(t_final / dt) times.
@@ -92,7 +97,7 @@ _MAP_FLOW_GRIDS = {"evolve_map": Grid2D, "hasimoto_1d": Grid1D}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully validated experiment from a run config."""
+    """One fully validated experiment; an option it does not set holds its OPTIONS default."""
 
     kind: str
     name: str
@@ -102,6 +107,9 @@ class ExperimentConfig:
     preset: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "options", {**OPTIONS[self.kind], **self.options})
+
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(section) - allowed)
@@ -109,37 +117,27 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where} (allowed: {sorted(allowed)})")
 
 
-def _positive_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{where} must be a positive integer, got {value!r}")
-    return value
-
-
-def _positive_float(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{where} must be a positive number, got {value!r}")
-    return float(value)
-
-
-def _grid_size(value, where: str) -> None:
-    try:
-        _validate_size(_positive_int(value, where))
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+def _check_section(section: dict, keys: tuple, where: str) -> None:
+    """The section sets each of ``keys`` and no other: a missing key reads as None, refused."""
+    check_params(dict.fromkeys(keys), {**dict.fromkeys(keys), **section},
+                 lambda key: f"{where}.{key}")
 
 
 def _validate_grid(kind: str, grid: dict, where: str) -> None:
-    keys = _GRID_KEYS.get(kind, {"n", "length"})
-    _check_keys(grid, keys, f"{where}.grid")
-    if "sizes" in keys:
-        sizes = grid.get("sizes")
-        if not isinstance(sizes, list) or not sizes:
-            raise ConfigError(f"{where}.grid.sizes must be a nonempty list")
-        for n in sizes:
-            _grid_size(n, f"{where}.grid.sizes entry")
-    else:
-        _grid_size(grid.get("n"), f"{where}.grid.n")
-    _positive_float(grid.get("length"), f"{where}.grid.length")
+    if kind != "gauge_check":
+        _check_section(grid, ("n", "length"), where)
+        return
+    sizes = grid.get("sizes")
+    if not isinstance(sizes, list) or not sizes:
+        raise ConfigError(f"{where}.sizes must be a nonempty list")
+    for n in sizes:
+        check_params({"n": None}, {"n": n}, lambda key: f"{where}.sizes entry")
+    _check_section({k: v for k, v in grid.items() if k != "sizes"}, ("length",), where)
+
+
+def _ratio_s(options: dict) -> float:
+    """The ratio suite's Sobolev index: ``s``, or 100 eps when not set."""
+    return 100 * options["eps"] if options["s"] is None else options["s"]
 
 
 def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
@@ -155,8 +153,7 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
         raise ConfigError(f"{where}.name must be a nonempty string without '/'")
     where = f"experiment {index} ({name})"
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"{where}.seed must be a nonnegative integer")
+    check_params({"seed": 0}, {"seed": seed}, lambda key: f"{where}.seed")
 
     for section in _REQUIRED_SECTIONS[kind]:
         if section not in raw:
@@ -165,14 +162,16 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
         if section in raw and section not in _REQUIRED_SECTIONS[kind]:
             raise ConfigError(f"{where}: kind {kind!r} takes no {section!r} section")
 
+    for section in ("grid", "time", "preset", "options"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise ConfigError(f"{where}.{section} must be an object")
     grid = dict(raw.get("grid", {}))
     if "grid" in raw:
-        _validate_grid(kind, grid, where)
+        _validate_grid(kind, grid, f"{where}.grid")
     time = dict(raw.get("time", {}))
     if "time" in raw:
-        _check_keys(time, {"dt", "t_final"}, f"{where}.time")
-        dt = _positive_float(time.get("dt"), f"{where}.time.dt")
-        steps = _positive_float(time.get("t_final"), f"{where}.time.t_final") / dt
+        _check_section(time, ("dt", "t_final"), f"{where}.time")
+        steps = time["t_final"] / time["dt"]
         if abs(steps - round(steps)) > _STEP_COUNT_RTOL * steps:
             raise ConfigError(
                 f"{where}.time: t_final / dt = {steps:.12g} is not a whole number of steps"
@@ -193,20 +192,10 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
             preset_params(table, preset["name"], preset.get("params"), dim, n=smallest)
         except ConfigError as err:
             raise ConfigError(f"{where}.preset: {err}") from err
-    options = dict(raw.get("options", {}))
-    _check_keys(options, _OPTION_KEYS[kind], f"{where}.options")
-    if "soliton_n" in options:
-        _grid_size(options["soliton_n"], f"{where}.options.soliton_n")
-    for key in ("rungs", "steps"):
-        if key in options:
-            _positive_int(options[key], f"{where}.options.{key}")
-    if "dt0" in options:
-        _positive_float(options["dt0"], f"{where}.options.dt0")
-    for suite in options.get("suites", []):
-        if suite not in RATIO_SUITES:
-            raise ConfigError(
-                f"{where}.options.suites: unknown suite {suite!r} (one of {RATIO_SUITES})"
-            )
+    check_params(OPTIONS[kind], raw.get("options"), lambda key: f"{where}.options.{key}")
+    exp = ExperimentConfig(kind=kind, name=name, seed=seed, grid=grid, time=time,
+                           preset=preset, options=dict(raw.get("options", {})))
+    opt = exp.options
 
     if kind in _MAP_FLOW_GRIDS:
         limit = max_stable_dt(_MAP_FLOW_GRIDS[kind](n=grid["n"], length=grid["length"]))
@@ -215,29 +204,25 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
                 f"{where}.time.dt = {time['dt']:.3e} exceeds the midpoint contraction "
                 f"bound {limit:.3e} for this grid"
             )
-    if kind == "msm_oracle" and "dt0" in options:
+    if kind == "msm_oracle" and opt["dt0"] is not None:
         # Each rung halves dt and doubles n, and the bound falls as 1/n^2,
         # so the finest rung is the tightest.
-        rungs = options.get("rungs", 3)
-        finest = Grid2D(n=grid["n"] * 2 ** (rungs - 1), length=grid["length"])
+        finest = Grid2D(n=grid["n"] * 2 ** (opt["rungs"] - 1), length=grid["length"])
         limit = max_stable_dt(finest)
-        dt = options["dt0"] / 2 ** (rungs - 1)
+        dt = opt["dt0"] / 2 ** (opt["rungs"] - 1)
         if dt > limit:
             raise ConfigError(
-                f"{where}.options.dt0 = {options['dt0']:.3e} steps the finest rung "
+                f"{where}.options.dt0 = {opt['dt0']:.3e} steps the finest rung "
                 f"(n = {finest.n}) at dt = {dt:.3e}, above the midpoint contraction "
                 f"bound {limit:.3e}"
             )
-
-    exp = ExperimentConfig(
-        kind=kind, name=name, seed=seed,
-        grid=grid, time=time, preset=preset, options=options,
-    )
-    if kind == "msm_run":
-        try:
-            _solver_config(exp)
-        except (ConfigError, TypeError) as err:  # TypeError: terms not a list of names
-            raise ConfigError(f"{where}.options: {err}") from err
+    if kind == "ratio_suite":
+        # Each trial's mode box must fit strictly inside the Nyquist box.
+        for key, size in (("space_band", grid["n"]), ("time_band", opt["nt"])):
+            if opt["n_trials"] and opt[key] >= size // 2:
+                raise ConfigError(f"{where}.options.{key} = {opt[key]} must be below {size} / 2")
+        if "cubic" in opt["suites"] and not _ratio_s(opt) > 5 * opt["eps"]:
+            raise ConfigError(f"{where}.options.s = {_ratio_s(opt)} must exceed 5 eps for cubic")
     return exp
 
 
@@ -268,7 +253,7 @@ def _run_evolve_map(exp: ExperimentConfig, out: Path) -> list[str]:
     mf = map_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed)
     dt, t_final = exp.time["dt"], exp.time["t_final"]
     traj = evolve_map(mf, dt, int(round(t_final / dt)),
-                      store_every=exp.options.get("store_every", 1))
+                      store_every=exp.options["store_every"])
     rows = [
         [i, t, energy(m), m.normalization_error()]
         for i, (t, m) in enumerate(zip(traj.times, traj.maps))
@@ -291,20 +276,13 @@ def _run_gauge_check(exp: ExperimentConfig, out: Path) -> list[str]:
     return ["gauge_residuals.csv"]
 
 
-def _solver_config(exp: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(
-        dt=exp.time["dt"], t_final=exp.time["t_final"],
-        scheme=exp.options.get("scheme", "strang_split"),
-        dealias=exp.options.get("dealias", True),
-        terms=tuple(exp.options.get("terms", ALL_TERMS)),
-    )
-
-
 def _run_msm(exp: ExperimentConfig, out: Path) -> list[str]:
     grid = Grid2D(n=exp.grid["n"], length=exp.grid["length"])
     state = msm_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed)
-    cfg = _solver_config(exp)
-    states = evolve_msm(state, cfg, store_every=exp.options.get("store_every", 1))
+    opt = exp.options
+    cfg = SolverConfig(dt=exp.time["dt"], t_final=exp.time["t_final"], scheme=opt["scheme"],
+                       dealias=opt["dealias"], terms=tuple(opt["terms"]))
+    states = evolve_msm(state, cfg, store_every=opt["store_every"])
     rows = [[i, st.t, mass(st), hk_norm(st, 1.0)] for i, st in enumerate(states)]
     write_csv(out / "trace.csv", ["index", "time", "mass", "h1_norm"], rows)
     save_msm_state(out / "final_state.msmf", states[-1])
@@ -313,12 +291,12 @@ def _run_msm(exp: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_oracle(exp: ExperimentConfig, out: Path) -> list[str]:
     n0, length = exp.grid["n"], exp.grid["length"]
-    rungs = exp.options.get("rungs", 3)
-    steps = exp.options.get("steps", 4)
-    # Choose the base step so the finest rung, after halving it rungs - 1
-    # times, still sits safely inside the midpoint contraction bound.
-    finest = Grid2D(n=n0 * 2 ** (rungs - 1), length=length)
-    dt0 = exp.options.get("dt0", 0.8 * max_stable_dt(finest) * 2 ** (rungs - 1))
+    rungs, steps, dt0 = exp.options["rungs"], exp.options["steps"], exp.options["dt0"]
+    if dt0 is None:
+        # Choose the base step so the finest rung, after halving it rungs - 1
+        # times, still sits safely inside the midpoint contraction bound.
+        finest = Grid2D(n=n0 * 2 ** (rungs - 1), length=length)
+        dt0 = 0.8 * max_stable_dt(finest) * 2 ** (rungs - 1)
     rows = []
     for r in range(rungs):
         grid = Grid2D(n=n0 * 2**r, length=length)
@@ -338,29 +316,24 @@ def _run_oracle(exp: ExperimentConfig, out: Path) -> list[str]:
 def _run_ratios(exp: ExperimentConfig, out: Path) -> list[str]:
     grid = Grid2D(n=exp.grid["n"], length=exp.grid["length"])
     opt = exp.options
-    nt = opt.get("nt", 64)
-    t_window = opt.get("t_window", 4.0)
-    eps = opt.get("eps", 0.01)
-    s = opt.get("s", 100 * eps)
-    n_trials = opt.get("n_trials", 6)
-    bands = dict(space_band=opt.get("space_band", 5), time_band=opt.get("time_band", 10))
-    suites = opt.get("suites", list(RATIO_SUITES))
+    eps = opt["eps"]
 
     def trials(arity, offset):
-        return xsb.sample_trials(grid, nt, t_window, arity, n_trials, exp.seed + offset, **bands)
+        return xsb.sample_trials(grid, opt["nt"], opt["t_window"], arity, opt["n_trials"],
+                                 exp.seed + offset, opt["space_band"], opt["time_band"])
 
     reports = []
     extras = []
-    if "cubic" in suites:
-        reports.extend(xsb.ratio_test_cubic(trials(3, 0), s, eps))
-    if "quintic" in suites:
+    if "cubic" in opt["suites"]:
+        reports.extend(xsb.ratio_test_cubic(trials(3, 0), _ratio_s(opt), eps))
+    if "quintic" in opt["suites"]:
         reports.append(xsb.ratio_test_quintic(trials(5, 1), eps))
-    if "nullform" in suites:
+    if "nullform" in opt["suites"]:
         nf = xsb.ratio_test_nullform(trials(4, 2), eps)
         reports.append(nf.ratio)
         extras.append(["nullform_ibp_mismatch", nf.max_assembly_mismatch])
-    if "bilinear" in suites:
-        bl = xsb.bilinear_embedding_test(trials(2, 3), opt.get("p", 1.0), eps)
+    if "bilinear" in opt["suites"]:
+        bl = xsb.bilinear_embedding_test(trials(2, 3), opt["p"], eps)
         reports.extend([bl.uv, bl.u_conj_v, bl.diagonal])
         extras.append(["sup_l2_max_ratio", bl.sup_l2_max_ratio])
         extras.append(["sup_l2_cap", bl.sup_l2_cap])
@@ -374,9 +347,7 @@ def _run_ratios(exp: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_multipliers(exp: ExperimentConfig, out: Path) -> list[str]:
     opt = exp.options
-    modulus = opt.get("modulus", 8)
-    n_pairs = opt.get("n_pairs", 20)
-    restarts = opt.get("restarts", 50)
+    modulus, n_pairs, restarts = opt["modulus"], opt["n_pairs"], opt["restarts"]
     rng = np.random.default_rng(exp.seed)
     pairs = []
     for _ in range(n_pairs):
@@ -402,19 +373,17 @@ def _run_hasimoto(exp: ExperimentConfig, out: Path) -> list[str]:
     grid = Grid1D(n=exp.grid["n"], length=exp.grid["length"])
     dt, t_final = exp.time["dt"], exp.time["t_final"]
     n_steps = int(round(t_final / dt))
-    store_every = exp.options.get("store_every", 1)
+    opt = exp.options
     rows = []
-    for i in range(exp.options.get("n_data", 3)):
+    for i in range(opt["n_data"]):
         mf = map_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed + i)
-        traj = evolve_map(mf, dt, n_steps, store_every=store_every)
+        traj = evolve_map(mf, dt, n_steps, store_every=opt["store_every"])
         fit = fit_nls_coefficient(hasimoto_trajectory(traj), traj.dt, grid)
         rows.append([f"data-{i}", fit.c, fit.residual])
     # Residual of the closed-form soliton, on a box wide enough that its
     # exponential tail clears the periodic seam.
-    soliton_grid = Grid1D(n=exp.options.get("soliton_n", 512),
-                          length=exp.options.get("soliton_length", 50.0))
-    eta = exp.options.get("eta", 1.0)
-    rows.append(["soliton", NLS_CUBIC_COEF, soliton_nls_residual(soliton_grid, eta)])
+    soliton_grid = Grid1D(n=opt["soliton_n"], length=opt["soliton_length"])
+    rows.append(["soliton", NLS_CUBIC_COEF, soliton_nls_residual(soliton_grid, opt["eta"])])
     write_csv(out / "hasimoto.csv", ["label", "cubic_coefficient", "residual"], rows)
     return ["hasimoto.csv"]
 
@@ -480,16 +449,14 @@ DEFAULT_EXPERIMENTS = {
         "kind": "msm_oracle", "name": "gauge-oracle-ladder",
         "grid": {"n": 32, "length": 1.0},
         "preset": {"name": "smooth_bump", "params": {"amplitude": 0.6}},
-        "options": {"rungs": 3, "steps": 4},
     },
     "ratio_suite": {
         "kind": "ratio_suite", "name": "ratio-suite",
         "grid": {"n": 32, "length": 12.566370614359172},
-        "options": {"nt": 64, "t_window": 4.0, "eps": 0.01, "s": 1.0, "n_trials": 6},
+        "options": {"s": 1.0},
     },
     "multiplier_suite": {
         "kind": "multiplier_suite", "name": "multiplier-bounds",
-        "options": {"modulus": 8, "n_pairs": 20, "restarts": 50},
     },
     "hasimoto_1d": {
         "kind": "hasimoto_1d", "name": "hasimoto-line",
@@ -497,7 +464,6 @@ DEFAULT_EXPERIMENTS = {
         "time": {"dt": 4.8e-5, "t_final": 2.88e-3},
         "preset": {"name": "random_seeded",
                    "params": {"band": 2, "amplitude": 0.4, "real": True}},
-        "options": {"n_data": 3, "eta": 1.0, "soliton_n": 512, "soliton_length": 50.0},
     },
 }
 

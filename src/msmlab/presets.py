@@ -1,22 +1,26 @@
-"""Named initial-data families shared by the CLI and the test suite.
+"""Named initial-data families, and the one checker of run-config values.
 
 Each preset is a pure function of a grid, a parameter dictionary, and
 (where randomness is involved) an explicit seed, so experiment outputs are
-reproducible from their configuration alone.  Unknown preset names or
-parameters raise :class:`~msmlab.errors.ConfigError` naming the offender.
+reproducible from their configuration alone.  :func:`check_params` checks
+a preset's parameters, an experiment's options (``cli.OPTIONS``) and its
+grid and time sections; an unknown name or key, or a value of the wrong
+type or range, raises :class:`~msmlab.errors.ConfigError` naming it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 from .maps import MapField
-from .msm import MSMState
+from .msm import SCHEMES, MSMState
 from .spectral import Grid2D, PeriodicGrid
+from .xsb import MAX_ENUMERATION
 
 # Each preset's parameters with their defaults.  The builders below and the
 # up-front config check both read these tables.
@@ -34,40 +38,70 @@ MSM_PRESETS = {
     "random_seeded": {"band": 4, "amplitude": 0.5},
 }
 
+_BIG = sys.float_info.max
+_TINY = math.ulp(0.0)  # the least positive float: a range from it is open at zero
+_MODULUS = math.isqrt(MAX_ENUMERATION)
 
-# Parameters with a range narrower than the finite numbers, as (open lower
-# bound, closed upper bound, description): a bump width divides a length,
-# and a pole distance is a height on the unit sphere, whose south pole is 2.
+# Values with a range narrower than their default's type, as (least,
+# greatest, description), both ends included.  A bump width divides a
+# length, the eta = 0 soliton vanishes, and a pole distance is a height on
+# the unit sphere, whose south pole is 2.  Each set of a multiplier pair
+# draws up to half of Z_N, and its N^2 values must fit the enumeration budget.
 _RANGES = {
-    "width": (0.0, sys.float_info.max, "a finite positive number"),
-    "distance": (0.0, 2.0, "a number in (0, 2]"),
+    **dict.fromkeys(("width", "length", "dt", "t_final", "dt0", "t_window", "soliton_length",
+                     "eta"), (_TINY, _BIG, "a finite positive number")),
+    **dict.fromkeys(("store_every", "rungs", "steps", "restarts"),
+                    (1, math.inf, "a positive integer")),
+    "distance": (_TINY, 2.0, "a number in (0, 2]"),
+    "p": (1.0, 2.0, "a number in [1, 2]"),
+    "modulus": (2, _MODULUS, f"an integer in [2, {_MODULUS}]"),
 }
+_SIZES = {"n", "nt", "soliton_n"}  # grid sizes: the powers of two spectral.PeriodicGrid takes
+# Values chosen by name from a fixed tuple.  An option whose default is a
+# tuple takes a list drawn from that tuple instead.
+_CHOICES = {"scheme": SCHEMES}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _in_range(value, lo: float, hi: float) -> bool:
-    # The comparison also refuses NaN, infinities and ints beyond a float.
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and lo < value <= hi
-
-
-def _check_value(name: str, key: str, value, default, dim: int) -> None:
-    """Reject a value whose type or range does not fit; ``k`` may be a pair in 2-D."""
-    if key == "k":
+def _fits(key: str, value, default, dim: int) -> tuple[bool, str]:
+    """Whether ``value`` fits ``default``'s type and ``key``'s range, and what fits."""
+    if key == "k":  # a preset's mode may be a pair in 2-D
         ok = _is_int(value) or (dim == 2 and isinstance(value, (list, tuple))
                                 and len(value) == 2 and all(map(_is_int, value)))
-        want = "an integer or a pair of integers" if dim == 2 else "an integer"
-    elif isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, want = _is_int(value) and value >= 0, "a nonnegative integer"
-    else:
-        lo, hi, want = _RANGES.get(key, (-math.inf, sys.float_info.max, "a finite number"))
-        ok = _in_range(value, lo, hi)
-    if not ok:
-        raise ConfigError(f"parameter {key!r} of preset {name!r} must be {want}, got {value!r}")
+        return ok, "an integer or a pair of integers" if dim == 2 else "an integer"
+    if key in _SIZES:
+        return _is_int(value) and value >= 8 and not value & (value - 1), "a power of two >= 8"
+    if isinstance(default, bool):
+        return isinstance(value, bool), "true or false"
+    if isinstance(default, str):
+        return value in _CHOICES[key], f"one of {_CHOICES[key]}"
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(v in default for v in value)
+        return ok, f"a list drawn from {default}"
+    if isinstance(default, int):
+        lo, hi, want = _RANGES.get(key, (0, math.inf, "a nonnegative integer"))
+        return _is_int(value) and lo <= value <= hi, want
+    # A float; a None default marks a value worked out when unset, or a grid or time value.
+    lo, hi, want = _RANGES.get(key, (-_BIG, _BIG, "a finite number"))
+    # The comparison also refuses NaN, infinities and ints beyond a float.
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and lo <= value <= hi
+    return ok, want
+
+
+def check_params(defaults: dict, params: dict | None, what: Callable[[str], str],
+                 dim: int = 2) -> dict:
+    """``defaults`` merged with ``params``, each value checked against the type of
+    its default and the range of its key; ``what(key)`` names a key in messages."""
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            raise ConfigError(f"{what(key)} is unknown (allowed: {sorted(defaults)})")
+        ok, want = _fits(key, value, defaults[key], dim)
+        if not ok:
+            raise ConfigError(f"{what(key)} must be {want}, got {value!r}")
+    return {**defaults, **(params or {})}
 
 
 def _check_band(band: int, n: int) -> None:
@@ -81,22 +115,15 @@ def _check_band(band: int, n: int) -> None:
 
 def preset_params(table: dict, name: str, params: dict | None, dim: int,
                   n: int | None = None) -> dict:
-    """A preset's defaults merged with ``params``; rejects unknown names, keys and types.
+    """A preset's defaults merged with ``params``; rejects unknown names, keys and values.
 
     With ``n``, the smallest grid the preset will be built on, a
     ``random_seeded`` band is also checked against that grid.
     """
     if name not in table:
         raise ConfigError(f"unknown preset {name!r} (available: {sorted(table)})")
-    extra = set(params or {}) - set(table[name])
-    if extra:
-        raise ConfigError(
-            f"unknown parameter {sorted(extra)[0]!r} for preset {name!r} "
-            f"(allowed: {sorted(table[name])})"
-        )
-    for key, value in (params or {}).items():
-        _check_value(name, key, value, table[name][key], dim)
-    merged = {**table[name], **(params or {})}
+    merged = check_params(table[name], params,
+                          lambda key: f"parameter {key!r} of preset {name!r}", dim)
     if n is not None and "band" in merged:
         _check_band(merged["band"], n)
     return merged

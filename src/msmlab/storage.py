@@ -76,8 +76,9 @@ def _read_exactly(fh, path, size: int, what: str) -> bytes:
 def read_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Parse any snapshot file into its header and named arrays.
 
-    A file cut short anywhere, or carrying bytes past its last array, is
-    rejected with a ValueError naming the path.
+    A file cut short anywhere, carrying bytes past its last array, or with a
+    header that is not a JSON object naming its kind and its arrays' names,
+    dtypes and shapes, is rejected with a ValueError naming the path.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -86,14 +87,18 @@ def read_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:
         version, hlen = struct.unpack("<II", _read_exactly(fh, path, 8, "header"))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
-        header = json.loads(_read_exactly(fh, path, hlen, "header").decode())
+        try:
+            header = json.loads(_read_exactly(fh, path, hlen, "header").decode())
+            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
+                       for e in header["arrays"]]
+            header["kind"]  # every loader dispatches on it
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as err:
+            raise ValueError(f"{path}: malformed header ({type(err).__name__}: {err})") from err
         arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
+        for name, dtype, shape in entries:
             count = int(np.prod(shape)) if shape else 1
-            dtype = np.dtype(entry["dtype"])
-            buf = _read_exactly(fh, path, count * dtype.itemsize, f"array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape)
+            buf = _read_exactly(fh, path, count * dtype.itemsize, f"array {name!r}")
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
     return header, arrays

@@ -324,13 +324,13 @@ def _unaliased(
     The caller's ``bound``, a function of the fields' bands, makes the step
     it takes on the coarse grid unaliased.  The grid is a power of two with
     at least 8 points and more than twice every band, so each field is
-    sampled exactly: it is rebuilt from its box on the coarse grid, where
-    its values are synthesized when read.  When a field has no box, or no
-    grid smaller than the fields' own qualifies, the fields come back
-    unchanged.
+    sampled exactly: its box and the time columns checked when it was built
+    carry over to the coarse grid, where its values are synthesized when
+    read.  When a field was not built from its box alone, or no grid
+    smaller than the fields' own qualifies, the fields come back unchanged.
     """
     grid = fields[0].grid
-    if any(f.box is None for f in fields):
+    if any("_columns" not in vars(f) for f in fields):
         return tuple(fields)
     bands = [f.band for f in fields]
     m = 8
@@ -339,11 +339,13 @@ def _unaliased(
     if m >= grid.n:
         return tuple(fields)
     coarse = Grid2D(n=m, length=grid.length)
-    return tuple(
-        SpaceTimeField(grid=coarse, t_window=f.t_window, values=None, cutoff=f.cutoff,
-                       band=f.band, box=f.box)
-        for f in fields
-    )
+    out = []
+    for f in fields:
+        g = object.__new__(SpaceTimeField)  # f's constructor made the checks
+        vars(g).update(grid=coarse, t_window=f.t_window, cutoff=f.cutoff, band=f.band,
+                       box=f.box, _columns=f._columns)
+        out.append(g)
+    return tuple(out)
 
 
 def realize_mode_field(

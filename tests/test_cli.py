@@ -1,13 +1,18 @@
 """Config validation, experiment orchestration, and the command line."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msmlab.cli import (
+    COMMAND_KINDS,
     CONFIG_VERSION,
     DEFAULT_EXPERIMENTS,
+    KINDS,
+    OPTIONS,
     ExperimentConfig,
     main,
     parse_config,
@@ -32,6 +37,21 @@ TINY_MULT = {
     "kind": "multiplier_suite", "name": "tiny-mult", "seed": 2,
     "options": {"modulus": 6, "n_pairs": 3, "restarts": 5},
 }
+
+TINY_RATIO = {
+    "kind": "ratio_suite", "name": "tiny-ratio",
+    "grid": {"n": 16, "length": 4.0},
+    "options": {"nt": 32, "n_trials": 1, "suites": ["cubic"]},
+}
+
+TINY_EVOLVE = dict(DEFAULT_EXPERIMENTS["evolve_map"], grid={"n": 16, "length": 1.0},
+                   time={"dt": 1e-4, "t_final": 4e-4}, options={"store_every": 2})
+
+TINY_LINE = dict(DEFAULT_EXPERIMENTS["hasimoto_1d"], grid={"n": 32, "length": 6.28},
+                 time={"dt": 1e-3, "t_final": 4e-3},
+                 options={"n_data": 1, "soliton_n": 64, "soliton_length": 50.0})
+
+COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 
 
 class TestParseConfig:
@@ -145,6 +165,41 @@ class TestParseConfig:
             cfg = parse_config(wrap(exp))[0]
             assert cfg.kind == kind
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unset_options_resolve_to_the_table(self, kind):
+        exp = {k: v for k, v in DEFAULT_EXPERIMENTS[kind].items() if k != "options"}
+        assert parse_config(wrap(exp))[0].options == OPTIONS[kind]
+        # A config built directly takes its defaults from the same table.
+        direct = ExperimentConfig(kind=kind, name="direct", options={})
+        assert direct.options == OPTIONS[kind]
+
+    def test_default_experiments_restate_no_default(self):
+        for kind, exp in DEFAULT_EXPERIMENTS.items():
+            for key, value in exp.get("options", {}).items():
+                assert value != OPTIONS[kind][key], (kind, key)
+
+    def test_benchmark_workloads_parse(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for seed in range(16):
+                parsed = parse_config(workloads.document(name, seed))
+                assert parsed and all(e.seed == seed for e in parsed)
+
+    @pytest.mark.parametrize("exp,resolved", [
+        (dict(TINY_RATIO, options={"suites": ["bilinear"], "p": 1}), {"p": 1}),
+        (dict(TINY_RATIO, options={"suites": ["bilinear"], "p": 2}), {"p": 2}),
+        (dict(TINY_RATIO, options={"n_trials": 0}), {"n_trials": 0}),
+        (TINY_RATIO, {"s": None, "eps": 0.01}),
+        (dict(DEFAULT_EXPERIMENTS["msm_oracle"], grid={"n": 16, "length": 1.0}),
+         {"dt0": None, "rungs": 3}),
+    ], ids=["p-1", "p-2", "no-trials", "s-omitted", "dt0-omitted"])
+    def test_option_boundaries_parse(self, exp, resolved):
+        options = parse_config(wrap(exp))[0].options
+        assert {key: options[key] for key in resolved} == resolved
+
     def test_name_defaults_to_kind_and_index(self):
         cfg = parse_config(wrap({k: v for k, v in TINY_MULT.items() if k != "name"}))[0]
         assert cfg.name == "multiplier_suite-0"
@@ -201,12 +256,7 @@ class TestRunExperiments:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     def test_map_flow_reruns_byte_identical(self, tmp_path):
-        evolve = dict(DEFAULT_EXPERIMENTS["evolve_map"], grid={"n": 16, "length": 1.0},
-                      time={"dt": 1e-4, "t_final": 4e-4}, options={"store_every": 2})
-        line = dict(DEFAULT_EXPERIMENTS["hasimoto_1d"], grid={"n": 32, "length": 6.28},
-                    time={"dt": 1e-3, "t_final": 4e-3},
-                    options={"n_data": 1, "soliton_n": 64, "soliton_length": 50.0})
-        cfg = parse_config(wrap(evolve, line))
+        cfg = parse_config(wrap(TINY_EVOLVE, TINY_LINE))
         manifest = run_experiments(cfg, tmp_path / "a").read_bytes()
         assert run_experiments(cfg, tmp_path / "b").read_bytes() == manifest
         paths = [e["path"] for e in json.loads(manifest)["artifacts"]]
@@ -293,6 +343,35 @@ class TestMain:
         assert main(["msm", "--config", str(cfgfile), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err and "second" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first,bad,key", [
+        (TINY_EVOLVE, {"store_every": 0}, "store_every"),
+        (TINY_MSM, {"store_every": 0}, "store_every"),
+        (TINY_RATIO, {"eps": "x"}, "eps"),
+        (TINY_LINE, {"eta": "a"}, "eta"),
+        (TINY_LINE, {"eta": 0}, "eta"),
+        (TINY_RATIO, {"nt": 48}, "nt"),
+        (TINY_RATIO, {"s": 0.01}, "s"),
+        (TINY_RATIO, {"suites": ["bilinear"], "p": 3}, "p"),
+        (TINY_RATIO, {"space_band": 9}, "space_band"),
+        (TINY_RATIO, {"time_band": 20}, "time_band"),
+        (TINY_MULT, {"restarts": 0}, "restarts"),
+        (TINY_MULT, {"modulus": 1}, "modulus"),
+        (TINY_MULT, {"modulus": 2000}, "modulus"),
+        (TINY_LINE, {"soliton_length": -1}, "soliton_length"),
+    ], ids=["evolve-store-every", "msm-store-every", "ratio-eps-text", "hasimoto-eta-text",
+            "hasimoto-eta-zero", "ratio-nt", "ratio-cubic-s", "ratio-p", "ratio-space-band",
+            "ratio-time-band", "mult-restarts", "mult-modulus-1", "mult-modulus-2000",
+            "hasimoto-soliton-length"])
+    def test_bad_option_exits_2_before_compute(self, tmp_path, capsys, first, bad, key):
+        cfgfile = tmp_path / "run.json"
+        second = dict(first, name="second", options={**first.get("options", {}), **bad})
+        cfgfile.write_text(json.dumps(wrap(dict(first, name="first"), second)))
+        out = tmp_path / "out"
+        assert main([COMMANDS[first["kind"]], "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"options.{key}" in err and "second" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("second,message", [

@@ -31,6 +31,12 @@ def random_state(n=16, seed=0):
     return MSMState(grid=g, u1=u1, u2=u2, sign=-1.0, t=0.375)
 
 
+def with_header(blob, hlen, header):
+    """The snapshot ``blob`` with its JSON header replaced by ``header``."""
+    payload = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(payload)) + payload + blob[12 + hlen:]
+
+
 class TestSnapshots:
     def test_msm_state_roundtrip(self, tmp_path):
         st = random_state()
@@ -97,7 +103,15 @@ class TestSnapshots:
         (lambda blob, hlen: blob[:12 + hlen + 100], "truncated array 'u1'"),
         (lambda blob, hlen: blob[:-1], "truncated array 'u2'"),
         (lambda blob, hlen: blob + b"\x00\x00", "trailing bytes"),
-    ], ids=["fixed-header", "json-header", "mid-array", "last-byte", "trailing"])
+        (lambda blob, hlen: blob[:14] + b"\xff" + blob[15:], "malformed header"),
+        (lambda blob, hlen: with_header(blob, hlen, []), "malformed header"),
+        (lambda blob, hlen: with_header(blob, hlen, {"kind": "msm_state"}), "malformed header"),
+        (lambda blob, hlen: with_header(blob, hlen, {"arrays": []}), "malformed header"),
+        (lambda blob, hlen: with_header(blob, hlen, {"kind": "msm_state", "arrays": [
+            {"name": "u1", "shape": [16, 16]}]}), "malformed header"),
+    ], ids=["fixed-header", "json-header", "mid-array", "last-byte", "trailing",
+            "header-not-utf8", "header-not-object", "header-without-arrays",
+            "header-without-kind", "entry-without-dtype"])
     def test_cut_or_padded_file_rejected(self, tmp_path, cut, message):
         path = tmp_path / "state.msmf"
         save_msm_state(path, random_state())

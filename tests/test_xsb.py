@@ -1032,6 +1032,8 @@ class TestSynthesisFromTheBox:
             (coarse,) = _unaliased(trial.fields, lambda bands: 0)
             step = n // coarse.grid.n
             assert step > 1 and coarse.box is fine.box
+            # The fine field's checked time columns carry over: no transform is redone.
+            assert coarse._columns is fine._columns
             expect = fine.values[::step, ::step]
             assert np.max(np.abs(coarse.values - expect)) <= 1e-13 * np.max(np.abs(expect))
 
