@@ -9,8 +9,7 @@ experiment runs, and the runners read the resolved options by name.
 Outputs are deterministic functions of the config (CSV tables and binary
 snapshots under one directory, listed with SHA-256 checksums in
 ``manifest.json``), so rerunning a config reproduces every artifact byte
-for byte.  The environment variable ``MSMLAB_THREADS`` caps the worker
-pool used by the ensemble suites; it must be a positive integer.
+for byte.
 """
 
 from __future__ import annotations
@@ -473,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="msmlab",
         description="Experiment harness for Schrodinger-map dynamics, gauge "
                     "transforms, dispersive norms, and multiplier bounds.",
-        epilog="MSMLAB_THREADS caps the worker pool of the ensemble suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     help_lines = {
@@ -500,7 +498,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     kind = COMMAND_KINDS[args.command]
     try:
-        xsb.max_workers()  # a malformed MSMLAB_THREADS stops the run before compute
         if args.config is not None:
             try:
                 raw = json.loads(Path(args.config).read_text())

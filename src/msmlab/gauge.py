@@ -165,15 +165,9 @@ def _relative(residual: float, scale: float) -> float:
     return 0.0 if scale == 0.0 else residual / scale
 
 
-def verify_consistency(gs: GaugeState, curvature_coef: float | None = None) -> ConsistencyReport:
-    """Residuals of the divergence, torsion and curvature identities.
-
-    ``curvature_coef`` overrides the curvature constant, which lets tests
-    demonstrate that the orientation actually matters (a flipped sign
-    produces an order-one residual).
-    """
+def verify_consistency(gs: GaugeState) -> ConsistencyReport:
+    """Residuals of the divergence, torsion and curvature identities."""
     g = gs.grid
-    coef = CURVATURE_COEF if curvature_coef is None else curvature_coef
 
     d1a1, d2a2 = g.dx(gs.a1), g.dy(gs.a2)
     div = d1a1 + d2a2
@@ -187,7 +181,7 @@ def verify_consistency(gs: GaugeState, curvature_coef: float | None = None) -> C
     r_tor = _relative(g.norm2(tor), tor_scale)
 
     d1a2, d2a1 = g.dx(gs.a2), g.dy(gs.a1)
-    source = coef * gs.sign * np.imag(np.conj(gs.u1) * gs.u2)
+    source = CURVATURE_COEF * gs.sign * np.imag(np.conj(gs.u1) * gs.u2)
     curv = d1a2 - d2a1 - source
     curv_scale = max(g.norm2(d1a2), g.norm2(d2a1), g.norm2(source))
     r_curv = _relative(g.norm2(curv), curv_scale)
@@ -281,6 +275,8 @@ def soliton_nls_residual(grid: Grid1D, eta: float = 1.0) -> float:
     is known in closed form, so the residual measures pure spatial
     discretization error.
     """
+    if not eta > 0:
+        raise ValueError(f"soliton eta must be positive, got {eta}")
     u = eta / np.cosh(eta * (grid.x - grid.length / 2))
     resid = -(eta**2) * u + grid.laplacian(u) + NLS_CUBIC_COEF * np.abs(u) ** 2 * u
     return grid.norm2(resid) / grid.norm2(u)

@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 CHART_TOL = 1e-8
+# Iteration budget and relative update tolerance of the implicit midpoint step.
+MIDPOINT_MAX_ITERS = 100
+MIDPOINT_TOL = 1e-12
 _MINK = np.array([1.0, 1.0, -1.0])
 
 
@@ -187,12 +190,7 @@ def max_stable_dt(grid) -> float:
     return 1.6 / float(np.max(grid.k2))
 
 
-def step_geometric(
-    mf: MapField,
-    dt: float,
-    max_iters: int = 100,
-    tol: float = 1e-12,
-) -> MapField:
+def step_geometric(mf: MapField, dt: float) -> MapField:
     """One implicit-midpoint step, renormalized onto the target."""
     limit = max_stable_dt(mf.grid)
     if dt > limit:
@@ -206,34 +204,28 @@ def step_geometric(
     # The midpoint iterate is off the target, so it stays a bare array.
     mid = s0 + 0.5 * dt * _ll_values(grid, target, s0)
     scale = float(np.max(np.abs(s0))) + 1e-30
-    for _ in range(max_iters):
+    for _ in range(MIDPOINT_MAX_ITERS):
         new_mid = s0 + 0.5 * dt * _ll_values(grid, target, mid)
         delta = float(np.max(np.abs(new_mid - mid)))
         mid = new_mid
-        if delta < tol * scale:
+        if delta < MIDPOINT_TOL * scale:
             break
     else:
         raise NoConvergenceError(
-            f"midpoint iteration stalled at update {delta:.3e} after {max_iters} iterations"
+            f"midpoint iteration stalled at update {delta:.3e} "
+            f"after {MIDPOINT_MAX_ITERS} iterations"
         )
     s1 = target.normalize(2.0 * mid - s0)
     return MapField(grid, s1, target)
 
 
-def evolve(
-    mf: MapField,
-    dt: float,
-    n_steps: int,
-    store_every: int = 1,
-    max_iters: int = 100,
-    tol: float = 1e-12,
-) -> MapTrajectory:
+def evolve(mf: MapField, dt: float, n_steps: int, store_every: int = 1) -> MapTrajectory:
     """Integrate the map flow, storing every ``store_every``-th snapshot."""
     maps = [mf]
     times = [0.0]
     current = mf
     for step in range(1, n_steps + 1):
-        current = step_geometric(current, dt, max_iters=max_iters, tol=tol)
+        current = step_geometric(current, dt)
         if step % store_every == 0:
             maps.append(current)
             times.append(step * dt)

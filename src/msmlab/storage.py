@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from .spectral import Grid1D, Grid2D
 
 MAGIC = b"MSMF"
 FORMAT_VERSION = 1
+DTYPES = ("<f8", "<c16")
 
 
 def _grid_meta(grid) -> dict:
@@ -67,10 +70,11 @@ def _write_snapshot(path, kind: str, grid, arrays: dict[str, np.ndarray], scalar
 
 
 def _read_exactly(fh, path, size: int, what: str) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise ValueError(f"{path}: truncated {what} ({len(buf)} of {size} bytes)")
-    return buf
+    # Sized against the file first, so a header cannot make the reader allocate past it.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ValueError(f"{path}: truncated {what} ({left} of {size} bytes)")
+    return fh.read(size)
 
 
 def read_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -78,7 +82,8 @@ def read_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:
 
     A file cut short anywhere, carrying bytes past its last array, or with a
     header that is not a JSON object naming its kind and its arrays' names,
-    dtypes and shapes, is rejected with a ValueError naming the path.
+    dtypes (one of ``DTYPES``) and shapes (lists of non-negative ints), is
+    rejected with a ValueError naming the path.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -89,15 +94,17 @@ def read_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         try:
             header = json.loads(_read_exactly(fh, path, hlen, "header").decode())
-            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
-                       for e in header["arrays"]]
+            entries = [(e["name"], e["dtype"], e["shape"]) for e in header["arrays"]]
             header["kind"]  # every loader dispatches on it
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as err:
             raise ValueError(f"{path}: malformed header ({type(err).__name__}: {err})") from err
         arrays = {}
         for name, dtype, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
-            buf = _read_exactly(fh, path, count * dtype.itemsize, f"array {name!r}")
+            if dtype not in DTYPES or not isinstance(shape, list) or not all(
+                    type(d) is int and d >= 0 for d in shape):
+                raise ValueError(f"{path}: array {name!r} has dtype {dtype!r}, shape {shape!r}")
+            dtype = np.dtype(dtype)
+            buf = _read_exactly(fh, path, math.prod(shape) * dtype.itemsize, f"array {name!r}")
             arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")

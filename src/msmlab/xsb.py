@@ -27,16 +27,14 @@ alternating maximization from below.
 from __future__ import annotations
 
 import itertools
-import os
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, TooLargeError
+from .errors import TooLargeError
 from .gauge import beta_hat
 from .spectral import Grid2D
 from .storage import write_csv
@@ -50,7 +48,6 @@ __all__ = [
     "mixed_norm",
     "free_solution_norm_check",
     "free_solution_slope",
-    "max_workers",
     "white_mode_dict",
     "paraboloid_mode_dict",
     "shell_mode_dict",
@@ -79,30 +76,8 @@ MAX_ENUMERATION = 10**6
 
 BOUNDARY_TOL = 1e-8
 
-
-def max_workers() -> int:
-    """Worker count from MSMLAB_THREADS (default 1); a positive integer or ConfigError."""
-    raw = os.environ.get("MSMLAB_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"MSMLAB_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def _pmap(fn: Callable, items: Sequence):
-    """Order-preserving map, threaded when MSMLAB_THREADS allows.
-
-    A task runs only once a worker is free, so tasks that build their own
-    input keep one such input live per worker.
-    """
-    workers = max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+# Half-width of a realized field's time cutoff, as a fraction of the window.
+DELTA_FRAC = 0.35
 
 
 # -- windowed space-time fields ------------------------------------------
@@ -228,15 +203,6 @@ class SpaceTimeField:
         return self.t_window / self.nt
 
     @cached_property
-    def times(self) -> np.ndarray:
-        return np.arange(self.nt) * self.dt
-
-    @cached_property
-    def tau(self) -> np.ndarray:
-        """Time frequencies, signed so free solutions sit at tau = |xi|^2."""
-        return _tau(self.nt, self.t_window)
-
-    @cached_property
     def hat(self) -> np.ndarray:
         """Space-time coefficients, unitary up to the measure L^2 T."""
         if self.box is None:
@@ -250,15 +216,6 @@ class SpaceTimeField:
         return SpaceTimeField(
             grid=self.grid, t_window=self.t_window,
             values=np.conj(self.values), cutoff=self.cutoff, band=self.band,
-        )
-
-    def scaled(self, factor: complex) -> "SpaceTimeField":
-        if self.box is not None:
-            return SpaceTimeField(grid=self.grid, t_window=self.t_window, values=None,
-                                  cutoff=self.cutoff, band=self.band, box=factor * self.box)
-        return SpaceTimeField(
-            grid=self.grid, t_window=self.t_window, values=factor * self.values,
-            cutoff=self.cutoff, band=self.band,
         )
 
     def _derived(
@@ -353,7 +310,6 @@ def realize_mode_field(
     nt: int,
     t_window: float,
     modes: dict[tuple[int, int, int], complex],
-    delta_frac: float = 0.35,
 ) -> SpaceTimeField:
     """Sample sum of c * e^{i 2 pi (mx x + my y)/L} e^{-i 2 pi mt t/T}, windowed.
 
@@ -384,7 +340,7 @@ def realize_mode_field(
     # Distinct keys land on distinct cells: |mt| < nt/2 keeps -mt mod nt one-to-one.
     box[keys[:, 0] + band, keys[:, 1] + band, -keys[:, 2] % nt] = coefs
     times = np.arange(nt) * (t_window / nt)
-    cut = unit_window((times - t_window / 2) / (delta_frac * t_window))
+    cut = unit_window((times - t_window / 2) / (DELTA_FRAC * t_window))
     columns = np.fft.ifft(box, axis=2) * (nt * cut)
     return SpaceTimeField(grid=grid, t_window=t_window, values=None, cutoff=cut,
                           band=band, box=np.fft.fft(columns, axis=2) / nt)
@@ -688,14 +644,18 @@ class _Measured(NamedTuple):
 
 
 def _measure(trials: Sequence[Trial], fn: Callable[[Trial], object]) -> list[_Measured]:
-    """fn over every trial, each realized inside its own worker and dropped after."""
+    """fn over every trial in turn.
+
+    Each trial is realized inside ``one`` and dropped when it returns, so a
+    lazy ensemble keeps one trial live at a time.
+    """
 
     def one(i: int) -> _Measured:
         trial = trials[i]
         f = trial.fields[0]
         return _Measured(trial.seed, f.grid, f.nt, f.t_window, fn(trial))
 
-    return _pmap(one, range(len(trials)))
+    return [one(i) for i in range(len(trials))]
 
 
 def _ratio_report(name, rows: list[_Measured], eps, s, values) -> RatioReport:
@@ -1089,8 +1049,8 @@ def multiplier_suite(
     restarts: int = 50,
     seed: int = 0,
 ) -> list[tuple[float, float]]:
-    """Bounds for several multipliers; specs run in parallel, each serial."""
-    return _pmap(lambda sp: multiplier_norm_bounds(sp, restarts=restarts, seed=seed), list(specs))
+    """Bounds for several multipliers, one spec after another."""
+    return [multiplier_norm_bounds(sp, restarts=restarts, seed=seed) for sp in specs]
 
 
 def indicator_pair_multiplier(modulus: int, set_a: Iterable[int], set_b: Iterable[int]) -> MultiplierSpec:

@@ -75,12 +75,15 @@ class TestKinematicIdentities:
         for name in ("div_a", "torsion", "curvature"):
             assert getattr(fine, name) < getattr(coarse, name) / 10
 
-    def test_curvature_orientation_negative_control(self):
+    def test_curvature_orientation_negative_control(self, monkeypatch):
+        import msmlab.gauge as gauge
+
         # With the conjugation order swapped in the curvature source the
         # residual is order one, not small: the orientation is observable.
         gs = build_gauge_state(bump_map(128))
         good = verify_consistency(gs).curvature
-        flipped = verify_consistency(gs, curvature_coef=-CURVATURE_COEF).curvature
+        monkeypatch.setattr(gauge, "CURVATURE_COEF", -CURVATURE_COEF)
+        flipped = verify_consistency(gs).curvature
         assert flipped > 1e3 * good
         assert flipped > 0.5
 
@@ -170,6 +173,11 @@ class TestHasimoto:
         # box wide enough that the sech tail clears the seam at ~1e-13
         grid = Grid1D(n=512, length=length)
         assert soliton_nls_residual(grid, eta=eta) < 1e-9
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_soliton_needs_positive_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            soliton_nls_residual(Grid1D(n=64, length=50.0), eta=eta)
 
     def test_wrong_amplitude_is_not_a_soliton(self):
         # Scaling the profile by sqrt(2) breaks the balance by a factor

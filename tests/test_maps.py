@@ -244,11 +244,14 @@ class TestStepGeometric:
         with pytest.raises(ValueError):
             step_geometric(mf, 10 * max_stable_dt(g))
 
-    def test_raises_when_iteration_budget_exhausted(self):
+    def test_raises_when_iteration_budget_exhausted(self, monkeypatch):
+        import msmlab.maps as maps
+
         g = Grid2D(n=32, length=2 * np.pi)
         mf = bump_chart_map(g)
+        monkeypatch.setattr(maps, "MIDPOINT_MAX_ITERS", 1)
         with pytest.raises(NoConvergenceError):
-            step_geometric(mf, 0.9 * max_stable_dt(g), max_iters=1)
+            step_geometric(mf, 0.9 * max_stable_dt(g))
 
     def test_norm_preserved_pointwise(self):
         g = Grid2D(n=32, length=4.0)

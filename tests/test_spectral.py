@@ -316,6 +316,15 @@ def test_only_spectral_branches_on_the_grid_class():
             assert found is None, f"{path.name}: {found.group(0)}"
 
 
+def test_no_module_reads_the_environment_or_starts_threads():
+    # A run is a function of its config alone, computed in the calling thread.
+    banned = re.compile(r"\bos\.(environ|getenv)\b"
+                        r"|^\s*(from|import)\s+(concurrent|threading)\b", re.MULTILINE)
+    for path in sorted(Path(msmlab.__file__).parent.glob("*.py")):
+        found = banned.search(path.read_text())
+        assert found is None, f"{path.name}: {found.group(0)}"
+
+
 # Public names that no package module reads, kept on purpose.
 CONTRACT = {
     # Called by the acceptance tests (Grid2D.y builds their test fields).
@@ -325,14 +334,20 @@ CONTRACT = {
     "load_map_field", "load_msm_state",
     # Wrapped by the benchmark's tracer; the steppers call its private core.
     "nonlinearity",
+    # Acceptance 06 measures the conjugate family through it.
+    "conjugate",
 }
+
+# Classes whose public methods and properties count as public names.
+CHECKED_CLASSES = ("PeriodicGrid", "Grid1D", "Grid2D", "SpaceTimeField")
 
 
 def _public_definitions(tree):
     """(name, node) for a module's public surface.
 
     That is the names in ``__all__`` (every public top-level name where a
-    module has none) and the public methods and properties of the grid classes.
+    module has none) and the public methods and properties of the grid
+    classes and of ``SpaceTimeField``.
     """
     top = {}
     for node in tree.body:
@@ -346,7 +361,7 @@ def _public_definitions(tree):
         names = [name for name in top if not name.startswith("_")]
     out = [(name, top[name]) for name in names]
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name in ("PeriodicGrid", "Grid1D", "Grid2D"):
+        if isinstance(node, ast.ClassDef) and node.name in CHECKED_CLASSES:
             out += [(item.name, item) for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     return out

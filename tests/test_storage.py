@@ -37,6 +37,13 @@ def with_header(blob, hlen, header):
     return blob[:8] + struct.pack("<I", len(payload)) + payload + blob[12 + hlen:]
 
 
+def entry(blob, hlen, **changes):
+    """The snapshot ``blob`` with its first array entry's fields replaced."""
+    header = json.loads(blob[12:12 + hlen])
+    header["arrays"][0].update(changes)
+    return with_header(blob, hlen, header)
+
+
 class TestSnapshots:
     def test_msm_state_roundtrip(self, tmp_path):
         st = random_state()
@@ -109,9 +116,18 @@ class TestSnapshots:
         (lambda blob, hlen: with_header(blob, hlen, {"arrays": []}), "malformed header"),
         (lambda blob, hlen: with_header(blob, hlen, {"kind": "msm_state", "arrays": [
             {"name": "u1", "shape": [16, 16]}]}), "malformed header"),
+        (lambda blob, hlen: entry(blob, hlen, shape=[-1]), r"shape \[-1\]"),
+        (lambda blob, hlen: entry(blob, hlen, shape=["a"]), r"shape \['a'\]"),
+        (lambda blob, hlen: entry(blob, hlen, shape=[True, 16]), r"shape \[True, 16\]"),
+        (lambda blob, hlen: entry(blob, hlen, shape=16), "shape 16"),
+        (lambda blob, hlen: entry(blob, hlen, shape=[2**40, 2**40]), "truncated array 'u1'"),
+        (lambda blob, hlen: entry(blob, hlen, dtype="<U4"), "dtype '<U4'"),
+        (lambda blob, hlen: entry(blob, hlen, dtype=">f8"), "dtype '>f8'"),
     ], ids=["fixed-header", "json-header", "mid-array", "last-byte", "trailing",
             "header-not-utf8", "header-not-object", "header-without-arrays",
-            "header-without-kind", "entry-without-dtype"])
+            "header-without-kind", "entry-without-dtype", "negative-extent",
+            "string-extent", "bool-extent", "shape-not-a-list", "overflowing-count",
+            "string-dtype", "big-endian-dtype"])
     def test_cut_or_padded_file_rejected(self, tmp_path, cut, message):
         path = tmp_path / "state.msmf"
         save_msm_state(path, random_state())

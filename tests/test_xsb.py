@@ -54,6 +54,21 @@ def white_field(seed, n=32, nt=64, sb=4, tb=8):
     return realize_mode_field(grid(n), nt, TWIN, white_mode_dict(sb, tb, seed))
 
 
+def scaled(f, factor):
+    """The field factor * f, built from its box like any realized field."""
+    return SpaceTimeField(grid=f.grid, t_window=f.t_window, values=None, cutoff=f.cutoff,
+                          band=f.band, box=factor * f.box)
+
+
+def sample_times(f):
+    return np.arange(f.nt) * (f.t_window / f.nt)
+
+
+def time_frequencies(f):
+    """tau of each time index, signed so e^{-i tau t} sits at tau."""
+    return -2 * np.pi * np.fft.fftfreq(f.nt, d=f.t_window / f.nt)
+
+
 def symmetric_gap(taus, nt, xi2):
     """Weight argument tau - |xi|^2 with the unpaired Nyquist plane symmetrized."""
     gap = taus - xi2
@@ -65,8 +80,8 @@ def windowed_mode_norm(f, mode, amp, s, b):
     """One-mode weighted norm, summed explicitly over the window's spectrum."""
     xi2 = (2 * np.pi / LENGTH) ** 2 * (mode[0] ** 2 + mode[1] ** 2)
     tau_mode = 2 * np.pi * mode[2] / TWIN
-    shifted = np.fft.fft(f.cutoff * np.exp(-1j * tau_mode * f.times)) / f.nt
-    gap = symmetric_gap(f.tau.copy(), f.nt, xi2)
+    shifted = np.fft.fft(f.cutoff * np.exp(-1j * tau_mode * sample_times(f))) / f.nt
+    gap = symmetric_gap(time_frequencies(f), f.nt, xi2)
     weight_sq = (1 + gap**2) ** b * (1 + xi2) ** s
     total = np.sum(np.abs(amp * shifted) ** 2 * weight_sq)
     return np.sqrt(LENGTH**2 * TWIN * total)
@@ -95,8 +110,11 @@ class TestSpaceTimeField:
                            values=np.ones((16, 16, 32), complex), cutoff=np.ones(32))
 
     def test_tau_spacing_and_sign(self):
-        f = white_field(0)
-        assert f.tau[1] == pytest.approx(-2 * np.pi / TWIN)
+        # The time mode e^{-i 2 pi 3 t / T} peaks in the spectrum at tau = 2 pi 3 / T.
+        f = realize_mode_field(grid(16), 64, TWIN, {(0, 0, 3): 1.0})
+        peak = int(np.argmax(np.abs(f.hat[0, 0])))
+        assert peak == 64 - 3
+        assert time_frequencies(f)[peak] == pytest.approx(2 * np.pi * 3 / TWIN)
         assert f.dt == pytest.approx(TWIN / f.nt)
 
     def test_parseval(self):
@@ -106,7 +124,7 @@ class TestSpaceTimeField:
 
     def test_norm_is_homogeneous(self):
         f = white_field(2)
-        assert xsb_norm(f.scaled(3 - 4j), 0.7, 0.55, +1) == pytest.approx(
+        assert xsb_norm(scaled(f, 3 - 4j), 0.7, 0.55, +1) == pytest.approx(
             5 * xsb_norm(f, 0.7, 0.55, +1), rel=1e-12
         )
 
@@ -303,7 +321,7 @@ class TestCubicRatios:
         trials = sample_trials(grid(), 64, TWIN, 3, 3, seed=21, space_band=4, time_band=6)
         base = {r.test_name: r.max_ratio for r in ratio_test_cubic(trials, 1.0, 0.01)}
         rescaled = [
-            Trial(fields=(t.fields[0].scaled(3 - 4j), t.fields[1], t.fields[2].scaled(0.1)),
+            Trial(fields=(scaled(t.fields[0], 3 - 4j), t.fields[1], scaled(t.fields[2], 0.1)),
                   seed=t.seed, flavor=t.flavor)
             for t in trials
         ]
@@ -429,7 +447,7 @@ class TestBilinearEmbedding:
         assert report.sup_l2_max_ratio <= report.sup_l2_cap * (1 + 1e-9)
         # C^2 = max over xi of sum over tau of <tau - |xi|^2>^(-2b), over T, at b = 1/2 + eps.
         f = self.trials(1)[0].fields[0]
-        gap = f.tau[None, None, :] - f.grid.k2[:, :, None]
+        gap = time_frequencies(f)[None, None, :] - f.grid.k2[:, :, None]
         cap = np.sqrt(np.max(np.sum((1.0 + gap**2) ** -0.51, axis=2)) / TWIN)
         assert report.sup_l2_cap == pytest.approx(cap, rel=1e-12)
 
@@ -508,7 +526,7 @@ class TestMultiplierBounds:
         lo, up = multiplier_norm_bounds(spec, restarts=30, seed=4)
         assert 0 < lo <= up
 
-    def test_suite_matches_individual_runs(self, monkeypatch):
+    def test_suite_matches_individual_runs(self):
         rng = np.random.default_rng(6)
         specs = [
             MultiplierSpec(k=3, modulus=8, dim=1,
@@ -516,9 +534,7 @@ class TestMultiplierBounds:
             for _ in range(3)
         ]
         serial = [multiplier_norm_bounds(sp, restarts=20, seed=1) for sp in specs]
-        monkeypatch.setenv("MSMLAB_THREADS", "3")
-        threaded = multiplier_suite(specs, restarts=20, seed=1)
-        assert threaded == serial
+        assert multiplier_suite(specs, restarts=20, seed=1) == serial
 
 
 class TestCsvReport:
@@ -543,14 +559,14 @@ class TestCsvReport:
         assert rows[1][3] == format_value(0.01)
 
 
-def ifftn_realization(g, nt, t_window, modes, delta_frac=0.35):
+def ifftn_realization(g, nt, t_window, modes):
     """Reference: scatter onto the full grid, one 3-D inverse transform, window."""
     n = g.n
     coef = np.zeros((n, n, nt), dtype=np.complex128)
     for (mx, my, mt), c in modes.items():
         coef[mx % n, my % n, (-mt) % nt] += c
     times = np.arange(nt) * (t_window / nt)
-    cut = unit_window((times - t_window / 2) / (delta_frac * t_window))
+    cut = unit_window((times - t_window / 2) / (0.35 * t_window))
     return np.fft.ifftn(coef) * coef.size * cut
 
 
@@ -636,14 +652,11 @@ class TestLazyTrials:
         with pytest.raises(ValueError, match="fit"):
             sample_trials(grid(16), 32, TWIN, 2, 3, seed=0, space_band=3, time_band=16)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("suite", list(SUITES))
-    def test_lazy_and_eager_reports_agree(self, suite, threads, monkeypatch):
+    def test_lazy_and_eager_reports_agree(self, suite):
         arity, run = SUITES[suite]
         trials = small_trials(arity)
-        eager = run(list(trials))
-        monkeypatch.setenv("MSMLAB_THREADS", threads)
-        assert run(trials) == eager
+        assert run(trials) == run(list(trials))
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_each_factor_realized_once(self, suite, monkeypatch):
@@ -951,11 +964,12 @@ class TestSmallestUnaliasedGrid:
 
     def test_scaled_and_conjugate_keep_the_band(self):
         f = white_field(9, sb=3)
-        scaled = f.scaled(2 - 1j)
-        assert scaled.band == 3 and f.conjugate().band == 3
-        np.testing.assert_array_equal(scaled.box, (2 - 1j) * f.box)
-        np.testing.assert_allclose(scaled.hat, np.fft.fftn(scaled.values) / scaled.values.size,
-                                   atol=1e-13 * np.max(np.abs(scaled.box)))
+        g = scaled(f, 2 - 1j)
+        assert g.band == 3 and f.conjugate().band == 3
+        np.testing.assert_allclose(g.values, (2 - 1j) * f.values,
+                                   atol=1e-13 * np.max(np.abs(f.values)))
+        np.testing.assert_allclose(g.hat, np.fft.fftn(g.values) / g.values.size,
+                                   atol=1e-13 * np.max(np.abs(g.box)))
 
 
 def _count_syntheses(monkeypatch) -> list[tuple[int, int]]:
@@ -985,15 +999,16 @@ class TestSynthesisFromTheBox:
 
     @pytest.mark.parametrize("case", ["seam", "nan", "inf"])
     def test_realized_field_rejected_before_any_synthesis(self, case, monkeypatch):
+        import msmlab.xsb as xsb
+
         calls = _count_syntheses(monkeypatch)
         modes = white_mode_dict(3, 6, seed=71)
-        kwargs = {}
         if case == "seam":
-            kwargs["delta_frac"] = 0.6
+            monkeypatch.setattr(xsb, "DELTA_FRAC", 0.6)
         else:
             modes[(1, -2, 3)] = complex(np.nan if case == "nan" else np.inf, 1.0)
         with pytest.raises(ValueError, match="time boundary" if case == "seam" else "finite"):
-            realize_mode_field(grid(32), 64, TWIN, modes, **kwargs)
+            realize_mode_field(grid(32), 64, TWIN, modes)
         if case != "seam":
             f = white_field(71)
             box = f.box.copy()
@@ -1015,10 +1030,13 @@ class TestSynthesisFromTheBox:
             SpaceTimeField(grid=grid(16), t_window=TWIN, values=None, cutoff=cut[::2])
         assert calls == []
 
-    def test_seam_check_on_the_box_is_no_weaker(self):
+    def test_seam_check_on_the_box_is_no_weaker(self, monkeypatch):
+        import msmlab.xsb as xsb
+
         # Any field the box check accepts also passes the check on its values.
         for seed, delta_frac in [(73, 0.35), (74, 0.45), (75, 0.49)]:
-            f = realize_mode_field(grid(32), 64, TWIN, white_mode_dict(4, 8, seed), delta_frac)
+            monkeypatch.setattr(xsb, "DELTA_FRAC", delta_frac)
+            f = realize_mode_field(grid(32), 64, TWIN, white_mode_dict(4, 8, seed))
             top = np.max(np.abs(f.values))
             edge = max(np.max(np.abs(f.values[:, :, 0])), np.max(np.abs(f.values[:, :, -1])))
             assert edge <= 1e-8 * top
@@ -1060,14 +1078,6 @@ class TestSynthesisFromTheBox:
             assert on_n.count(21) == 4 * len(trials)
         else:
             assert len(on_n) == factors_on_n
-
-    @pytest.mark.parametrize("suite", list(SUITES))
-    def test_coarse_grid_reports_do_not_depend_on_threads(self, suite, monkeypatch):
-        arity, run = SUITES[suite]
-        trials = sample_trials(grid(64), 64, TWIN, arity, 3, seed=76, space_band=5, time_band=10)
-        serial = run(trials)
-        monkeypatch.setenv("MSMLAB_THREADS", "2")
-        assert run(trials) == serial
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_suites_match_the_n_grid_relatively(self, n):
