@@ -652,11 +652,16 @@ class TestLazyTrials:
         with pytest.raises(ValueError, match="fit"):
             sample_trials(grid(16), 32, TWIN, 2, 3, seed=0, space_band=3, time_band=16)
 
+    @pytest.mark.parametrize("passes", [1, 2])
     @pytest.mark.parametrize("suite", list(SUITES))
-    def test_lazy_and_eager_reports_agree(self, suite):
+    def test_lazy_and_eager_reports_agree(self, suite, passes):
+        # A lazy ensemble realizes its trials afresh on every pass, so a second
+        # report over the same ensemble must equal the first and the eager one.
         arity, run = SUITES[suite]
         trials = small_trials(arity)
-        assert run(trials) == run(list(trials))
+        eager = run(list(trials))
+        for _ in range(passes):
+            assert run(trials) == eager
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_each_factor_realized_once(self, suite, monkeypatch):
