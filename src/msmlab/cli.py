@@ -203,6 +203,9 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
                 f"{where}.time.dt = {time['dt']:.3e} exceeds the midpoint contraction "
                 f"bound {limit:.3e} for this grid"
             )
+    if kind == "hasimoto_1d" and round(time["t_final"] / time["dt"]) // opt["store_every"] < 2:
+        raise ConfigError(f"{where}.options.store_every = {opt['store_every']} keeps fewer "
+                          f"than the three snapshots a centered fit needs")
     if kind == "msm_oracle" and opt["dt0"] is not None:
         # Each rung halves dt and doubles n, and the bound falls as 1/n^2,
         # so the finest rung is the tightest.

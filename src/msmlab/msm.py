@@ -187,7 +187,7 @@ def nonlinearity(state: MSMState, terms: tuple[str, ...] = ALL_TERMS, dealias: b
 def _step_strang(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Half linear flow (exact in Fourier), midpoint rule on N, half linear."""
     g = state.grid
-    half = np.exp(-1j * g.k2 * (cfg.dt / 2))
+    half = _propagator_tables(g, cfg.dt)[1]
     v1, v2 = half * g.fft(state.u1), half * g.fft(state.u2)
     n1, n2 = _nonlinearity_hat(state, v1, v2, cfg.terms, cfg.dealias)
     m1, m2 = _nonlinearity_hat(state, v1 + (cfg.dt / 2) * n1, v2 + (cfg.dt / 2) * n2,
@@ -196,11 +196,14 @@ def _step_strang(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
 
 
 @lru_cache(maxsize=8)
-def _etdrk4_tables(grid: Grid2D, dt: float):
-    """Exponential coefficients via the contour-quadrature recipe.
+def _propagator_tables(grid: Grid2D, dt: float):
+    """Linear propagators e^{-i|k|^2 dt}, e^{-i|k|^2 dt/2} and the ETDRK4 coefficients.
 
-    They depend on the mode only through |k|^2, so each is evaluated once
-    per distinct value and scattered back onto the grid.
+    The one home of the linear flow: Strang reads the half step, Picard
+    the full step and ETDRK4 all six tables.  The coefficients come from
+    the contour-quadrature recipe.  They depend on the mode only through
+    |k|^2, so each is evaluated once per distinct value and scattered back
+    onto the grid.
     """
     k2, where = np.unique(grid.k2.ravel(), return_inverse=True)
     lam = -1j * k2 * dt
@@ -221,7 +224,7 @@ def _etdrk4_tables(grid: Grid2D, dt: float):
 
 def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     g = state.grid
-    e, e2, q, f1, f2, f3 = _etdrk4_tables(g, cfg.dt)
+    e, e2, q, f1, f2, f3 = _propagator_tables(g, cfg.dt)
     v1, v2 = g.fft(state.u1), g.fft(state.u2)
 
     n_u = _nonlinearity_hat(state, v1, v2, cfg.terms, cfg.dealias,
@@ -247,7 +250,7 @@ def _step_picard(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     local Lipschitz size; failure raises with the contraction trace.
     """
     g = state.grid
-    prop = np.exp(-1j * g.k2 * cfg.dt)
+    prop = _propagator_tables(g, cfg.dt)[0]
     v1, v2 = g.fft(state.u1), g.fft(state.u2)
     n0 = _nonlinearity_hat(state, v1, v2, cfg.terms, cfg.dealias,
                             (state.u1, state.u2))

@@ -47,11 +47,12 @@ _MODULUS = math.isqrt(MAX_ENUMERATION)
 # length, the eta = 0 soliton vanishes, and a pole distance is a height on
 # the unit sphere, whose south pole is 2.  Each set of a multiplier pair
 # draws up to half of Z_N, and its N^2 values must fit the enumeration budget.
+# The oracle's centered differences need the three snapshots of two steps.
 _RANGES = {
     **dict.fromkeys(("width", "length", "dt", "t_final", "dt0", "t_window", "soliton_length",
                      "eta"), (_TINY, _BIG, "a finite positive number")),
-    **dict.fromkeys(("store_every", "rungs", "steps", "restarts"),
-                    (1, math.inf, "a positive integer")),
+    **dict.fromkeys(("store_every", "rungs", "restarts"), (1, math.inf, "a positive integer")),
+    "steps": (2, math.inf, "an integer >= 2"),
     "distance": (_TINY, 2.0, "a number in (0, 2]"),
     "p": (1.0, 2.0, "a number in [1, 2]"),
     "modulus": (2, _MODULUS, f"an integer in [2, {_MODULUS}]"),

@@ -243,6 +243,3 @@ class Grid2D(PeriodicGrid):
         """Complex gradient (d_x f, d_y f) of the field whose spectrum is fh."""
         return tuple(self.ifft(self._times(1j * k, fh)) for k in self.wavenumbers)
 
-    def dealias(self, f: np.ndarray) -> np.ndarray:
-        return self._apply(self.dealias_mask, f)
-

@@ -26,6 +26,7 @@ alternating maximization from below.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -109,12 +110,12 @@ def unit_window(t) -> np.ndarray:
 class SpaceTimeField:
     """Complex field on (x, y, t), smoothly vanishing at the time seam.
 
-    ``cutoff`` records the one-dimensional window that produced the decay;
-    derived fields (pointwise products) carry the product of their parents'
-    windows.  The time axis must hold a power of two samples and the values
-    at the first and last slice must be below BOUNDARY_TOL relative to the
-    field's sup, so that treating the time axis as periodic is exact to
-    rounding rather than an O(1) lie.
+    A field is one of two things: its samples on its grid (``values``, of
+    shape n x n x nt) or its space-time box (``box``, below); ``nt`` is the
+    last axis of whichever it was built from.  The time axis must hold a
+    power of two samples and the values at the first and last slice must be
+    below BOUNDARY_TOL relative to the field's sup, so that treating the
+    time axis as periodic is exact to rounding rather than an O(1) lie.
 
     ``band``, when known, bounds the spatial frequency indices of the
     continuum field that ``values`` samples (``max(|mx|, |my|) <= band``);
@@ -124,14 +125,13 @@ class SpaceTimeField:
     columns, modes -band..band along each axis in increasing order; every
     other coefficient is zero.
 
-    A field may be built from its box alone (``values=None``).  Its values
-    on its grid are then synthesized from the box the first time they are
-    read and kept; ``nt``, ``hat`` and the weighted norms never read them.
-    The finiteness and seam checks run at construction on the box's time
-    columns c_t instead: the seam values are at most the l1 sum of c_t at
-    the first and last slice, and by Parseval the sup is at least the
-    largest l2 norm of a c_t, so passing with those two bounds implies
-    passing on the values.
+    A field built from its box alone (``values=None``) synthesizes its
+    values on its grid from the box the first time they are read, and keeps
+    them; ``nt`` and the weighted norms never read them.  The finiteness
+    and seam checks run at construction on the box's time columns c_t
+    instead: the seam values are at most the l1 sum of c_t at the first and
+    last slice, and by Parseval the sup is at least the largest l2 norm of
+    a c_t, so passing with those two bounds implies passing on the values.
     """
 
     def __init__(
@@ -139,28 +139,20 @@ class SpaceTimeField:
         grid: Grid2D,
         t_window: float,
         values: np.ndarray | None,
-        cutoff: np.ndarray,
         band: int | None = None,
         box: np.ndarray | None = None,
     ):
-        self.grid, self.t_window, self.cutoff, self.band, self.box = (
-            grid, t_window, cutoff, band, box)
-        if values is None:
-            if box is None:
-                raise ValueError("a field needs its values or its box")
-            nt = cutoff.size
-        else:
-            nt = values.shape[2] if values.ndim == 3 else 0
-            if values.ndim != 3 or values.shape[:2] != grid.shape:
-                raise ValueError(
-                    f"values must have shape {grid.shape + ('nt',)}, got {values.shape}"
-                )
+        self.grid, self.t_window, self.band, self.box = grid, t_window, band, box
+        if values is None and box is None:
+            raise ValueError("a field needs its values or its box")
+        if values is not None and (values.ndim != 3 or values.shape[:2] != grid.shape):
+            raise ValueError(f"values must have shape {grid.shape + ('nt',)}, got {values.shape}")
+        source = box if values is None else values
+        nt = self.nt = source.shape[2] if source.ndim == 3 else 0
         if nt < 2 or nt & (nt - 1):
             raise ValueError(f"time axis must hold a power of two samples, got {nt}")
         if not t_window > 0:
             raise ValueError("t_window must be positive")
-        if cutoff.shape != (nt,):
-            raise ValueError("cutoff must be sampled on the time axis")
         if band is not None and band < 0:
             raise ValueError(f"band must be nonnegative, got {band}")
         if box is not None and (
@@ -195,35 +187,12 @@ class SpaceTimeField:
         return _synthesize(self._columns, self.grid.n)
 
     @property
-    def nt(self) -> int:
-        return self.cutoff.shape[0]
-
-    @property
     def dt(self) -> float:
         return self.t_window / self.nt
 
-    @cached_property
-    def hat(self) -> np.ndarray:
-        """Space-time coefficients, unitary up to the measure L^2 T."""
-        if self.box is None:
-            return np.fft.fftn(self.values) / self.values.size
-        out = np.zeros(self.grid.shape + (self.nt,), dtype=np.complex128)
-        idx = _box_index(self.band, self.grid.n)
-        out[np.ix_(idx, idx)] = self.box
-        return out
-
     def conjugate(self) -> "SpaceTimeField":
-        return SpaceTimeField(
-            grid=self.grid, t_window=self.t_window,
-            values=np.conj(self.values), cutoff=self.cutoff, band=self.band,
-        )
-
-    def _derived(
-        self, values: np.ndarray, cutoff: np.ndarray, band: int | None = None
-    ) -> "SpaceTimeField":
-        return SpaceTimeField(
-            grid=self.grid, t_window=self.t_window, values=values, cutoff=cutoff, band=band,
-        )
+        return SpaceTimeField(grid=self.grid, t_window=self.t_window,
+                              values=np.conj(self.values), band=self.band)
 
 
 def _tau(nt: int, t_window: float) -> np.ndarray:
@@ -265,12 +234,12 @@ def _synthesize(columns: np.ndarray, m: int) -> np.ndarray:
 
 def _product(factors: Sequence[SpaceTimeField], conj: Sequence[bool]) -> SpaceTimeField:
     _compatible(factors)
-    vals = np.conj(factors[0].values) if conj[0] else factors[0].values
-    cut = factors[0].cutoff
+    first = factors[0]
+    vals = np.conj(first.values) if conj[0] else first.values
     for f, c in zip(factors[1:], conj[1:]):
         vals = vals * (np.conj(f.values) if c else f.values)
-        cut = cut * f.cutoff
-    return factors[0]._derived(vals, cut, _band_sum(factors))
+    return SpaceTimeField(grid=first.grid, t_window=first.t_window, values=vals,
+                          band=_band_sum(factors))
 
 
 def _unaliased(
@@ -296,13 +265,13 @@ def _unaliased(
     if m >= grid.n:
         return tuple(fields)
     coarse = Grid2D(n=m, length=grid.length)
-    out = []
-    for f in fields:
-        g = object.__new__(SpaceTimeField)  # f's constructor made the checks
-        vars(g).update(grid=coarse, t_window=f.t_window, cutoff=f.cutoff, band=f.band,
-                       box=f.box, _columns=f._columns)
-        out.append(g)
-    return tuple(out)
+    # Copies keep every attribute, f's checked box and columns among them;
+    # values read on the fine grid are dropped, to be synthesized on the coarse.
+    out = tuple(copy.copy(f) for f in fields)
+    for g in out:
+        g.grid = coarse
+        g.__dict__.pop("values", None)
+    return out
 
 
 def realize_mode_field(
@@ -342,8 +311,8 @@ def realize_mode_field(
     times = np.arange(nt) * (t_window / nt)
     cut = unit_window((times - t_window / 2) / (DELTA_FRAC * t_window))
     columns = np.fft.ifft(box, axis=2) * (nt * cut)
-    return SpaceTimeField(grid=grid, t_window=t_window, values=None, cutoff=cut,
-                          band=band, box=np.fft.fft(columns, axis=2) / nt)
+    return SpaceTimeField(grid=grid, t_window=t_window, values=None, band=band,
+                          box=np.fft.fft(columns, axis=2) / nt)
 
 
 def free_solution_field(
@@ -361,7 +330,7 @@ def free_solution_field(
     cut = unit_window((times - t_window / 2) / delta)
     phases = np.exp(-1j * grid.k2[:, :, None] * times[None, None, :])
     vals = grid.ifft(phases * u0h[:, :, None]) * cut[None, None, :]
-    return SpaceTimeField(grid=grid, t_window=t_window, values=vals, cutoff=cut)
+    return SpaceTimeField(grid=grid, t_window=t_window, values=vals)
 
 
 # -- norms ----------------------------------------------------------------
@@ -394,7 +363,7 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
     measure = u.grid.length**2 * u.t_window
     weight_sq = _weight_sq(u.grid, u.nt, u.t_window, s, b, sign)
     if u.box is None:
-        coef = u.hat
+        coef = np.fft.fftn(u.values) / u.values.size
     else:  # every coefficient outside the box is zero
         idx = _box_index(u.band, u.grid.n)
         coef, weight_sq = u.box, weight_sq[np.ix_(idx, idx)]
@@ -760,8 +729,7 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
         vals += g1y * g2y
         del g1y, g2y
         vals *= u[4].values
-        cut = np.prod([f.cutoff for f in u], axis=0)
-        prod = u[0]._derived(vals, cut, _band_sum(u))
+        prod = SpaceTimeField(grid=grid, t_window=u[0].t_window, values=vals, band=_band_sum(u))
         return xsb_norm(prod, s, b_num, +1) / den
 
     rows = _measure(trials, one)

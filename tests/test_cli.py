@@ -360,10 +360,13 @@ class TestMain:
         (TINY_MULT, {"modulus": 1}, "modulus"),
         (TINY_MULT, {"modulus": 2000}, "modulus"),
         (TINY_LINE, {"soliton_length": -1}, "soliton_length"),
+        # Too few stored snapshots for the centered differences.
+        (DEFAULT_EXPERIMENTS["msm_oracle"], {"steps": 1}, "steps"),
+        (TINY_LINE, {"store_every": 3}, "store_every"),
     ], ids=["evolve-store-every", "msm-store-every", "ratio-eps-text", "hasimoto-eta-text",
             "hasimoto-eta-zero", "ratio-nt", "ratio-cubic-s", "ratio-p", "ratio-space-band",
             "ratio-time-band", "mult-restarts", "mult-modulus-1", "mult-modulus-2000",
-            "hasimoto-soliton-length"])
+            "hasimoto-soliton-length", "oracle-steps-1", "hasimoto-two-snapshots"])
     def test_bad_option_exits_2_before_compute(self, tmp_path, capsys, first, bad, key):
         cfgfile = tmp_path / "run.json"
         second = dict(first, name="second", options={**first.get("options", {}), **bad})

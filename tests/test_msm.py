@@ -124,14 +124,20 @@ class TestStateAndConfig:
 # filtering its quadratic source, as the direct solver does.
 
 
+def _dealiased(g, f: np.ndarray) -> np.ndarray:
+    """f under the grid's two-thirds mask; a real f stays real."""
+    out = g.ifft(g.dealias_mask * g.fft(f))
+    return out if np.iscomplexobj(f) else out.real
+
+
 def _beta(st: MSMState, dealias: bool = True) -> np.ndarray:
     beta = st.grid.ifft(beta_hat(st.grid, st.u1, st.u2, st.sign)).real
-    return st.grid.dealias(beta) if dealias else beta
+    return _dealiased(st.grid, beta) if dealias else beta
 
 
 def _alpha(st: MSMState, dealias: bool = True) -> np.ndarray:
     alpha = st.grid.ifft(alpha_hat(st.grid, st.u1, st.u2, st.sign)).real
-    return st.grid.dealias(alpha) if dealias else alpha
+    return _dealiased(st.grid, alpha) if dealias else alpha
 
 
 def _term_breakdown(st: MSMState, dealias: bool = True) -> dict:
@@ -256,7 +262,7 @@ def _reference_nonlinearity(st: MSMState, terms, dealias: bool):
     Laplacian of its source and alpha the Riesz-form reference.
     """
     g, u1, u2 = st.grid, st.u1, st.u2
-    filt = g.dealias if dealias else (lambda f: f)
+    filt = (lambda f: _dealiased(g, f)) if dealias else (lambda f: f)
     f1 = np.zeros(g.shape, dtype=np.complex128)
     f2 = np.zeros_like(f1)
     beta = filt(g.inverse_laplacian(BETA_COEF * st.sign * np.imag(u1 * np.conj(u2))))

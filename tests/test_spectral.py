@@ -167,7 +167,7 @@ class TestDealias:
         g = Grid2D(n=32, length=2 * np.pi)
         low = np.exp(1j * 3 * g.x)
         high = np.exp(1j * 14 * g.x)
-        out = g.dealias(low + high)
+        out = g.ifft(g.dealias_mask * g.fft(low + high))
         assert np.max(np.abs(out - low)) < 1e-12
 
 
@@ -180,7 +180,7 @@ class TestBroadcasting:
         f = random_complex((g.n, g.n, self.NT), RNG)
         return f.real.copy(), f
 
-    @pytest.mark.parametrize("op", ["dx", "dy", "dealias", "inverse_laplacian"])
+    @pytest.mark.parametrize("op", ["dx", "dy", "inverse_laplacian"])
     def test_stack_equals_slices(self, op):
         g = Grid2D(n=16, length=3.0)
         for f in self.stack(g):
@@ -325,6 +325,15 @@ def test_no_module_reads_the_environment_or_starts_threads():
         assert found is None, f"{path.name}: {found.group(0)}"
 
 
+def test_no_module_bypasses_a_constructor():
+    # An instance filled in attribute by attribute skips its class's checks
+    # and silently drops any attribute the list does not name.
+    banned = re.compile(r"object\.__new__|\bvars\([^)]*\)\.update")
+    for path in sorted(Path(msmlab.__file__).parent.glob("*.py")):
+        found = banned.search(path.read_text())
+        assert found is None, f"{path.name}: {found.group(0)}"
+
+
 # Public names that no package module reads, kept on purpose.
 CONTRACT = {
     # Called by the acceptance tests (Grid2D.y builds their test fields).
@@ -381,7 +390,9 @@ def _reads(node):
 def test_every_public_name_has_a_package_reader():
     # No public function that only a test calls: each public name must be
     # read by package code outside its own definition.  The re-exports of
-    # __init__.py do not count as a reader.
+    # __init__.py do not count as a reader.  Names are matched bare, so a
+    # method that shares its name with an attribute read elsewhere (as
+    # Grid2D.dealias did with SolverConfig.dealias) passes unseen.
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(msmlab.__file__).parent.glob("*.py"))}
     del trees["__init__.py"]

@@ -9,6 +9,7 @@ from msmlab.errors import TooLargeError
 from msmlab.spectral import Grid2D
 from msmlab.storage import format_value
 from msmlab.xsb import (
+    DELTA_FRAC,
     FLAVORS,
     BilinearReport,
     MultiplierSpec,
@@ -56,12 +57,25 @@ def white_field(seed, n=32, nt=64, sb=4, tb=8):
 
 def scaled(f, factor):
     """The field factor * f, built from its box like any realized field."""
-    return SpaceTimeField(grid=f.grid, t_window=f.t_window, values=None, cutoff=f.cutoff,
-                          band=f.band, box=factor * f.box)
+    return SpaceTimeField(grid=f.grid, t_window=f.t_window, values=None, band=f.band,
+                          box=factor * f.box)
 
 
 def sample_times(f):
     return np.arange(f.nt) * (f.t_window / f.nt)
+
+
+def window(f):
+    """The time cutoff a realized field is built with: psi((t - T/2) / (DELTA_FRAC T))."""
+    return unit_window((sample_times(f) - f.t_window / 2) / (DELTA_FRAC * f.t_window))
+
+
+def box_spectrum(f):
+    """The full space-time spectrum a field's box stands for, zero outside the box."""
+    out = np.zeros(f.grid.shape + (f.nt,), dtype=np.complex128)
+    idx = np.arange(-f.band, f.band + 1) % f.grid.n
+    out[np.ix_(idx, idx)] = f.box
+    return out
 
 
 def time_frequencies(f):
@@ -76,11 +90,14 @@ def symmetric_gap(taus, nt, xi2):
     return gap
 
 
-def windowed_mode_norm(f, mode, amp, s, b):
-    """One-mode weighted norm, summed explicitly over the window's spectrum."""
+def windowed_mode_norm(f, cut, mode, amp, s, b):
+    """One-mode weighted norm, summed explicitly over the spectrum of the window cut.
+
+    ``cut`` is sampled on the time axis of f, which is all that f supplies.
+    """
     xi2 = (2 * np.pi / LENGTH) ** 2 * (mode[0] ** 2 + mode[1] ** 2)
     tau_mode = 2 * np.pi * mode[2] / TWIN
-    shifted = np.fft.fft(f.cutoff * np.exp(-1j * tau_mode * sample_times(f))) / f.nt
+    shifted = np.fft.fft(cut * np.exp(-1j * tau_mode * sample_times(f))) / f.nt
     gap = symmetric_gap(time_frequencies(f), f.nt, xi2)
     weight_sq = (1 + gap**2) ** b * (1 + xi2) ** s
     total = np.sum(np.abs(amp * shifted) ** 2 * weight_sq)
@@ -91,28 +108,23 @@ class TestSpaceTimeField:
     def test_time_axis_must_be_power_of_two(self):
         g = grid(16)
         with pytest.raises(ValueError, match="power of two"):
-            SpaceTimeField(grid=g, t_window=TWIN,
-                           values=np.zeros((16, 16, 48), complex), cutoff=np.zeros(48))
+            SpaceTimeField(grid=g, t_window=TWIN, values=np.zeros((16, 16, 48), complex))
 
     def test_shape_validation(self):
         g = grid(16)
         with pytest.raises(ValueError, match="shape"):
-            SpaceTimeField(grid=g, t_window=TWIN,
-                           values=np.zeros((8, 16, 32), complex), cutoff=np.zeros(32))
-        with pytest.raises(ValueError, match="cutoff"):
-            SpaceTimeField(grid=g, t_window=TWIN,
-                           values=np.zeros((16, 16, 32), complex), cutoff=np.zeros(16))
+            SpaceTimeField(grid=g, t_window=TWIN, values=np.zeros((8, 16, 32), complex))
 
     def test_boundary_decay_enforced(self):
         g = grid(16)
         with pytest.raises(ValueError, match="vanish"):
-            SpaceTimeField(grid=g, t_window=TWIN,
-                           values=np.ones((16, 16, 32), complex), cutoff=np.ones(32))
+            SpaceTimeField(grid=g, t_window=TWIN, values=np.ones((16, 16, 32), complex))
 
     def test_tau_spacing_and_sign(self):
         # The time mode e^{-i 2 pi 3 t / T} peaks in the spectrum at tau = 2 pi 3 / T.
         f = realize_mode_field(grid(16), 64, TWIN, {(0, 0, 3): 1.0})
-        peak = int(np.argmax(np.abs(f.hat[0, 0])))
+        spectrum = np.fft.fftn(f.values) / f.values.size
+        peak = int(np.argmax(np.abs(spectrum[0, 0])))
         assert peak == 64 - 3
         assert time_frequencies(f)[peak] == pytest.approx(2 * np.pi * 3 / TWIN)
         assert f.dt == pytest.approx(TWIN / f.nt)
@@ -131,7 +143,7 @@ class TestSpaceTimeField:
     def test_single_mode_weighted_norm(self):
         mode, amp = (2, -1, 3), 1.5 + 0.5j
         f = realize_mode_field(grid(), 64, TWIN, {mode: amp})
-        expected = windowed_mode_norm(f, mode, amp, s=1.0, b=0.51)
+        expected = windowed_mode_norm(f, window(f), mode, amp, s=1.0, b=0.51)
         assert xsb_norm(f, 1.0, 0.51, +1) == pytest.approx(expected, rel=1e-12)
 
     def test_conjugation_is_exact_isometry(self):
@@ -143,8 +155,7 @@ class TestSpaceTimeField:
         )
         rng = np.random.default_rng(9)
         noise = rng.standard_normal((32, 32, 64)) + 1j * rng.standard_normal((32, 32, 64))
-        full = SpaceTimeField(grid=grid(), t_window=TWIN,
-                              values=noise * f.cutoff, cutoff=f.cutoff)
+        full = SpaceTimeField(grid=grid(), t_window=TWIN, values=noise * window(f))
         assert xsb_norm(full.conjugate(), 0.3, 0.6, -1) == pytest.approx(
             xsb_norm(full, 0.3, 0.6, +1), rel=1e-13
         )
@@ -195,8 +206,7 @@ class TestMixedNorm:
         ft = np.exp(-((times - TWIN / 2) ** 2) / (2 * sigma_t**2))
         c = LENGTH / 2
         gx = np.exp(-(((g.x - c) ** 2) + (g.y - c) ** 2) / (2 * sigma**2))
-        f = SpaceTimeField(grid=g, t_window=TWIN,
-                           values=gx[:, :, None] * ft[None, None, :] + 0j, cutoff=ft)
+        f = SpaceTimeField(grid=g, t_window=TWIN, values=gx[:, :, None] * ft[None, None, :] + 0j)
         for p, q in ((2, 2), (4, 2), (3, 1.5)):
             closed = (2 * np.pi * sigma**2 / q) ** (1 / q) * (sigma_t * np.sqrt(2 * np.pi / p)) ** (1 / p)
             assert mixed_norm(f, p, q) == pytest.approx(closed, rel=1e-6)
@@ -289,8 +299,7 @@ class TestCubicRatios:
             ratio_test_cubic(trials, s=0.04, eps=0.01)
 
     def test_zero_member_contributes_zero(self):
-        z = SpaceTimeField(grid=grid(), t_window=TWIN,
-                           values=np.zeros((32, 32, 64), complex), cutoff=np.zeros(64))
+        z = SpaceTimeField(grid=grid(), t_window=TWIN, values=np.zeros((32, 32, 64), complex))
         reports = ratio_test_cubic([Trial(fields=(z, z, z), seed=0, flavor="white")], 1.0, 0.01)
         assert all(r.max_ratio == 0.0 for r in reports)
 
@@ -307,13 +316,12 @@ class TestCubicRatios:
             [Trial(fields=fields, seed=5, flavor="white")], s=1.0, eps=0.01)}
         msum = tuple(m1[i] - m2[i] + m3[i] for i in range(3))
         f0 = fields[0]
-        prod = SpaceTimeField(grid=grid(), t_window=TWIN,
-                              values=np.ones((32, 32, 64)) * f0.cutoff**3, cutoff=f0.cutoff**3)
-        num = windowed_mode_norm(prod, msum, a1 * np.conj(a2) * a3, s=1.0, b=-0.5 + 0.02)
+        cut = window(f0)
+        num = windowed_mode_norm(f0, cut**3, msum, a1 * np.conj(a2) * a3, s=1.0, b=-0.5 + 0.02)
         den = (
-            windowed_mode_norm(fields[0], m1, a1, 1.0, 0.51)
-            * windowed_mode_norm(fields[1], m2, a2, 1.0, 0.51)
-            * windowed_mode_norm(fields[2], m3, a3, 1.0, 0.51)
+            windowed_mode_norm(f0, cut, m1, a1, 1.0, 0.51)
+            * windowed_mode_norm(f0, cut, m2, a2, 1.0, 0.51)
+            * windowed_mode_norm(f0, cut, m3, a3, 1.0, 0.51)
         )
         assert reports["cubic_conj2"].max_ratio == pytest.approx(num / den, rel=1e-10)
 
@@ -392,7 +400,8 @@ class TestNullForm:
 
     def test_zero_dual_field_gives_zero(self):
         t = self.trials(n_trials=1)[0]
-        z = t.fields[3]._derived(np.zeros_like(t.fields[3].values), t.fields[3].cutoff)
+        w = t.fields[3]
+        z = SpaceTimeField(grid=w.grid, t_window=w.t_window, values=np.zeros_like(w.values))
         report = ratio_test_nullform([Trial(fields=t.fields[:3] + (z,), seed=0, flavor="white")], 0.01)
         assert report.ratio.max_ratio == 0.0
 
@@ -428,7 +437,7 @@ class TestBilinearEmbedding:
         f = realize_mode_field(grid(), 64, TWIN, {mode: amp})
         report = bilinear_embedding_test([Trial(fields=(f, f), seed=3, flavor="white")], 2.0, 0.01)
         # |u| is constant in space for one mode, so L^4_t L^4_x factorizes.
-        l44 = abs(amp) * (LENGTH**2) ** 0.25 * (f.dt * np.sum(f.cutoff**4)) ** 0.25
+        l44 = abs(amp) * (LENGTH**2) ** 0.25 * (f.dt * np.sum(window(f) ** 4)) ** 0.25
         expect = l44 / xsb_norm(f, 0.0, 0.51, +1)
         assert report.diagonal.max_ratio == pytest.approx(expect, rel=1e-12)
 
@@ -606,13 +615,13 @@ class TestRealizationFromModeBox:
         }[kind]()
         f = realize_mode_field(grid(n), nt, TWIN, modes)
         full = np.fft.fftn(f.values) / f.values.size
-        assert np.max(np.abs(f.hat - full)) <= 1e-13 * np.max(np.abs(full))
+        assert np.max(np.abs(box_spectrum(f) - full)) <= 1e-13 * np.max(np.abs(full))
         old = ifftn_realization(grid(n), nt, TWIN, modes)
         assert np.max(np.abs(f.values - old)) <= 1e-13 * np.max(np.abs(old))
 
     def test_empty_dict_is_zero_field(self):
         f = realize_mode_field(grid(16), 32, TWIN, {})
-        assert not np.any(f.values) and not np.any(f.hat)
+        assert not np.any(f.values) and not np.any(box_spectrum(f))
 
     def test_cubic_transforms_only_its_products(self, monkeypatch):
         # Three products per trial go through fftn; realized factors know
@@ -839,8 +848,8 @@ def banded_trials(arity, n, n_trials=3, seed=61):
 
 def unbanded(trial):
     """The trial's fields with band and box forgotten: the n-grid path."""
-    fields = tuple(SpaceTimeField(grid=f.grid, t_window=f.t_window, values=f.values,
-                                  cutoff=f.cutoff) for f in trial.fields)
+    fields = tuple(SpaceTimeField(grid=f.grid, t_window=f.t_window, values=f.values)
+                   for f in trial.fields)
     return Trial(fields=fields, seed=trial.seed, flavor=trial.flavor)
 
 
@@ -854,8 +863,7 @@ def n_grid_cubic(trial, s, eps):
                                "cubic_plain": (False, False, False)}.items():
         vals = (u[0].values * (np.conj(u[1].values) if c2 else u[1].values)
                 * (np.conj(u[2].values) if c3 else u[2].values))
-        cut = u[0].cutoff * u[1].cutoff * u[2].cutoff
-        prod = SpaceTimeField(grid=u[0].grid, t_window=TWIN, values=vals, cutoff=cut)
+        prod = SpaceTimeField(grid=u[0].grid, t_window=TWIN, values=vals)
         out[name] = xsb_norm(prod, s, -0.5 + 2 * eps, +1) / den
     return out
 
@@ -868,8 +876,7 @@ def n_grid_quintic(trial, eps):
     g1 = grad_inverse_laplacian(g, u[0].values * np.conj(u[1].values))
     g2 = grad_inverse_laplacian(g, u[2].values * np.conj(u[3].values))
     vals = (g1[0] * g2[0] + g1[1] * g2[1]) * u[4].values
-    cut = np.prod([f.cutoff for f in u], axis=0)
-    prod = SpaceTimeField(grid=g, t_window=TWIN, values=vals, cutoff=cut)
+    prod = SpaceTimeField(grid=g, t_window=TWIN, values=vals)
     return xsb_norm(prod, s, -0.5 + 2 * eps, +1) / den
 
 
@@ -951,21 +958,23 @@ class TestSmallestUnaliasedGrid:
             return realized[-1]
 
         monkeypatch.setattr(xsb, "realize_mode_field", kept)
+        shapes = _record_fft_shapes(monkeypatch)
         run(sample_trials(grid(32), 64, TWIN, arity, 3, seed=63, space_band=2, time_band=10))
         assert len(realized) == 3 * arity
-        assert not any("hat" in f.__dict__ for f in realized)
+        # Only the quintic's band-5B product is transformed on n; the full
+        # spectrum of a realized factor would add a transform of that shape.
+        on_n = [name for name, shape in shapes if shape == (32, 32, 64)]
+        assert on_n == ["fftn"] * (3 if suite == "quintic" else 0)
 
     def test_band_and_box_validated(self):
         f = white_field(8, sb=3)
         assert f.band == 3 and f.box.shape == (7, 7, 64)
         with pytest.raises(ValueError, match="band"):
-            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, cutoff=f.cutoff, band=-1)
+            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, band=-1)
         with pytest.raises(ValueError, match="box"):
-            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, cutoff=f.cutoff,
-                           band=2, box=f.box)
+            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, band=2, box=f.box)
         with pytest.raises(ValueError, match="box"):
-            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, cutoff=f.cutoff,
-                           box=f.box)
+            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, box=f.box)
 
     def test_scaled_and_conjugate_keep_the_band(self):
         f = white_field(9, sb=3)
@@ -973,7 +982,7 @@ class TestSmallestUnaliasedGrid:
         assert g.band == 3 and f.conjugate().band == 3
         np.testing.assert_allclose(g.values, (2 - 1j) * f.values,
                                    atol=1e-13 * np.max(np.abs(f.values)))
-        np.testing.assert_allclose(g.hat, np.fft.fftn(g.values) / g.values.size,
+        np.testing.assert_allclose(box_spectrum(g), np.fft.fftn(g.values) / g.values.size,
                                    atol=1e-13 * np.max(np.abs(g.box)))
 
 
@@ -996,7 +1005,7 @@ class TestSynthesisFromTheBox:
     def test_values_synthesized_once_on_first_read(self, monkeypatch):
         calls = _count_syntheses(monkeypatch)
         f = white_field(70, sb=3)
-        assert f.nt == 64 and f.hat.shape == (32, 32, 64)
+        assert f.nt == 64 and box_spectrum(f).shape == (32, 32, 64)
         xsb_norm(f, 1.0, 0.51)
         assert calls == [] and "values" not in f.__dict__
         first = f.values
@@ -1019,20 +1028,18 @@ class TestSynthesisFromTheBox:
             box = f.box.copy()
             box[1, 2, 3] = modes[(1, -2, 3)]
             with pytest.raises(ValueError, match="non-finite"):
-                SpaceTimeField(grid=f.grid, t_window=TWIN, values=None, cutoff=f.cutoff,
-                               band=f.band, box=box)
+                SpaceTimeField(grid=f.grid, t_window=TWIN, values=None, band=f.band, box=box)
         assert calls == []
 
     def test_band_at_half_the_grid_rejected_before_any_synthesis(self, monkeypatch):
         calls = _count_syntheses(monkeypatch)
-        cut = white_field(72).cutoff
         with pytest.raises(ValueError, match="box"):
-            SpaceTimeField(grid=grid(16), t_window=TWIN, values=None, cutoff=cut[::2],
+            SpaceTimeField(grid=grid(16), t_window=TWIN, values=None,
                            band=8, box=np.zeros((17, 17, 32), complex))
         with pytest.raises(ValueError, match="fit"):
             realize_mode_field(grid(16), 32, TWIN, {(8, 1, 0): 1.0})
         with pytest.raises(ValueError, match="values or its box"):
-            SpaceTimeField(grid=grid(16), t_window=TWIN, values=None, cutoff=cut[::2])
+            SpaceTimeField(grid=grid(16), t_window=TWIN, values=None)
         assert calls == []
 
     def test_seam_check_on_the_box_is_no_weaker(self, monkeypatch):
@@ -1052,12 +1059,17 @@ class TestSynthesisFromTheBox:
         assert [t.flavor for t in trials] == list(FLAVORS)
         for trial in trials:
             fine = trial.fields[0]
+            full = fine.values  # read first: the coarse copy must not keep it
             (coarse,) = _unaliased(trial.fields, lambda bands: 0)
             step = n // coarse.grid.n
             assert step > 1 and coarse.box is fine.box
             # The fine field's checked time columns carry over: no transform is redone.
             assert coarse._columns is fine._columns
-            expect = fine.values[::step, ::step]
+            # Every other attribute carries over too; only the grid and the values differ.
+            assert set(vars(coarse)) == set(vars(fine)) - {"values"}
+            assert all(vars(coarse)[k] is v for k, v in vars(fine).items()
+                       if k not in ("grid", "values"))
+            expect = full[::step, ::step]
             assert np.max(np.abs(coarse.values - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_quintic_runs_no_two_dimensional_transform_on_the_fine_grid(self, monkeypatch):
