@@ -148,8 +148,10 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError(f"{where}: unknown kind {kind!r} (one of {sorted(KINDS)})")
     name = raw.get("name", f"{kind}-{index}")
-    if not isinstance(name, str) or not name or "/" in name:
-        raise ConfigError(f"{where}.name must be a nonempty string without '/'")
+    if (not isinstance(name, str) or name in ("", ".", "..", "manifest.json")
+            or any(c in name for c in "/\\\0")):
+        raise ConfigError(f"{where}.name must be one plain path component other than "
+                          f"'manifest.json', got {name!r}")
     where = f"experiment {index} ({name})"
     seed = raw.get("seed", 0)
     check_params({"seed": 0}, {"seed": seed}, lambda key: f"{where}.seed")
@@ -504,7 +506,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             try:
                 raw = json.loads(Path(args.config).read_text())
-            except OSError as err:
+            except (OSError, UnicodeDecodeError) as err:
                 raise ConfigError(f"cannot read config: {err}") from err
             except json.JSONDecodeError as err:
                 raise ConfigError(f"config is not valid JSON: {err}") from err
@@ -519,6 +521,7 @@ def main(argv=None) -> int:
                 "experiments": [DEFAULT_EXPERIMENTS[kind]],
             })
         if args.seed is not None:
+            check_params({"seed": 0}, {"seed": args.seed}, lambda key: "--seed")
             selected = [replace(e, seed=args.seed) for e in selected]
         manifest = run_experiments(selected, args.out)
     except ConfigError as err:

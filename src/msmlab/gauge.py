@@ -59,7 +59,6 @@ from .spectral import Grid1D, Grid2D
 __all__ = [
     "GaugeState",
     "ConsistencyReport",
-    "b_fields",
     "build_gauge_state",
     "verify_consistency",
     "beta_hat",
@@ -121,21 +120,19 @@ class GaugeState:
         return float(np.mean(self.a1)), float(np.mean(self.a2))
 
 
-def b_fields(mf: MapField) -> tuple[np.ndarray, np.ndarray]:
-    """Raw derivative fields b_j = d_j w / (1 + |w|^2)."""
+def _chart_fields(mf: MapField) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Raw derivative fields b_j = d_j w / (1 + |w|^2) and m_j = 2 Im(conj(b_j) w), per axis."""
     w = mf.stereo()
     rho = 1.0 + np.abs(w) ** 2
-    return mf.grid.dx(w) / rho, mf.grid.dy(w) / rho
+    b = tuple(d / rho for d in mf.grid.gradient(w))
+    return b, tuple(2.0 * np.imag(np.conj(bj) * w) for bj in b)
 
 
 def build_gauge_state(mf: MapField) -> GaugeState:
     if mf.target is not Target.SPHERE:
         raise ValueError("gauge transform is defined through the sphere chart")
     grid = mf.grid
-    w = mf.stereo()
-    b1, b2 = b_fields(mf)
-    m1 = 2.0 * np.imag(np.conj(b1) * w)
-    m2 = 2.0 * np.imag(np.conj(b2) * w)
+    (b1, b2), (m1, m2) = _chart_fields(mf)
     psi = grid.inverse_laplacian(grid.dx(m1) + grid.dy(m2))
     phase = np.exp(1j * psi)
     u1, u2 = phase * b1, phase * b2
@@ -173,10 +170,10 @@ def verify_consistency(gs: GaugeState) -> ConsistencyReport:
     div = d1a1 + d2a2
     r_div = _relative(g.norm2(div), max(g.norm2(d1a1), g.norm2(d2a2)))
 
-    tor = (g.dx(gs.u2) + 1j * gs.a1 * gs.u2) - (g.dy(gs.u1) + 1j * gs.a2 * gs.u1)
+    d1u2, d2u1 = g.dx(gs.u2), g.dy(gs.u1)
+    tor = (d1u2 + 1j * gs.a1 * gs.u2) - (d2u1 + 1j * gs.a2 * gs.u1)
     tor_scale = max(
-        g.norm2(g.dx(gs.u2)), g.norm2(g.dy(gs.u1)),
-        g.norm2(gs.a1 * gs.u2), g.norm2(gs.a2 * gs.u1),
+        g.norm2(d1u2), g.norm2(d2u1), g.norm2(gs.a1 * gs.u2), g.norm2(gs.a2 * gs.u1),
     )
     r_tor = _relative(g.norm2(tor), tor_scale)
 
@@ -206,12 +203,8 @@ def hasimoto_1d(mf: MapField) -> np.ndarray:
     """
     if mf.grid.dim != 1:
         raise ValueError("hasimoto_1d expects a map on a 1-D grid")
-    grid = mf.grid
-    w = mf.stereo()
-    rho = 1.0 + np.abs(w) ** 2
-    b = grid.dx(w) / rho
-    m = 2.0 * np.imag(np.conj(b) * w)
-    psi = grid.antiderivative_zero_mean(m)
+    (b,), (m,) = _chart_fields(mf)
+    psi = mf.grid.antiderivative_zero_mean(m)
     return np.exp(1j * psi) * b
 
 

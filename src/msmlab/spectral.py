@@ -115,6 +115,9 @@ class PeriodicGrid:
             return self._apply(-self.k2, f)
         return self.irfft(self._times(self._half_laplacian_symbol, self.rfft(f)))
 
+    def dx(self, f: np.ndarray) -> np.ndarray:
+        return self._apply(1j * self.wavenumbers[0], f)
+
     def gradient(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """The derivatives of f along each axis, in axis order."""
         return tuple(self._apply(1j * k, f) for k in self.wavenumbers)
@@ -159,9 +162,6 @@ class Grid1D(PeriodicGrid):
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.irfft(fh, n=self.n, axis=0)
-
-    def dx(self, f: np.ndarray) -> np.ndarray:
-        return self._apply(1j * self.k, f)
 
     def antiderivative_zero_mean(self, f: np.ndarray) -> np.ndarray:
         """Zero-mean solution of g' = f - mean(f)."""
@@ -228,9 +228,6 @@ class Grid2D(PeriodicGrid):
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(fh, s=self.shape, axes=(0, 1))
-
-    def dx(self, f: np.ndarray) -> np.ndarray:
-        return self._apply(1j * self.kx, f)
 
     def dy(self, f: np.ndarray) -> np.ndarray:
         return self._apply(1j * self.ky, f)

@@ -318,7 +318,28 @@ class TestMain:
         wrong = tmp_path / "wrong.json"
         wrong.write_text(json.dumps({"version": 3, "experiments": []}))
         assert main(["msm", "--config", str(wrong)]) == 2
+        undecodable = tmp_path / "utf16.json"
+        undecodable.write_bytes(b"\xff\xfe{}")
+        assert main(["msm", "--config", str(undecodable)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["multipliers", "ratios"])
+    def test_negative_seed_flag_exits_2_before_compute(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert "config error: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [".", "..", "manifest.json", "a/b", "a\\b", "a\0b"],
+                             ids=["dot", "dot-dot", "manifest", "slash", "backslash", "nul"])
+    def test_name_not_one_plain_component_exits_2_before_compute(self, tmp_path, capsys, name):
+        # The run directory holds only the config: nothing is written in or above --out.
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(wrap(dict(TINY_MULT, name=name))))
+        assert main(["multipliers", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and ".name must be one plain path component" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_bad_grid_in_later_experiment_exits_2_before_compute(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"

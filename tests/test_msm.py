@@ -12,7 +12,7 @@ from msmlab.conventions import (
     IM_CUBIC_COEF,
 )
 from msmlab.errors import ConfigError, PicardDivergedError, SolverBlowupError
-from msmlab.gauge import alpha_hat, beta_hat, build_gauge_state
+from msmlab.gauge import alpha_hat, beta_hat, build_gauge_state, verify_consistency
 from msmlab.maps import MapField, evolve as evolve_map, max_stable_dt
 from msmlab.msm import (
     ALL_TERMS,
@@ -140,9 +140,16 @@ def _alpha(st: MSMState, dealias: bool = True) -> np.ndarray:
     return _dealiased(st.grid, alpha) if dealias else alpha
 
 
+def physical_nonlinearity(st: MSMState, terms=ALL_TERMS, dealias: bool = True):
+    """The selected terms in physical space: fft, the spectral assembly, ifft."""
+    g = st.grid
+    h1, h2 = nonlinearity(st, g.fft(st.u1), g.fft(st.u2), terms, dealias, (st.u1, st.u2))
+    return g.ifft(h1), g.ifft(h2)
+
+
 def _term_breakdown(st: MSMState, dealias: bool = True) -> dict:
     """Each nonlinearity class evaluated on its own."""
-    return {t: nonlinearity(st, terms=(t,), dealias=dealias) for t in ALL_TERMS}
+    return {t: physical_nonlinearity(st, terms=(t,), dealias=dealias) for t in ALL_TERMS}
 
 
 class TestPotentials:
@@ -188,7 +195,7 @@ class TestPotentials:
 class TestNonlinearity:
     def test_zero_state_zero_nonlinearity(self):
         st = MSMState.zero(Grid2D(n=16, length=1.0))
-        f1, f2 = nonlinearity(st)
+        f1, f2 = physical_nonlinearity(st)
         assert np.all(f1 == 0) and np.all(f2 == 0)
 
     def test_parallel_fields_kill_transport_and_quintic(self):
@@ -204,7 +211,7 @@ class TestNonlinearity:
     def test_breakdown_sums_to_full(self):
         st = bandlimited_state(32, 2 * np.pi, 0.8, 4, seed=8)
         parts = _term_breakdown(st)
-        f1, f2 = nonlinearity(st)
+        f1, f2 = physical_nonlinearity(st)
         s1 = sum(parts[t][0] for t in ALL_TERMS)
         s2 = sum(parts[t][1] for t in ALL_TERMS)
         np.testing.assert_allclose(f1, s1, atol=1e-13)
@@ -230,7 +237,7 @@ class TestNonlinearity:
         errs = {}
         for n in (32, 64, 128):
             st = bandlimited_state(n, 2 * np.pi, 0.8, 3, seed=21)
-            f_spec = nonlinearity(st, dealias=False)
+            f_spec = physical_nonlinearity(st, dealias=False)
             f_fd = _finite_difference_nonlinearity(st)
             g = st.grid
             num = np.hypot(g.norm2(f_spec[0] - f_fd[0]), g.norm2(f_spec[1] - f_fd[1]))
@@ -249,7 +256,7 @@ class TestNonlinearity:
         st = bandlimited_state(n, 2 * np.pi, 0.8, 7, seed=30, sign=sign)
         g = st.grid
         for terms in [(t,) for t in ALL_TERMS] + [ALL_TERMS]:
-            f1, f2 = nonlinearity(st, terms=terms, dealias=dealias)
+            f1, f2 = physical_nonlinearity(st, terms=terms, dealias=dealias)
             r1, r2 = _reference_nonlinearity(st, terms, dealias)
             num = np.hypot(g.norm2(f1 - r1), g.norm2(f2 - r2))
             assert num < 1e-13 * np.hypot(g.norm2(r1), g.norm2(r2)), terms
@@ -445,6 +452,32 @@ class TestTransformCounts:
         step(st, cfg)
         assert count[0] == per_step
 
+    @pytest.mark.parametrize("scheme,calls", [
+        ("etd_rk4", 4), ("strang_split", 2), ("picard_duhamel", None),
+    ])
+    def test_steppers_call_the_module_nonlinearity(self, monkeypatch, scheme, calls):
+        # The steppers look nonlinearity up on the module at each call, so a
+        # wrapper bound there, as by a tracer, sees every evaluation.
+        from msmlab import msm
+
+        seen = [0]
+        core = msm.nonlinearity
+
+        def counted(*args, **kwargs):
+            seen[0] += 1
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(msm, "nonlinearity", counted)
+        st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
+        count = _count_2d_transforms(monkeypatch)
+        step(st, SolverConfig(dt=1e-3, t_final=1e-3, scheme=scheme))
+        if calls is None:
+            # Picard: one evaluation on the data, then one per iteration.
+            iterations = (count[0] - 17) // 15
+            assert iterations >= 1
+            calls = 1 + iterations
+        assert seen[0] == calls
+
     def test_picard_costs_fifteen_per_iteration(self, monkeypatch):
         st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
         count = _count_2d_transforms(monkeypatch)
@@ -456,11 +489,11 @@ class TestTransformCounts:
         (("null",), 13), (ALL_TERMS, 17),
     ])
     def test_unselected_terms_cost_nothing(self, monkeypatch, terms, total):
-        # nonlinearity() adds 2 forward and 2 inverse transforms around the
-        # Fourier-space assembly.
+        # physical_nonlinearity adds 2 forward and 2 inverse transforms
+        # around the Fourier-space assembly.
         st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
         count = _count_2d_transforms(monkeypatch)
-        nonlinearity(st, terms=terms)
+        physical_nonlinearity(st, terms=terms)
         assert count[0] == total
 
     def test_gauge_build_costs_eighteen(self, monkeypatch):
@@ -470,6 +503,13 @@ class TestTransformCounts:
         count = _count_2d_transforms(monkeypatch)
         build_gauge_state(mf)
         assert count[0] == 18
+
+    def test_verify_costs_twelve(self, monkeypatch):
+        # Six derivatives, one forward and one inverse transform each.
+        gs = build_gauge_state(bump_map(32))
+        count = _count_2d_transforms(monkeypatch)
+        verify_consistency(gs)
+        assert count[0] == 12
 
     def test_map_step_costs_six_per_evaluation(self, monkeypatch):
         # One real pair on the three stacked components per right-hand side.

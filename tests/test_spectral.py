@@ -341,8 +341,6 @@ CONTRACT = {
     "regularity_persistence_test", "scaling_invariance_test", "y",
     # The readers of the package's own .msmf artifacts.
     "load_map_field", "load_msm_state",
-    # Wrapped by the benchmark's tracer; the steppers call its private core.
-    "nonlinearity",
     # Acceptance 06 measures the conjugate family through it.
     "conjugate",
 }
