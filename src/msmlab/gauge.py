@@ -30,10 +30,11 @@ The time-direction potential ``a_0`` solves
               + ALPHA_DIAG_COEF * lap(|u_1|^2 + |u_2|^2)),
 
 normalized to zero mean.  It and the stream potential beta are assembled
-once, in Fourier space (:func:`alpha_hat`, :func:`beta_hat`); the MSM solver
-filters the same two spectra, so the trajectory oracle checks the potentials
-the solver uses.  The independent reference, the same right side through
-iterated Riesz transforms, lives in the tests.
+once, as half spectra of the real transform pair (:func:`alpha_hat`,
+:func:`beta_hat`); the MSM solver filters the same two spectra, so the
+trajectory oracle checks the potentials the solver uses.  The independent
+reference, the same right side through iterated Riesz transforms, lives in
+the tests.
 
 The 1-D reduction :func:`hasimoto_1d` maps a closed-curve map to a complex
 field solving the focusing cubic NLS; see :mod:`msmlab.conventions` for
@@ -74,28 +75,32 @@ __all__ = [
 
 
 def beta_hat(grid: Grid2D, u1: np.ndarray, u2: np.ndarray, sign: float) -> np.ndarray:
-    """Spectrum of the stream potential: lap beta = BETA_COEF * sign * Im(u1 conj(u2)).
+    """Half spectrum of the stream potential: lap beta = BETA_COEF * sign * Im(u1 conj(u2)).
 
-    The zero mode of the source is dropped, so beta has zero mean.  Stacks of
-    fields are solved slice by slice, as by every :class:`Grid2D` operator.
+    beta is real, so this is its ``grid.rfft`` spectrum; ``grid.irfft`` and
+    ``grid.real_grad_from_hat`` read it.  The zero mode of the source is
+    dropped, so beta has zero mean.  Stacks of fields are solved slice by
+    slice, as by every :class:`Grid2D` operator.
     """
-    src_hat = grid.fft(np.imag(u1 * np.conj(u2)))
-    return grid._times((BETA_COEF * sign) * grid.inverse_laplacian_symbol, src_hat)
+    src_hat = grid.rfft(np.imag(u1 * np.conj(u2)))
+    return grid._times((BETA_COEF * sign) * grid.half_inverse_laplacian_symbol, src_hat)
 
 
 def alpha_hat(grid: Grid2D, u1: np.ndarray, u2: np.ndarray, sign: float) -> np.ndarray:
-    """Spectrum of the zero-mean scalar potential of the time component.
+    """Half spectrum of the zero-mean scalar potential of the time component.
 
-    The mixed derivatives become the symbols -k_k k_j on the spectra of
-    Re(u_k conj(u_j)).  On the unpaired Nyquist lines k_x k_y is odd, so the
-    inverse transform is not real there; the potential is its real part, as
-    for the real part of d_k d_j in physical space.
+    The potential is real, so this is its ``grid.rfft`` spectrum.  The mixed
+    derivatives become the symbols -k_k k_j on the half spectra of
+    Re(u_k conj(u_j)).  On the unpaired Nyquist lines k_x k_y is odd and
+    would make the potential complex; ``grid.half_mixed_symbol`` drops it
+    there, as the real part of d_x d_y does in physical space.
     """
-    p1, p2 = grid.fft(np.abs(u1) ** 2), grid.fft(np.abs(u2) ** 2)
-    cross_hat = grid.fft(np.real(u1 * np.conj(u2)))
-    mixed = grid.kx**2 * p1 + 2.0 * grid.kx * grid.ky * cross_hat + grid.ky**2 * p2
-    rhs = -ALPHA_MIXED_COEF * mixed - ALPHA_DIAG_COEF * grid.k2 * (p1 + p2)
-    return (sign * grid.inverse_laplacian_symbol) * rhs
+    p1, p2 = grid.rfft(np.abs(u1) ** 2), grid.rfft(np.abs(u2) ** 2)
+    cross_hat = grid.rfft(np.real(u1 * np.conj(u2)))
+    kx2, ky2 = (k**2 for k in grid.half_wavenumbers)
+    mixed = kx2 * p1 + 2.0 * grid.half_mixed_symbol * cross_hat + ky2 * p2
+    rhs = -ALPHA_MIXED_COEF * mixed - ALPHA_DIAG_COEF * (kx2 + ky2) * (p1 + p2)
+    return (sign * grid.half_inverse_laplacian_symbol) * rhs
 
 
 # -- gauge construction -----------------------------------------------------
@@ -138,7 +143,7 @@ def build_gauge_state(mf: MapField) -> GaugeState:
     u1, u2 = phase * b1, phase * b2
     a1, a2 = m1 - grid.dx(psi), m2 - grid.dy(psi)
     sign = mf.target.sign
-    a0 = grid.ifft(alpha_hat(grid, u1, u2, sign)).real
+    a0 = grid.irfft(alpha_hat(grid, u1, u2, sign))
     return GaugeState(grid=grid, sign=sign, u1=u1, u2=u2, a1=a1, a2=a2, a0=a0, psi=psi)
 
 

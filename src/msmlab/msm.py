@@ -19,7 +19,9 @@ pinned.
 of the selected terms; the steppers call it through this module's global
 name.  It is assembled in Fourier space in 15 2-D transforms (13 when the
 physical fields are at hand), so a step costs 62 with ETDRK4, 34 with
-Strang splitting and 17 plus 15 per iteration with Picard.
+Strang splitting and 17 plus 15 per iteration with Picard.  Seven of the
+15 act on real fields and use the real pair: the four potential sources go
+forward, and d_x beta, d_y beta and alpha come back.
 
 As a standalone PDE on the torus the potentials are normalized to zero
 mean and the connection carries no constant part.  Gauge transforms of
@@ -154,10 +156,10 @@ def nonlinearity(state: MSMState, v1, v2, terms=ALL_TERMS, dealias=True, fields=
     if not set(terms) & set(ALL_TERMS):
         return np.zeros_like(v1), np.zeros_like(v2)
     u1, u2 = fields if fields is not None else (g.ifft(v1), g.ifft(v2))
-    mask = g.dealias_mask if dealias else 1.0
+    mask, half_mask = (g.dealias_mask, g.half_dealias_mask) if dealias else (1.0, 1.0)
     f1 = f2 = pot = coupling = 0.0
     if TERM_NULL in terms or TERM_QUINTIC in terms:
-        bx, by = (d.real for d in g.grad_from_hat(mask * beta_hat(g, u1, u2, sign)))
+        bx, by = g.real_grad_from_hat(half_mask * beta_hat(g, u1, u2, sign))
     if TERM_NULL in terms:
         (d1x, d1y), (d2x, d2y) = g.grad_from_hat(v1), g.grad_from_hat(v2)
         f1 = 2.0 * (bx * d1y - by * d1x)
@@ -165,7 +167,7 @@ def nonlinearity(state: MSMState, v1, v2, terms=ALL_TERMS, dealias=True, fields=
     if TERM_QUINTIC in terms:
         pot = bx**2 + by**2
     if TERM_ALPHA_CUBIC in terms:
-        pot = pot + g.ifft(mask * alpha_hat(g, u1, u2, sign)).real
+        pot = pot + g.irfft(half_mask * alpha_hat(g, u1, u2, sign))
     if TERM_IM_CUBIC in terms:
         coupling = (IM_CUBIC_COEF * sign) * np.imag(u1 * np.conj(u2))
     return (mask * g.fft(f1 - 1j * pot * u1 - coupling * u2),

@@ -4,10 +4,10 @@
 coordinates, wavenumbers, the Laplacian, the gradient, the norms and the
 quadrature integral are written once, so callers never ask which grid class
 they hold.  :class:`Grid1D` and :class:`Grid2D` fix ``dim`` and their numpy
-transform pair; :class:`Grid2D` adds the zero-mean inverse Laplacian and
-dealiasing.  There are no Riesz transforms and no dyadic (Littlewood-Paley)
-projections: the gauge potentials are assembled from the inverse Laplacian
-alone.
+transform pair; :class:`Grid2D` adds the zero-mean inverse Laplacian,
+dealiasing and the half-spectrum symbols of real fields.  There are no Riesz
+transforms and no dyadic (Littlewood-Paley) projections: the gauge
+potentials are assembled from the inverse Laplacian alone.
 
 Discrete norms approximate their continuum counterparts: ``norm2`` carries
 the quadrature weight ``(L/n)^d`` so that Plancherel holds exactly between
@@ -23,10 +23,17 @@ Besides the complex pair ``fft``/``ifft`` each grid has a real pair
 ``rfft``/``irfft`` on the half spectrum (the last transformed axis keeps
 ``n // 2 + 1`` modes).  :meth:`PeriodicGrid.laplacian` sends real fields
 through it: the symbol ``-|k|^2`` is real and even, so the result equals the
-complex path up to rounding at half the transform work.  Complex fields, and
-every odd multiplier, keep the complex pair.  The real pair follows the
-memory layout of its input, so a stack whose trailing index is the slowest
-in memory is transformed one contiguous plane at a time.
+complex path up to rounding at half the transform work.  The real gauge
+potentials live on the half spectrum too, and
+:meth:`Grid2D.real_grad_from_hat` differentiates them.  An odd symbol is not
+even on an unpaired Nyquist line (there ``-k = k``), so the real part of the
+complex path drops it there: the half-spectrum symbols of ``i k_x`` and
+``i k_y`` are zero on their Nyquist lines, and ``k_x k_y`` is zero on both
+except at the ``(n/2, n/2)`` corner.  With that rule the real pair equals
+the real part of the complex pair up to rounding.  Complex fields keep the
+complex pair.  The real pair follows the memory layout of its input, so a
+stack whose trailing index is the slowest in memory is transformed one
+contiguous plane at a time.
 
 Grids are immutable; derived arrays, including the multipliers, are computed
 once and cached.
@@ -96,10 +103,14 @@ class PeriodicGrid:
     def k2(self) -> np.ndarray:
         return sum(k**2 for k in self.wavenumbers)
 
+    def _half(self, symbol: np.ndarray) -> np.ndarray:
+        """A grid-shaped symbol restricted to the half spectrum of the real pair."""
+        return np.ascontiguousarray(symbol[..., : self.n // 2 + 1])
+
     @cached_property
     def _half_laplacian_symbol(self) -> np.ndarray:
         """-|k|^2 on the half spectrum of the real transform pair."""
-        return np.ascontiguousarray(-self.k2[..., : self.n // 2 + 1])
+        return self._half(-self.k2)
 
     # -- Fourier multipliers -----------------------------------------------
 
@@ -215,6 +226,37 @@ class Grid2D(PeriodicGrid):
         out[nz] = 1.0 / -self.k2[nz]
         return out
 
+    # -- symbols on the half spectrum of real fields -----------------------
+
+    @cached_property
+    def half_wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
+        """k_x as an (n, 1) column and k_y as a (1, n/2 + 1) row of the half spectrum."""
+        return self._half(self.kx[:, :1]), self._half(self.ky[:1])
+
+    @cached_property
+    def half_mixed_symbol(self) -> np.ndarray:
+        """k_x k_y on the half spectrum, zero on both Nyquist lines but their corner."""
+        h = self.n // 2
+        kx, ky = self.half_wavenumbers
+        out = kx * ky
+        out[h, :h] = out[:h, h] = out[h + 1 :, h] = 0.0
+        return out
+
+    @cached_property
+    def _half_gradient_symbols(self) -> tuple[np.ndarray, np.ndarray]:
+        """i k_x and i k_y on the half spectrum, each zero on its Nyquist line."""
+        ikx, iky = (1j * k for k in self.half_wavenumbers)
+        ikx[self.n // 2] = iky[0, -1] = 0.0
+        return ikx, iky
+
+    @cached_property
+    def half_inverse_laplacian_symbol(self) -> np.ndarray:
+        return self._half(self.inverse_laplacian_symbol)
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        return self._half(self.dealias_mask)
+
     # -- transforms and derivatives --------------------------------------
 
     def fft(self, f: np.ndarray) -> np.ndarray:
@@ -239,4 +281,11 @@ class Grid2D(PeriodicGrid):
     def grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complex gradient (d_x f, d_y f) of the field whose spectrum is fh."""
         return tuple(self.ifft(self._times(1j * k, fh)) for k in self.wavenumbers)
+
+    def real_grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real gradient (d_x f, d_y f) of the real field whose half spectrum is fh.
+
+        Each component goes through its own inverse real transform.
+        """
+        return tuple(self.irfft(self._times(s, fh)) for s in self._half_gradient_symbols)
 

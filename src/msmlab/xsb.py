@@ -750,8 +750,7 @@ def _nullform_values(trial: Trial) -> tuple[complex, complex]:
     u1, u2, u3, w = _unaliased(trial.fields, lambda b: max(sum(b), 2 * (b[0] + b[1])))
     grid = u1.grid
     # Stream potential of the pair (u1, u2), slicewise in time.
-    beta_x, beta_y = (d.real for d in grid.grad_from_hat(
-        beta_hat(grid, u1.values, u2.values, 1.0)))
+    beta_x, beta_y = grid.real_grad_from_hat(beta_hat(grid, u1.values, u2.values, 1.0))
     u3_x, u3_y = grid.grad_from_hat(grid.fft(u3.values))
     w_x, w_y = grid.grad_from_hat(grid.fft(w.values))
     measure = grid.spacing**2 * u1.dt

@@ -1,5 +1,6 @@
 """Derivative-field system: assembly, stepping, oracle, invariance."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -131,12 +132,12 @@ def _dealiased(g, f: np.ndarray) -> np.ndarray:
 
 
 def _beta(st: MSMState, dealias: bool = True) -> np.ndarray:
-    beta = st.grid.ifft(beta_hat(st.grid, st.u1, st.u2, st.sign)).real
+    beta = st.grid.irfft(beta_hat(st.grid, st.u1, st.u2, st.sign))
     return _dealiased(st.grid, beta) if dealias else beta
 
 
 def _alpha(st: MSMState, dealias: bool = True) -> np.ndarray:
-    alpha = st.grid.ifft(alpha_hat(st.grid, st.u1, st.u2, st.sign)).real
+    alpha = st.grid.irfft(alpha_hat(st.grid, st.u1, st.u2, st.sign))
     return _dealiased(st.grid, alpha) if dealias else alpha
 
 
@@ -249,11 +250,16 @@ class TestNonlinearity:
 
     @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("n", [32, 64])
-    def test_fourier_assembly_matches_physical_reference(self, n, sign, dealias):
+    @pytest.mark.parametrize("n,band", [
+        pytest.param(32, 7, id="32"), pytest.param(64, 7, id="64"),
+        pytest.param(32, 16, id="32-band16"),
+    ])
+    def test_fourier_assembly_matches_physical_reference(self, n, band, sign, dealias):
         # Band 7 puts the quadratic products past the n=32 dealias edge, so
         # the filter placement is exercised, not just the band-limited case.
-        st = bandlimited_state(n, 2 * np.pi, 0.8, 7, seed=30, sign=sign)
+        # Band n/2 fills the Nyquist lines, where the real potentials drop
+        # the odd symbols i k_x, i k_y and keep only the corner of k_x k_y.
+        st = bandlimited_state(n, 2 * np.pi, 0.8, band, seed=30, sign=sign)
         g = st.grid
         for terms in [(t,) for t in ALL_TERMS] + [ALL_TERMS]:
             f1, f2 = physical_nonlinearity(st, terms=terms, dealias=dealias)
@@ -427,16 +433,19 @@ class TestStepping:
         assert lone.value.step is None
 
 
-def _count_2d_transforms(monkeypatch) -> list[int]:
-    """Patch numpy's complex and real 2-D transforms to count every transformed slice."""
-    count = [0]
+def _count_2d_transforms(monkeypatch) -> Counter:
+    """Patch numpy's complex and real 2-D transforms to count every transformed slice.
+
+    The counter is keyed by transform name; ``total()`` is the slice count.
+    """
+    count = Counter()
     for name in ("fft2", "ifft2", "rfft2", "irfft2"):
         original = getattr(np.fft, name)
 
-        def counted(a, *args, original=original, **kwargs):
+        def counted(a, *args, name=name, original=original, **kwargs):
             ax = kwargs.get("axes", (-2, -1))
             a = np.asarray(a)
-            count[0] += a.size // (a.shape[ax[0]] * a.shape[ax[1]])
+            count[name] += a.size // (a.shape[ax[0]] * a.shape[ax[1]])
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -450,7 +459,7 @@ class TestTransformCounts:
         cfg = SolverConfig(dt=1e-3, t_final=1e-3, scheme=scheme)
         count = _count_2d_transforms(monkeypatch)
         step(st, cfg)
-        assert count[0] == per_step
+        assert count.total() == per_step
 
     @pytest.mark.parametrize("scheme,calls", [
         ("etd_rk4", 4), ("strang_split", 2), ("picard_duhamel", None),
@@ -473,7 +482,7 @@ class TestTransformCounts:
         step(st, SolverConfig(dt=1e-3, t_final=1e-3, scheme=scheme))
         if calls is None:
             # Picard: one evaluation on the data, then one per iteration.
-            iterations = (count[0] - 17) // 15
+            iterations = (count.total() - 17) // 15
             assert iterations >= 1
             calls = 1 + iterations
         assert seen[0] == calls
@@ -482,7 +491,7 @@ class TestTransformCounts:
         st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
         count = _count_2d_transforms(monkeypatch)
         step(st, SolverConfig(dt=1e-3, t_final=1e-3, scheme="picard_duhamel"))
-        assert count[0] > 17 and (count[0] - 17) % 15 == 0
+        assert count.total() > 17 and (count.total() - 17) % 15 == 0
 
     @pytest.mark.parametrize("terms,total", [
         ((), 4), (("im_cubic",), 6), (("quintic",), 9), (("alpha_cubic",), 10),
@@ -494,7 +503,7 @@ class TestTransformCounts:
         st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
         count = _count_2d_transforms(monkeypatch)
         physical_nonlinearity(st, terms=terms)
-        assert count[0] == total
+        assert count.total() == total
 
     def test_gauge_build_costs_eighteen(self, monkeypatch):
         # b_j: 4, psi: 6, a_j: 4, and one forward per alpha source plus
@@ -502,14 +511,27 @@ class TestTransformCounts:
         mf = bump_map(32)
         count = _count_2d_transforms(monkeypatch)
         build_gauge_state(mf)
-        assert count[0] == 18
+        assert count.total() == 18
+
+    def test_real_potentials_take_the_real_pair(self, monkeypatch):
+        # The beta source and the three alpha sources go forward through
+        # rfft2; d_x beta, d_y beta and alpha (a0) come back through irfft2.
+        st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
+        v1, v2 = st.grid.fft(st.u1), st.grid.fft(st.u2)
+        mf = bump_map(32)
+        count = _count_2d_transforms(monkeypatch)
+        nonlinearity(st, v1, v2)
+        assert count == Counter(rfft2=4, irfft2=3, fft2=2, ifft2=6)
+        count.clear()
+        build_gauge_state(mf)
+        assert count == Counter(rfft2=3, irfft2=1, fft2=7, ifft2=7)
 
     def test_verify_costs_twelve(self, monkeypatch):
         # Six derivatives, one forward and one inverse transform each.
         gs = build_gauge_state(bump_map(32))
         count = _count_2d_transforms(monkeypatch)
         verify_consistency(gs)
-        assert count[0] == 12
+        assert count.total() == 12
 
     def test_map_step_costs_six_per_evaluation(self, monkeypatch):
         # One real pair on the three stacked components per right-hand side.
@@ -532,15 +554,15 @@ class TestTransformCounts:
             monkeypatch.setattr(np.fft, name, refuse)
         maps.step_geometric(mf, 0.5 * max_stable_dt(mf.grid))
         assert evaluations[0] > 2
-        assert count[0] == 6 * evaluations[0]
+        assert count.total() == 6 * evaluations[0]
 
     def test_stacked_calls_count_every_slice(self, monkeypatch):
         g = Grid2D(n=16, length=1.0)
         count = _count_2d_transforms(monkeypatch)
         g.ifft(g.fft(np.zeros(g.shape + (3,))))
-        assert count[0] == 6
+        assert count.total() == 6
         g.irfft(g.rfft(np.zeros(g.shape + (3,))))
-        assert count[0] == 12
+        assert count.total() == 12
 
 
 class TestGaugeTrajectoryOracle:

@@ -369,7 +369,7 @@ class TestQuinticRatios:
             return np.fft.ifft2(c) * g.n**2
 
         u1, u2, u = bandlimited(1), bandlimited(2), bandlimited(3)
-        beta = g.ifft(beta_hat(g, u1, u2, sign=1.0)).real
+        beta = g.irfft(beta_hat(g, u1, u2, sign=1.0))
         lhs = (g.dx(beta) ** 2 + g.dy(beta) ** 2) * u
 
         def pairing(a, b, c, d, e):
@@ -886,7 +886,7 @@ def n_grid_nullform(trial, eps):
     u1, u2, u3, w = unbanded(trial).fields
     g = u1.grid
     s = 100 * eps
-    beta = g.ifft(beta_hat(g, u1.values, u2.values, 1.0)).real
+    beta = g.irfft(beta_hat(g, u1.values, u2.values, 1.0))
     direct = g.spacing**2 * u1.dt * np.sum(
         w.values * (g.dx(beta) * g.dy(u3.values) - g.dy(beta) * g.dx(u3.values)))
     den = (xsb_norm(u1, s, 0.5 + eps, +1) * xsb_norm(u2, s, 0.5 + eps, +1)
