@@ -208,6 +208,12 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
     if kind == "hasimoto_1d" and round(time["t_final"] / time["dt"]) // opt["store_every"] < 2:
         raise ConfigError(f"{where}.options.store_every = {opt['store_every']} keeps fewer "
                           f"than the three snapshots a centered fit needs")
+    if kind == "hasimoto_1d" and opt["n_data"] > 0:
+        first = map_preset(Grid1D(n=grid["n"], length=grid["length"]), preset["name"],
+                           preset.get("params"), seed=seed)
+        if np.all(first.s3 == first.s3[0]):
+            raise ConfigError(f"{where}.options.n_data = {opt['n_data']} asks for cubic fits of "
+                              f"a constant map, which has no derivative field to fit")
     if kind == "msm_oracle" and opt["dt0"] is not None:
         # Each rung halves dt and doubles n, and the bound falls as 1/n^2,
         # so the finest rung is the tightest.

@@ -125,24 +125,27 @@ class GaugeState:
         return float(np.mean(self.a1)), float(np.mean(self.a2))
 
 
-def _chart_fields(mf: MapField) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Raw derivative fields b_j = d_j w / (1 + |w|^2) and m_j = 2 Im(conj(b_j) w), per axis."""
-    w = mf.stereo()
+def _chart_fields(w: np.ndarray, dw) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """b = d / (1 + |w|^2) and m = 2 Im(conj(b) w) for each derivative d of the chart w in dw."""
     rho = 1.0 + np.abs(w) ** 2
-    b = tuple(d / rho for d in mf.grid.gradient(w))
+    b = tuple(d / rho for d in dw)
     return b, tuple(2.0 * np.imag(np.conj(bj) * w) for bj in b)
 
 
 def build_gauge_state(mf: MapField) -> GaugeState:
     if mf.target is not Target.SPHERE:
         raise ValueError("gauge transform is defined through the sphere chart")
-    grid = mf.grid
-    (b1, b2), (m1, m2) = _chart_fields(mf)
+    return _gauge_state(mf.grid, mf.stereo())
+
+
+def _gauge_state(grid: Grid2D, w: np.ndarray) -> GaugeState:
+    """The gauge state of the sphere map whose chart is w."""
+    (b1, b2), (m1, m2) = _chart_fields(w, grid.gradient(w))
     psi = grid.inverse_laplacian(grid.dx(m1) + grid.dy(m2))
     phase = np.exp(1j * psi)
     u1, u2 = phase * b1, phase * b2
     a1, a2 = m1 - grid.dx(psi), m2 - grid.dy(psi)
-    sign = mf.target.sign
+    sign = Target.SPHERE.sign
     a0 = grid.irfft(alpha_hat(grid, u1, u2, sign))
     return GaugeState(grid=grid, sign=sign, u1=u1, u2=u2, a1=a1, a2=a2, a0=a0, psi=psi)
 
@@ -208,7 +211,8 @@ def hasimoto_1d(mf: MapField) -> np.ndarray:
     """
     if mf.grid.dim != 1:
         raise ValueError("hasimoto_1d expects a map on a 1-D grid")
-    (b,), (m,) = _chart_fields(mf)
+    w = mf.stereo()
+    (b,), (m,) = _chart_fields(w, mf.grid.gradient(w))
     psi = mf.grid.antiderivative_zero_mean(m)
     return np.exp(1j * psi) * b
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .conventions import IM_CUBIC_COEF
 from .errors import ConfigError, PicardDivergedError, SolverBlowupError
-from .gauge import alpha_hat, beta_hat, build_gauge_state
+from .gauge import _chart_fields, _gauge_state, alpha_hat, beta_hat
 from .maps import MapTrajectory
 from .spectral import Grid2D
 
@@ -366,9 +366,9 @@ def msm_residual_of_gauge_trajectory(traj: MapTrajectory) -> GaugeOracleReport:
         raise ValueError("oracle requires uniformly spaced snapshots")
     h = float(spacings[0])
 
-    states = [build_gauge_state(m) for m in traj.maps]
-    charts = [m.stereo() for m in traj.maps]
     g = traj.maps[0].grid
+    charts = [m.stereo() for m in traj.maps]
+    states = [_gauge_state(g, w) for w in charts]
 
     out_t, res, res_raw, alpha_id = [], [], [], []
     for k in range(1, len(states) - 1):
@@ -378,10 +378,8 @@ def msm_residual_of_gauge_trajectory(traj: MapTrajectory) -> GaugeOracleReport:
 
         # zero modes the standalone normalization cannot see, measured
         # directly from the data
-        w = charts[k]
         w_dot = (charts[k + 1] - charts[k - 1]) / (2 * h)
-        b_t = w_dot / (1.0 + np.abs(w) ** 2)
-        m_t = 2.0 * np.imag(np.conj(b_t) * w)
+        _, (m_t,) = _chart_fields(charts[k], (w_dot,))
         mu = float(g.integral(m_t)) / g.length**2
 
         r1, r2 = _rhs_from_connection(g, gs.u1, gs.u2, gs.a1, gs.a2, gs.a0 + mu)

@@ -182,7 +182,7 @@ def map_preset(grid, name: str, params: dict | None = None, seed: int = 0) -> Ma
     w = _random_chart(grid, p["band"], p["amplitude"], seed)
     if p["real"]:
         top = float(np.max(np.abs(w.real)))
-        w = (p["amplitude"] / top) * w.real + 0j
+        w = (p["amplitude"] / top if top > 0 else 0.0) * w.real + 0j
     return MapField.from_stereo(grid, w)
 
 

@@ -21,19 +21,15 @@ one private helper.
 
 Besides the complex pair ``fft``/``ifft`` each grid has a real pair
 ``rfft``/``irfft`` on the half spectrum (the last transformed axis keeps
-``n // 2 + 1`` modes).  :meth:`PeriodicGrid.laplacian` sends real fields
-through it: the symbol ``-|k|^2`` is real and even, so the result equals the
-complex path up to rounding at half the transform work.  The real gauge
-potentials live on the half spectrum too, and
-:meth:`Grid2D.real_grad_from_hat` differentiates them.  An odd symbol is not
-even on an unpaired Nyquist line (there ``-k = k``), so the real part of the
-complex path drops it there: the half-spectrum symbols of ``i k_x`` and
-``i k_y`` are zero on their Nyquist lines, and ``k_x k_y`` is zero on both
-except at the ``(n/2, n/2)`` corner.  With that rule the real pair equals
-the real part of the complex pair up to rounding.  Complex fields keep the
-complex pair.  The real pair follows the memory layout of its input, so a
-stack whose trailing index is the slowest in memory is transformed one
-contiguous plane at a time.
+``n // 2 + 1`` modes).  One rule serves every real field: it sees a
+multiplier S through the half symbol ``(S(k) + conj(S(-k))) / 2``, the real
+part of the complex path, cached once per operator.  For an even, real S
+that is S; for an odd one (``i k_j``, ``k_x k_y``) it is S but on an unpaired
+Nyquist line, where ``-k = k`` and the rule gives zero.  The helper picks
+the pair from the input's dtype: complex fields take the complex pair with
+S, real fields the real pair with the half symbol.  The real pair follows
+the memory layout of its input, so a stack whose trailing index is the
+slowest in memory is transformed one contiguous plane at a time.
 
 Grids are immutable; derived arrays, including the multipliers, are computed
 once and cached.
@@ -55,10 +51,6 @@ def _validate_size(n: int) -> None:
         raise ValueError(f"grid size must be even and >= 8, got {n}")
     if n & (n - 1) != 0:
         raise ValueError(f"grid size must be a power of two, got {n}")
-
-
-def _real_like(template: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return values.real if not np.iscomplexobj(template) else values
 
 
 @dataclass(frozen=True)
@@ -95,9 +87,9 @@ class PeriodicGrid:
 
     @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        """Angular wavenumbers in FFT storage order, one array per axis."""
+        """Angular wavenumbers in FFT storage order; the j-th varies along axis j only."""
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        return tuple(np.meshgrid(*[k1] * self.dim, indexing="ij"))
+        return tuple(np.meshgrid(*[k1] * self.dim, indexing="ij", sparse=True))
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -107,31 +99,41 @@ class PeriodicGrid:
         """A grid-shaped symbol restricted to the half spectrum of the real pair."""
         return np.ascontiguousarray(symbol[..., : self.n // 2 + 1])
 
-    @cached_property
-    def _half_laplacian_symbol(self) -> np.ndarray:
-        """-|k|^2 on the half spectrum of the real transform pair."""
-        return self._half(-self.k2)
-
     # -- Fourier multipliers -----------------------------------------------
 
     def _times(self, symbol: np.ndarray, fh: np.ndarray) -> np.ndarray:
         """A grid-shaped multiplier times a spectrum, broadcast over trailing axes."""
         return symbol.reshape(symbol.shape + (1,) * (fh.ndim - self.dim)) * fh
 
-    def _apply(self, symbol: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return _real_like(f, self.ifft(self._times(symbol, self.fft(f))))
+    def _multiplier(self, symbol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S and the half symbol (S(k) + conj(S(-k))) / 2 that a real field sees."""
+        mirror = np.roll(np.flip(symbol), 1, axis=tuple(range(self.dim)))
+        return symbol, self._half((symbol + np.conj(mirror)) / 2)
+
+    def _apply(self, multiplier: tuple[np.ndarray, np.ndarray], f: np.ndarray) -> np.ndarray:
+        """A multiplier from :meth:`_multiplier` applied to f through the pair of f's dtype."""
+        symbol, half = multiplier
+        if np.iscomplexobj(f):
+            return self.ifft(self._times(symbol, self.fft(f)))
+        return self.irfft(self._times(half, self.rfft(f)))
+
+    @cached_property
+    def _laplacian(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._multiplier(-self.k2)
+
+    @cached_property
+    def _derivatives(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple(self._multiplier(1j * k) for k in self.wavenumbers)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(f):
-            return self._apply(-self.k2, f)
-        return self.irfft(self._times(self._half_laplacian_symbol, self.rfft(f)))
+        return self._apply(self._laplacian, f)
 
     def dx(self, f: np.ndarray) -> np.ndarray:
-        return self._apply(1j * self.wavenumbers[0], f)
+        return self._apply(self._derivatives[0], f)
 
     def gradient(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """The derivatives of f along each axis, in axis order."""
-        return tuple(self._apply(1j * k, f) for k in self.wavenumbers)
+        return tuple(self._apply(d, f) for d in self._derivatives)
 
     # -- norms -------------------------------------------------------------
 
@@ -174,13 +176,14 @@ class Grid1D(PeriodicGrid):
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.irfft(fh, n=self.n, axis=0)
 
+    @cached_property
+    def _antiderivative(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._multiplier(
+            np.divide(1.0, 1j * self.k, out=np.zeros(self.shape, complex), where=self.k != 0))
+
     def antiderivative_zero_mean(self, f: np.ndarray) -> np.ndarray:
         """Zero-mean solution of g' = f - mean(f)."""
-        fh = self.fft(f)
-        gh = np.zeros_like(fh)
-        nz = self.k != 0
-        gh[nz] = fh[nz] / (1j * self.k[nz])
-        return _real_like(f, self.ifft(gh))
+        return self._apply(self._antiderivative, f)
 
 
 class Grid2D(PeriodicGrid):
@@ -221,37 +224,27 @@ class Grid2D(PeriodicGrid):
     @cached_property
     def inverse_laplacian_symbol(self) -> np.ndarray:
         """Multiplier -1/|k|^2 of the zero-mean inverse Laplacian (0 at k=0)."""
-        out = np.zeros(self.shape)
-        nz = self.k2 > 0
-        out[nz] = 1.0 / -self.k2[nz]
-        return out
+        return np.divide(-1.0, self.k2, out=np.zeros(self.shape), where=self.k2 > 0)
+
+    @cached_property
+    def _inverse_laplacian(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._multiplier(self.inverse_laplacian_symbol)
 
     # -- symbols on the half spectrum of real fields -----------------------
 
     @cached_property
     def half_wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
         """k_x as an (n, 1) column and k_y as a (1, n/2 + 1) row of the half spectrum."""
-        return self._half(self.kx[:, :1]), self._half(self.ky[:1])
+        return self._half(self.kx), self._half(self.ky)
 
     @cached_property
     def half_mixed_symbol(self) -> np.ndarray:
-        """k_x k_y on the half spectrum, zero on both Nyquist lines but their corner."""
-        h = self.n // 2
-        kx, ky = self.half_wavenumbers
-        out = kx * ky
-        out[h, :h] = out[:h, h] = out[h + 1 :, h] = 0.0
-        return out
+        """The half symbol of k_x k_y: zero on both Nyquist lines but their corner."""
+        return self._multiplier(self.kx * self.ky)[1]
 
-    @cached_property
-    def _half_gradient_symbols(self) -> tuple[np.ndarray, np.ndarray]:
-        """i k_x and i k_y on the half spectrum, each zero on its Nyquist line."""
-        ikx, iky = (1j * k for k in self.half_wavenumbers)
-        ikx[self.n // 2] = iky[0, -1] = 0.0
-        return ikx, iky
-
-    @cached_property
+    @property
     def half_inverse_laplacian_symbol(self) -> np.ndarray:
-        return self._half(self.inverse_laplacian_symbol)
+        return self._inverse_laplacian[1]
 
     @cached_property
     def half_dealias_mask(self) -> np.ndarray:
@@ -272,20 +265,17 @@ class Grid2D(PeriodicGrid):
         return np.fft.irfft2(fh, s=self.shape, axes=(0, 1))
 
     def dy(self, f: np.ndarray) -> np.ndarray:
-        return self._apply(1j * self.ky, f)
+        return self._apply(self._derivatives[1], f)
 
     def inverse_laplacian(self, f: np.ndarray) -> np.ndarray:
         """Zero-mean solution of ``laplacian g = f - mean(f)``, slice by slice."""
-        return self._apply(self.inverse_laplacian_symbol, f)
+        return self._apply(self._inverse_laplacian, f)
 
     def grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complex gradient (d_x f, d_y f) of the field whose spectrum is fh."""
-        return tuple(self.ifft(self._times(1j * k, fh)) for k in self.wavenumbers)
+        return tuple(self.ifft(self._times(s, fh)) for s, _ in self._derivatives)
 
     def real_grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Real gradient (d_x f, d_y f) of the real field whose half spectrum is fh.
-
-        Each component goes through its own inverse real transform.
-        """
-        return tuple(self.irfft(self._times(s, fh)) for s in self._half_gradient_symbols)
+        """Real gradient of the real field whose half spectrum is fh, one irfft per component."""
+        return tuple(self.irfft(self._times(h, fh)) for _, h in self._derivatives)
 

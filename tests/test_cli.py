@@ -51,6 +51,10 @@ TINY_LINE = dict(DEFAULT_EXPERIMENTS["hasimoto_1d"], grid={"n": 32, "length": 6.
                  time={"dt": 1e-3, "t_final": 4e-3},
                  options={"n_data": 1, "soliton_n": 64, "soliton_length": 50.0})
 
+CONSTANT_LINE = dict(TINY_LINE, preset={"name": "zero"},
+                     options={**TINY_LINE["options"], "n_data": 0})
+ZERO_RANDOM_LINE = {"name": "random_seeded", "params": {"band": 2, "amplitude": 0.0, "real": True}}
+
 COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
 
 
@@ -384,10 +388,16 @@ class TestMain:
         # Too few stored snapshots for the centered differences.
         (DEFAULT_EXPERIMENTS["msm_oracle"], {"steps": 1}, "steps"),
         (TINY_LINE, {"store_every": 3}, "store_every"),
+        # Cubic fits of a constant map; without data the soliton row alone runs.
+        (CONSTANT_LINE, {"n_data": 1}, "n_data"),
+        (dict(CONSTANT_LINE, preset={"name": "single_mode", "params": {"amplitude": 0.0}}),
+         {"n_data": 2}, "n_data"),
+        (dict(CONSTANT_LINE, preset=ZERO_RANDOM_LINE), {"n_data": 1}, "n_data"),
     ], ids=["evolve-store-every", "msm-store-every", "ratio-eps-text", "hasimoto-eta-text",
             "hasimoto-eta-zero", "ratio-nt", "ratio-cubic-s", "ratio-p", "ratio-space-band",
             "ratio-time-band", "mult-restarts", "mult-modulus-1", "mult-modulus-2000",
-            "hasimoto-soliton-length", "oracle-steps-1", "hasimoto-two-snapshots"])
+            "hasimoto-soliton-length", "oracle-steps-1", "hasimoto-two-snapshots",
+            "hasimoto-zero-preset", "hasimoto-zero-amplitude", "hasimoto-zero-real-chart"])
     def test_bad_option_exits_2_before_compute(self, tmp_path, capsys, first, bad, key):
         cfgfile = tmp_path / "run.json"
         second = dict(first, name="second", options={**first.get("options", {}), **bad})

@@ -35,7 +35,8 @@ class TestConstruction:
         # The definition itself: u_j = exp(i psi) b_j, pointwise.
         mf = bump_map(64)
         gs = build_gauge_state(mf)
-        b1, b2 = _chart_fields(mf)[0]
+        w = mf.stereo()
+        b1, b2 = _chart_fields(w, mf.grid.gradient(w))[0]
         phase = np.exp(1j * gs.psi)
         np.testing.assert_allclose(gs.u1, phase * b1, atol=1e-14)
         np.testing.assert_allclose(gs.u2, phase * b2, atol=1e-14)
@@ -48,7 +49,8 @@ class TestConstruction:
     def test_gauge_preserves_modulus(self):
         mf = bump_map(64)
         gs = build_gauge_state(mf)
-        b1, _ = _chart_fields(mf)[0]
+        w = mf.stereo()
+        b1, _ = _chart_fields(w, mf.grid.gradient(w))[0]
         np.testing.assert_allclose(np.abs(gs.u1), np.abs(b1), atol=1e-14)
 
     def test_hyperbolic_map_rejected(self):

@@ -523,15 +523,18 @@ class TestTransformCounts:
         nonlinearity(st, v1, v2)
         assert count == Counter(rfft2=4, irfft2=3, fft2=2, ifft2=6)
         count.clear()
+        # Only the complex chart's gradient takes the complex pair.
         build_gauge_state(mf)
-        assert count == Counter(rfft2=3, irfft2=1, fft2=7, ifft2=7)
+        assert count == Counter(rfft2=8, irfft2=6, fft2=2, ifft2=2)
 
     def test_verify_costs_twelve(self, monkeypatch):
-        # Six derivatives, one forward and one inverse transform each.
+        # Six derivatives, one forward and one inverse transform each; the
+        # four of the real a_j take the real pair.
         gs = build_gauge_state(bump_map(32))
         count = _count_2d_transforms(monkeypatch)
         verify_consistency(gs)
         assert count.total() == 12
+        assert count == Counter(rfft2=4, irfft2=4, fft2=2, ifft2=2)
 
     def test_map_step_costs_six_per_evaluation(self, monkeypatch):
         # One real pair on the three stacked components per right-hand side.

@@ -74,6 +74,12 @@ class TestMapPresets:
         assert np.max(np.abs(w.imag)) < 1e-12
         assert np.max(np.abs(w)) == pytest.approx(0.4, rel=1e-12)
 
+    @pytest.mark.parametrize("real", [False, True])
+    def test_zero_amplitude_random_chart_is_the_constant_map(self, real):
+        g = Grid2D(n=16, length=1.0)
+        mf = map_preset(g, "random_seeded", {"amplitude": 0.0, "real": real}, seed=3)
+        np.testing.assert_array_equal(mf.s3, MapField.constant(g).s3)
+
     @pytest.mark.parametrize("grid", [Grid1D(n=64, length=2.0), Grid2D(n=16, length=1.0)],
                              ids=["1d", "2d"])
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -216,13 +216,36 @@ def component_major(f):
     return np.moveaxis(np.moveaxis(f, -1, 0).copy(), 0, -1)
 
 
-class TestRealPair:
-    """A real field's Laplacian runs on the half spectrum, a complex one does not."""
+def _complex_symbols(g, op):
+    """The full-grid symbols of an operator, one per output, built here from the wavenumbers."""
+    k = g.wavenumbers
+    if op == "laplacian":
+        return [-g.k2]
+    if op == "inverse_laplacian":
+        return [np.where(g.k2 > 0, -1.0 / np.where(g.k2 > 0, g.k2, 1.0), 0.0)]
+    if op == "antiderivative_zero_mean":
+        return [np.where(k[0] != 0, -1j / np.where(k[0] != 0, k[0], 1.0), 0.0)]
+    return [1j * kj for kj in {"dx": k[:1], "dy": k[1:], "gradient": k}[op]]
 
-    @pytest.mark.parametrize("cls", [Grid1D, Grid2D])
+
+# The Laplacian rows keep the bare class id; the other operators add theirs.
+_REAL_OPERATORS = [
+    pytest.param(cls, op, id=cls.__name__ if op == "laplacian" else f"{cls.__name__}-{op}")
+    for cls, ops in ((Grid1D, ("laplacian", "dx", "gradient", "antiderivative_zero_mean")),
+                     (Grid2D, ("laplacian", "dx", "dy", "gradient", "inverse_laplacian")))
+    for op in ops
+]
+
+
+class TestRealPair:
+    """A real field runs on the half spectrum, a complex one does not."""
+
+    @pytest.mark.parametrize("cls,op", _REAL_OPERATORS)
     @pytest.mark.parametrize("trailing", [(), (3,)], ids=["single", "stacked"])
     @pytest.mark.parametrize("layout", ["C", "component-major"])
-    def test_real_laplacian_matches_complex_symbol(self, cls, trailing, layout):
+    def test_real_laplacian_matches_complex_symbol(self, monkeypatch, cls, op, trailing, layout):
+        # Every real-field operator equals the real part of the complex path
+        # and transforms through the real pair alone.
         g = cls(n=16, length=3.0)
         f = RNG.standard_normal(g.shape + trailing)
         # Put weight on the Nyquist plane of the last transformed axis, the
@@ -230,10 +253,20 @@ class TestRealPair:
         f += np.cos(np.pi * g.coords[-1] / g.spacing).reshape(g.shape + (1,) * len(trailing))
         if layout != "C":
             f = component_major(f) if trailing else np.asfortranarray(f)
-        got = g.laplacian(f)
-        want = g._apply(-g.k2, f)
-        assert got.dtype == np.float64 and got.shape == f.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        wants = [g.ifft(g._times(s, g.fft(f))).real for s in _complex_symbols(g, op)]
+        calls = Counter()
+        for name in ("fft", "ifft", "fft2", "ifft2", "rfft", "irfft", "rfft2", "irfft2"):
+            def counted(*args, name=name, original=getattr(np.fft, name), **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        got = getattr(g, op)(f)
+        gots = list(got) if op == "gradient" else [got]
+        suffix = "2" if g.dim == 2 else ""
+        assert calls == Counter({"rfft" + suffix: len(wants), "irfft" + suffix: len(wants)})
+        for got, want in zip(gots, wants, strict=True):
+            assert got.dtype == np.float64 and got.shape == f.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_real_pair_roundtrip_keeps_component_planes(self):
         g = Grid2D(n=16, length=2.0)
