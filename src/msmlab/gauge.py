@@ -133,8 +133,6 @@ def _chart_fields(w: np.ndarray, dw) -> tuple[tuple[np.ndarray, ...], tuple[np.n
 
 
 def build_gauge_state(mf: MapField) -> GaugeState:
-    if mf.target is not Target.SPHERE:
-        raise ValueError("gauge transform is defined through the sphere chart")
     return _gauge_state(mf.grid, mf.stereo())
 
 
@@ -249,6 +247,8 @@ def fit_nls_coefficient(snapshots: list[np.ndarray], dt: float, grid: Grid1D) ->
         b_term = np.abs(u) ** 2 * u
         c_term = u
         cc = inner(c_term, c_term)
+        if cc == 0.0:
+            raise ValueError(f"the gauge field of snapshot {k} vanishes, so its phase cannot be fitted")
         # Project the span of the phase direction out of both terms.
         pa = a_term - c_term * (inner(c_term, a_term) / cc)
         pb = b_term - c_term * (inner(c_term, b_term) / cc)

@@ -1,19 +1,19 @@
 """Maps into the sphere or hyperbolic plane and their Schrodinger flow.
 
 A map is stored through its embedded components ``s3`` with trailing
-dimension 3.  For the sphere these satisfy ``|s3| = 1`` pointwise; for the
-hyperbolic target they satisfy the Minkowski normalization
-``x1^2 + x2^2 - x3^2 = -1`` with ``x3 >= 1`` (hyperboloid model, metric
-``diag(+1, +1, -1)``).
+dimension 3.  The targets differ by one sign: in the ambient metric
+``diag(1, 1, sign)`` (:attr:`Target.metric`) a map has ``<s, s> = sign``,
+that is ``|s3| = 1`` on the sphere and ``x1^2 + x2^2 - x3^2 = -1`` with
+``x3 >= 1`` (the upper sheet) on the hyperboloid.  Every target-dependent
+formula reads the metric; only the stereographic chart is the sphere's.
 
 The flow integrated here is
 
     ds/dt = LL_SIGN * (s x lap s)
 
-with the target's cross product (Euclidean, or the Minkowski one
-``diag(1,1,-1) @ (a x b)``), which in the stereographic chart
-``w = (x1 + i x2) / (1 - x3)`` is ``dw/dt = i sum_j cov_j d_j w``.  See
-:mod:`msmlab.conventions` for how the orientation is pinned down.
+with the cross product ``metric * (a x b)``, which in the stereographic
+chart ``w = (x1 + i x2) / (1 - x3)`` is ``dw/dt = i sum_j cov_j d_j w``.
+See :mod:`msmlab.conventions` for how the orientation is pinned down.
 
 Time stepping is implicit midpoint with a fixed-point inner solve.  Because
 the right-hand side is pointwise orthogonal to ``s``, the midpoint rule
@@ -57,11 +57,10 @@ CHART_TOL = 1e-8
 # Iteration budget and relative update tolerance of the implicit midpoint step.
 MIDPOINT_MAX_ITERS = 100
 MIDPOINT_TOL = 1e-12
-_MINK = np.array([1.0, 1.0, -1.0])
 
 
 class Target(Enum):
-    """Target geometry; the curvature sign drives every +- in the theory."""
+    """Target geometry: the metric diag(1, 1, sign), whose sign drives every +- in the theory."""
 
     SPHERE = 1
     HYPERBOLIC = -1
@@ -70,32 +69,30 @@ class Target(Enum):
     def sign(self) -> float:
         return float(self.value)
 
+    @property
+    def metric(self) -> np.ndarray:
+        return np.array([1.0, 1.0, self.sign])
+
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self is Target.SPHERE:
-            return np.sum(a * b, axis=-1)
-        return np.sum(a * b * _MINK, axis=-1)
+        return np.sum(a * b * self.metric, axis=-1)
 
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The target's cross product, in the memory layout of ``a``."""
+        """The target's cross product metric * (a x b), in the memory layout of ``a``."""
         c = np.empty_like(a)
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j], out=c[..., i])
-        if self is Target.HYPERBOLIC:
-            c[..., 2] *= -1.0
+        c[..., 2] *= self.sign
         return c
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
-        if self is Target.SPHERE:
-            return v / np.linalg.norm(v, axis=-1, keepdims=True)
-        q = -self.dot(v, v)
+        q = self.sign * self.dot(v, v)
         if np.any(q <= 0):
-            raise ValueError("values cannot be scaled onto the hyperboloid")
+            raise ValueError(f"values cannot be scaled onto the {self.name.lower()} target")
         return v / np.sqrt(q)[..., None]
 
     def normalization_error(self, v: np.ndarray) -> float:
-        want = 1.0 if self is Target.SPHERE else -1.0
-        return float(np.max(np.abs(self.dot(v, v) - want)))
+        return float(np.max(np.abs(self.dot(v, v) - self.sign)))
 
 
 @dataclass(frozen=True)
@@ -115,6 +112,8 @@ class MapField:
         err = self.target.normalization_error(self.s3)
         if err > 1e-9:
             raise ValueError(f"map is off the target surface by {err:.2e}")
+        if self.target.sign < 0 and np.min(self.s3[..., 2]) <= 0:
+            raise ValueError("hyperbolic map values must lie on the upper sheet x3 >= 1")
 
     @classmethod
     def create(cls, grid, s3: np.ndarray, target: Target = Target.SPHERE) -> "MapField":
@@ -122,7 +121,8 @@ class MapField:
         return cls(grid, target.normalize(np.asarray(s3, dtype=float)), target)
 
     @classmethod
-    def constant(cls, grid, point=(0.0, 0.0, -1.0), target: Target = Target.SPHERE) -> "MapField":
+    def constant(cls, grid, point=None, target: Target = Target.SPHERE) -> "MapField":
+        point = (0.0, 0.0, -target.sign) if point is None else point  # the base point
         s3 = np.broadcast_to(np.asarray(point, dtype=float), grid.shape + (3,)).copy()
         return cls.create(grid, s3, target)
 
@@ -169,8 +169,7 @@ def energy(mf: MapField) -> float:
     """Dirichlet energy 1/2 int sum_j <d_j s, d_j s> in the target metric."""
     grid, s3 = mf.grid, mf.s3
     total = np.zeros(s3.shape[:-1])
-    for c in range(3):
-        weight = 1.0 if mf.target is Target.SPHERE else _MINK[c]
+    for c, weight in enumerate(mf.target.metric):
         for d in grid.gradient(s3[..., c]):
             total += weight * d**2
     return 0.5 * grid.integral(total)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from msmlab.conventions import BETA_COEF, CURVATURE_COEF
+from msmlab.errors import ChartUndefinedError
 from msmlab.gauge import (
     ConsistencyReport,
     _chart_fields,
@@ -58,7 +59,7 @@ class TestConstruction:
         s3 = np.zeros(grid.shape + (3,))
         s3[..., 2] = 1.0
         mf = MapField(grid=grid, s3=s3, target=Target.HYPERBOLIC)
-        with pytest.raises(ValueError):
+        with pytest.raises(ChartUndefinedError):
             build_gauge_state(mf)
 
 
@@ -209,3 +210,9 @@ class TestHasimoto:
         u = np.ones(32, dtype=complex)
         with pytest.raises(ValueError):
             fit_nls_coefficient([u, u], 0.1, grid)
+
+    def test_fit_names_the_snapshot_whose_field_vanishes(self):
+        # The gauge fields of a constant map are zero: no phase to project out.
+        zero = np.zeros(16, dtype=complex)
+        with pytest.raises(ValueError, match="snapshot 1 vanishes"):
+            fit_nls_coefficient([zero] * 3, 0.1, Grid1D(n=16, length=1.0))

@@ -104,6 +104,25 @@ class TestMapField:
         mf = MapField.create(g, raw, Target.HYPERBOLIC)
         assert mf.normalization_error() < 1e-12
 
+    def test_hyperbolic_maps_live_on_the_upper_sheet(self):
+        # On the lower sheet x3 <= -1 the flow would run backward in time.
+        g = Grid2D(n=8, length=1.0)
+        base = MapField.constant(g, target=Target.HYPERBOLIC).s3
+        np.testing.assert_array_equal(base, np.broadcast_to([0.0, 0.0, 1.0], base.shape))
+        south = MapField.constant(g).s3
+        np.testing.assert_array_equal(south, np.broadcast_to([0.0, 0.0, -1.0], south.shape))
+        lower = np.broadcast_to([0.3, 0.4, -2.0], g.shape + (3,))
+        with pytest.raises(ValueError, match="upper sheet"):
+            MapField.create(g, lower, Target.HYPERBOLIC)
+        with pytest.raises(ValueError, match="upper sheet"):
+            MapField.constant(g, (0.0, 0.0, -1.0), Target.HYPERBOLIC)
+
+    @pytest.mark.parametrize("target", [Target.SPHERE, Target.HYPERBOLIC])
+    def test_zero_values_cannot_be_scaled_onto_the_target(self, target):
+        g = Grid2D(n=8, length=1.0)
+        with pytest.raises(ValueError, match=f"onto the {target.name.lower()} target"):
+            MapField.create(g, np.zeros(g.shape + (3,)), target)
+
 
 class TestEnergy:
     def test_constant_map_has_zero_energy(self):

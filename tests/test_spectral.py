@@ -362,6 +362,31 @@ def test_only_spectral_branches_on_the_grid_class():
             assert found is None, f"{path.name}: {found.group(0)}"
 
 
+def _target_comparisons(node, where=()):
+    """Qualified names of the scopes holding a comparison with a Target member."""
+    for child in ast.iter_child_nodes(node):
+        scope = where
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            scope = where + (child.name,)
+        elif isinstance(child, ast.Compare) and any(
+            isinstance(o, ast.Attribute) and isinstance(o.value, ast.Name) and o.value.id == "Target"
+            for o in (child.left, *child.comparators)
+        ):
+            yield ".".join(where)
+        yield from _target_comparisons(child, scope)
+
+
+def test_only_the_chart_compares_with_a_target_member():
+    # Every other target-dependent formula reads Target.sign or Target.metric;
+    # the stereographic chart alone belongs to the sphere.
+    found = [
+        (path.name, scope)
+        for path in sorted(Path(msmlab.__file__).parent.glob("*.py"))
+        for scope in _target_comparisons(ast.parse(path.read_text()))
+    ]
+    assert found == [("maps.py", "MapField.stereo")]
+
+
 def test_no_module_reads_the_environment_or_starts_threads():
     # A run is a function of its config alone, computed in the calling thread.
     banned = re.compile(r"\bos\.(environ|getenv)\b"
