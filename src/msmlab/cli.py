@@ -24,10 +24,11 @@ import numpy as np
 
 from . import xsb
 from .conventions import NLS_CUBIC_COEF
-from .errors import ConfigError, MsmLabError
+from .errors import ChartUndefinedError, ConfigError, MsmLabError
 from .gauge import (
     build_gauge_state,
     fit_nls_coefficient,
+    hasimoto_1d,
     hasimoto_trajectory,
     soliton_nls_residual,
     verify_consistency,
@@ -70,7 +71,15 @@ _REQUIRED_SECTIONS = {
     "hasimoto_1d": ("grid", "time", "preset"),
 }
 
-RATIO_SUITES = ("cubic", "quintic", "nullform", "bilinear")
+# Each ratio suite's arity and its run on (trials, resolved options).  A suite's
+# trials are seeded at the experiment's seed plus its position here.
+_RATIO_RUNS = {
+    "cubic": (3, lambda t, opt: xsb.ratio_test_cubic(t, _ratio_s(opt), opt["eps"])),
+    "quintic": (5, lambda t, opt: xsb.ratio_test_quintic(t, opt["eps"])),
+    "nullform": (4, lambda t, opt: xsb.ratio_test_nullform(t, opt["eps"])),
+    "bilinear": (2, lambda t, opt: xsb.bilinear_embedding_test(t, opt["p"], opt["eps"])),
+}
+RATIO_SUITES = tuple(_RATIO_RUNS)
 
 # Each kind's options with their defaults.  None marks a value worked out when
 # unset: an oracle's dt0 from the finest rung's bound, a ratio suite's s as 100 eps.
@@ -211,9 +220,15 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
     if kind == "hasimoto_1d" and opt["n_data"] > 0:
         first = map_preset(Grid1D(n=grid["n"], length=grid["length"]), preset["name"],
                            preset.get("params"), seed=seed)
-        if np.all(first.s3 == first.s3[0]):
+        try:
+            mod_sq = np.abs(hasimoto_1d(first)) ** 2
+        except ChartUndefinedError as err:
+            raise ConfigError(f"{where}.preset: {err}") from err
+        # A constant map has the gauge field u = 0, so this also refuses it.
+        if np.ptp(mod_sq) <= 1e-12 * np.max(mod_sq):
             raise ConfigError(f"{where}.options.n_data = {opt['n_data']} asks for cubic fits of "
-                              f"a constant map, which has no derivative field to fit")
+                              f"a gauge field of constant modulus, where the cubic coefficient "
+                              f"cannot be identified")
     if kind == "msm_oracle" and opt["dt0"] is not None:
         # Each rung halves dt and doubles n, and the bound falls as 1/n^2,
         # so the finest rung is the tightest.
@@ -326,31 +341,18 @@ def _run_oracle(exp: ExperimentConfig, out: Path) -> list[str]:
 def _run_ratios(exp: ExperimentConfig, out: Path) -> list[str]:
     grid = Grid2D(n=exp.grid["n"], length=exp.grid["length"])
     opt = exp.options
-    eps = opt["eps"]
-
-    def trials(arity, offset):
-        return xsb.sample_trials(grid, opt["nt"], opt["t_window"], arity, opt["n_trials"],
-                                 exp.seed + offset, opt["space_band"], opt["time_band"])
-
-    reports = []
-    extras = []
-    if "cubic" in opt["suites"]:
-        reports.extend(xsb.ratio_test_cubic(trials(3, 0), _ratio_s(opt), eps))
-    if "quintic" in opt["suites"]:
-        reports.append(xsb.ratio_test_quintic(trials(5, 1), eps))
-    if "nullform" in opt["suites"]:
-        nf = xsb.ratio_test_nullform(trials(4, 2), eps)
-        reports.append(nf.ratio)
-        extras.append(["nullform_ibp_mismatch", nf.max_assembly_mismatch])
-    if "bilinear" in opt["suites"]:
-        bl = xsb.bilinear_embedding_test(trials(2, 3), opt["p"], eps)
-        reports.extend([bl.uv, bl.u_conj_v, bl.diagonal])
-        extras.append(["sup_l2_max_ratio", bl.sup_l2_max_ratio])
-        extras.append(["sup_l2_cap", bl.sup_l2_cap])
+    reports, extras = [], {}
+    for offset, (suite, (arity, run)) in enumerate(_RATIO_RUNS.items()):
+        if suite in opt["suites"]:
+            trials = xsb.sample_trials(grid, opt["nt"], opt["t_window"], arity, opt["n_trials"],
+                                       exp.seed + offset, opt["space_band"], opt["time_band"])
+            suite_reports, suite_extras = run(trials, opt)
+            reports += suite_reports
+            extras.update(suite_extras)
     xsb.write_ratio_csv(reports, out / "ratios.csv")
     written = ["ratios.csv"]
     if extras:
-        write_csv(out / "ratio_extras.csv", ["quantity", "value"], extras)
+        write_csv(out / "ratio_extras.csv", ["quantity", "value"], extras.items())
         written.append("ratio_extras.csv")
     return written
 

@@ -239,7 +239,7 @@ def fit_nls_coefficient(snapshots: list[np.ndarray], dt: float, grid: Grid1D) ->
     def inner(f, g_):
         return float(np.real(np.sum(np.conj(f) * g_)) * h)
 
-    num = den = 0.0
+    num = den = b_sq = 0.0
     rows = []
     for k in range(1, len(snapshots) - 1):
         u = snapshots[k]
@@ -254,7 +254,13 @@ def fit_nls_coefficient(snapshots: list[np.ndarray], dt: float, grid: Grid1D) ->
         pb = b_term - c_term * (inner(c_term, b_term) / cc)
         num -= inner(pb, pa)
         den += inner(pb, pb)
+        b_sq += inner(b_term, b_term)
         rows.append((a_term, b_term, c_term, cc))
+    # With constant modulus |u|^2 u lies along the phase direction u, and
+    # only rounding is left once that direction is projected out.
+    if den <= 1e-12 * b_sq:
+        raise ValueError("the cubic coefficient cannot be identified: every snapshot has "
+                         "constant modulus, so |u|^2 u is parallel to the phase direction")
     c = num / den
 
     res_sq = scale_sq = 0.0

@@ -44,13 +44,14 @@ _MODULUS = math.isqrt(MAX_ENUMERATION)
 
 # Values with a range narrower than their default's type, as (least,
 # greatest, description), both ends included.  A bump width divides a
-# length, the eta = 0 soliton vanishes, and a pole distance is a height on
-# the unit sphere, whose south pole is 2.  Each set of a multiplier pair
-# draws up to half of Z_N, and its N^2 values must fit the enumeration budget.
+# length, the eta = 0 soliton vanishes, a ratio suite's eps is the margin of
+# b = 1/2 + eps above 1/2, and a pole distance is a height on the unit
+# sphere, whose south pole is 2.  Each set of a multiplier pair draws up to
+# half of Z_N, and its N^2 values must fit the enumeration budget.
 # The oracle's centered differences need the three snapshots of two steps.
 _RANGES = {
     **dict.fromkeys(("width", "length", "dt", "t_final", "dt0", "t_window", "soliton_length",
-                     "eta"), (_TINY, _BIG, "a finite positive number")),
+                     "eta", "eps"), (_TINY, _BIG, "a finite positive number")),
     **dict.fromkeys(("store_every", "rungs", "restarts"), (1, math.inf, "a positive integer")),
     "steps": (2, math.inf, "an integer >= 2"),
     "distance": (_TINY, 2.0, "a number in (0, 2]"),

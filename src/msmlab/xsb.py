@@ -18,6 +18,9 @@ the worst ratio over a seeded ensemble that stresses white-noise data,
 data concentrated near the paraboloid, and high/low frequency-separated
 pairs.  Ratios are reproducible from recorded seeds and are meant to be
 compared across grid refinement, never against an absolute constant.
+Every suite returns one shape: its reports, one ``RatioReport`` per ratio
+it measures, and a dict of its named extra quantities (empty for the
+cubic and quintic suites).
 
 The last section estimates norms of multilinear convolution multipliers on
 finite abelian groups (Z_N)^d: an exact slice bound from above and an
@@ -31,7 +34,6 @@ import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +61,7 @@ __all__ = [
     "write_ratio_csv",
     "ratio_test_cubic",
     "ratio_test_quintic",
-    "NullFormReport",
     "ratio_test_nullform",
-    "BilinearReport",
     "bilinear_embedding_test",
     "MultiplierSpec",
     "multiplier_norm_bounds",
@@ -434,6 +434,7 @@ def free_solution_slope(
     return float(np.polyfit(np.log(np.asarray(deltas)), np.log(ratios), 1)[0])
 
 
+@lru_cache(maxsize=8)
 def _sup_l2_constant(grid: Grid2D, nt: int, t_window: float, b: float) -> float:
     """Exact discrete constant in  sup_t ||u||_{L^2} <= C ||u||_{X_{0,b}}.
 
@@ -602,44 +603,36 @@ def write_ratio_csv(reports: Iterable[RatioReport], path: str) -> None:
     write_csv(path, CSV_HEADER, [rep.csv_row() for rep in reports])
 
 
-class _Measured(NamedTuple):
-    """What outlives one trial: its seed, its space-time grid, and the scalars."""
-
-    seed: int
-    grid: Grid2D
-    nt: int
-    t_window: float
-    value: object
+# What every suite returns: one report per ratio, and the named extra quantities.
+_SuiteResult = tuple[list[RatioReport], dict[str, float]]
 
 
-def _measure(trials: Sequence[Trial], fn: Callable[[Trial], object]) -> list[_Measured]:
-    """fn over every trial in turn.
+def _suite(trials: Sequence[Trial], names: Sequence[str], extras: Sequence[str], eps: float,
+           s: float, fn: Callable[[Trial], Sequence[float]]) -> _SuiteResult:
+    """A suite's reports and extras from fn over every trial in turn.
 
-    Each trial is realized inside ``one`` and dropped when it returns, so a
-    lazy ensemble keeps one trial live at a time.
+    fn returns one ratio per name, then one value per extra; a report names
+    the seed of its largest ratio, and an extra is its largest value.  Each
+    trial is realized inside ``one`` and dropped when it returns, so a lazy
+    ensemble keeps one trial live at a time.
     """
 
-    def one(i: int) -> _Measured:
+    def one(i: int) -> tuple:
         trial = trials[i]
         f = trial.fields[0]
-        return _Measured(trial.seed, f.grid, f.nt, f.t_window, fn(trial))
+        return (trial.seed, f.grid.n, f.nt, *fn(trial))
 
-    return [one(i) for i in range(len(trials))]
-
-
-def _ratio_report(name, rows: list[_Measured], eps, s, values) -> RatioReport:
-    idx = int(np.argmax(values)) if values else 0
-    return RatioReport(
-        test_name=name,
-        grid_n=rows[0].grid.n if rows else 0,
-        nt=rows[0].nt if rows else 0,
-        eps=eps,
-        s=s,
-        ensemble_size=len(rows),
-        max_ratio=float(values[idx]) if values else 0.0,
-        argmax_seed=rows[idx].seed if rows else 0,
-        ratios=tuple(float(v) for v in values),
-    )
+    rows = [one(i) for i in range(len(trials))]
+    if not rows:
+        return ([RatioReport(name, 0, 0, eps, s, 0, 0.0, 0) for name in names],
+                dict.fromkeys(extras, 0.0))
+    seeds, grid_ns, nts, *columns = zip(*rows)
+    reports = []
+    for name, values in zip(names, columns):
+        i = int(np.argmax(values))
+        reports.append(RatioReport(name, grid_ns[0], nts[0], eps, s, len(rows), float(values[i]),
+                                   seeds[i], tuple(map(float, values))))
+    return reports, {key: float(max(values)) for key, values in zip(extras, columns[len(names):])}
 
 
 CUBIC_VARIANTS = {
@@ -649,7 +642,7 @@ CUBIC_VARIANTS = {
 }
 
 
-def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> list[RatioReport]:
+def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> _SuiteResult:
     """Trilinear products measured from X_{s,1/2+eps} into X_{s,-1/2+2eps}.
 
     All three conjugation patterns of the last two factors are exercised;
@@ -659,24 +652,18 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> list[Rati
         raise ValueError(f"cubic ratio test requires s > 5 eps, got s={s}, eps={eps}")
     b_num, b_den = -0.5 + 2 * eps, 0.5 + eps
 
-    def one(trial: Trial) -> dict[str, float]:
+    def one(trial: Trial) -> tuple[float, ...]:
         dens = [xsb_norm(f, s, b_den, +1) for f in trial.fields]
         den = float(np.prod(dens))
         if den == 0.0:
-            return dict.fromkeys(CUBIC_VARIANTS, 0.0)
+            return (0.0,) * len(CUBIC_VARIANTS)
         # The product's norm only reads its spectrum, exact on any grid
         # with more than twice the product's band.
         factors = _unaliased(trial.fields, lambda bands: 2 * sum(bands))
-        return {
-            name: xsb_norm(_product(factors, conj), s, b_num, +1) / den
-            for name, conj in CUBIC_VARIANTS.items()
-        }
+        return tuple(xsb_norm(_product(factors, conj), s, b_num, +1) / den
+                     for conj in CUBIC_VARIANTS.values())
 
-    rows = _measure(trials, one)
-    return [
-        _ratio_report(name, rows, eps, s, [r.value[name] for r in rows])
-        for name in CUBIC_VARIANTS
-    ]
+    return _suite(trials, tuple(CUBIC_VARIANTS), (), eps, s, one)
 
 
 def _grad_potential(
@@ -701,7 +688,7 @@ def _grad_potential(
             _synthesize(ik[None, :, None] * box, grid.n))
 
 
-def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
+def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> _SuiteResult:
     """Gradient-potential pairings: grad inv-lap (u1 conj u2) . grad inv-lap (u3 conj u4) u5.
 
     Structurally degree five but measured exactly like the cubic products,
@@ -710,11 +697,11 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
     s = 100 * eps
     b_num, b_den = -0.5 + 2 * eps, 0.5 + eps
 
-    def one(trial: Trial) -> float:
+    def one(trial: Trial) -> tuple[float]:
         u = trial.fields
         den = float(np.prod([xsb_norm(f, s, b_den, +1) for f in u]))
         if den == 0.0:
-            return 0.0
+            return (0.0,)
         # The pair sources and their potentials on a grid where the sources
         # are unaliased; the band-5B product itself stays on the fine grid.
         pairs = _unaliased(u[:4], lambda b: 2 * max(b[0] + b[1], b[2] + b[3]))
@@ -730,16 +717,9 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> RatioReport:
         del g1y, g2y
         vals *= u[4].values
         prod = SpaceTimeField(grid=grid, t_window=u[0].t_window, values=vals, band=_band_sum(u))
-        return xsb_norm(prod, s, b_num, +1) / den
+        return (xsb_norm(prod, s, b_num, +1) / den,)
 
-    rows = _measure(trials, one)
-    return _ratio_report("quintic", rows, eps, s, [r.value for r in rows])
-
-
-@dataclass(frozen=True)
-class NullFormReport:
-    ratio: RatioReport
-    max_assembly_mismatch: float
+    return _suite(trials, ("quintic",), (), eps, s, one)
 
 
 def _nullform_values(trial: Trial) -> tuple[complex, complex]:
@@ -759,12 +739,12 @@ def _nullform_values(trial: Trial) -> tuple[complex, complex]:
     return complex(direct), complex(parts)
 
 
-def ratio_test_nullform(trials: Sequence[Trial], eps: float) -> NullFormReport:
+def ratio_test_nullform(trials: Sequence[Trial], eps: float) -> _SuiteResult:
     """Transport null form against the product of solution and dual norms.
 
     For every trial the pairing is assembled twice, before and after the
     integration by parts that the periodic setting makes boundary-free;
-    the worst relative mismatch is reported alongside the ratio.
+    the worst relative mismatch is the extra ``nullform_ibp_mismatch``.
     """
     s = 100 * eps
     b_den = 0.5 + eps
@@ -784,59 +764,37 @@ def ratio_test_nullform(trials: Sequence[Trial], eps: float) -> NullFormReport:
         ratio = 0.0 if den == 0.0 else abs(direct) / den
         return ratio, mismatch
 
-    rows = _measure(trials, one)
-    return NullFormReport(
-        ratio=_ratio_report("nullform", rows, eps, s, [r.value[0] for r in rows]),
-        max_assembly_mismatch=float(max(r.value[1] for r in rows)) if rows else 0.0,
-    )
+    return _suite(trials, ("nullform",), ("nullform_ibp_mismatch",), eps, s, one)
 
 
-@dataclass(frozen=True)
-class BilinearReport:
-    p: float
-    eps: float
-    uv: RatioReport
-    u_conj_v: RatioReport
-    diagonal: RatioReport
-    sup_l2_max_ratio: float
-    sup_l2_cap: float
-
-
-def bilinear_embedding_test(trials: Sequence[Trial], p: float, eps: float) -> BilinearReport:
+def bilinear_embedding_test(trials: Sequence[Trial], p: float, eps: float) -> _SuiteResult:
     """Products in L^{p'}_t L^p_x against squared dispersive norms.
 
     Also evaluates the diagonal single-function embedding into
     L^{2p'}_t L^{2p}_x and, independently, the following exact reduction:
     sup_t L^2 is bounded by the b > 1/2 norm with the computable discrete
-    constant from :func:`_sup_l2_constant`.
+    constant from :func:`_sup_l2_constant`; the extras are the largest
+    ratio ``sup_l2_max_ratio`` and that constant ``sup_l2_cap``.
     """
     if not 1 <= p <= 2:
         raise ValueError("p must lie in [1, 2]")
     b = 0.5 + eps
     p_conj = np.inf if p == 1 else p / (p - 1)
 
-    def one(trial: Trial) -> tuple[float, float, float, float]:
+    def one(trial: Trial) -> tuple[float, ...]:
         u, v = trial.fields[0], trial.fields[1]
+        cap = _sup_l2_constant(u.grid, u.nt, u.t_window, b)
         nu, nv = xsb_norm(u, 0.0, b, +1), xsb_norm(v, 0.0, b, +1)
         if nu == 0.0 or nv == 0.0:
-            return 0.0, 0.0, 0.0, 0.0
+            return 0.0, 0.0, 0.0, 0.0, cap
         uv = mixed_norm(_product([u, v], (False, False)), p_conj, p) / (nu * nv)
         ucv = mixed_norm(_product([u, v], (False, True)), p_conj, p) / (nu * nv)
         diag = mixed_norm(u, 2 * p_conj, 2 * p) / nu
         sup = mixed_norm(u, np.inf, 2) / nu
-        return uv, ucv, diag, sup
+        return uv, ucv, diag, sup, cap
 
-    rows = _measure(trials, one)
-    column = [[r.value[c] for r in rows] for c in range(4)]
-    return BilinearReport(
-        p=p,
-        eps=eps,
-        uv=_ratio_report(f"bilinear_uv_p{p:g}", rows, eps, 0.0, column[0]),
-        u_conj_v=_ratio_report(f"bilinear_uconjv_p{p:g}", rows, eps, 0.0, column[1]),
-        diagonal=_ratio_report(f"bilinear_diag_p{p:g}", rows, eps, 0.0, column[2]),
-        sup_l2_max_ratio=float(max(column[3])) if rows else 0.0,
-        sup_l2_cap=_sup_l2_constant(rows[0].grid, rows[0].nt, rows[0].t_window, b) if rows else 0.0,
-    )
+    names = tuple(f"bilinear_{kind}_p{p:g}" for kind in ("uv", "uconjv", "diag"))
+    return _suite(trials, names, ("sup_l2_max_ratio", "sup_l2_cap"), eps, 0.0, one)
 
 
 # -- multilinear multiplier norms on (Z_N)^d ---------------------------------

@@ -264,14 +264,14 @@ def test_07_estimate_ratios_stable_under_grid_doubling():
             return sample_trials(g, nt, TWIN, arity, 6, 7000 + offset, 5, 10)
 
         maxima = {}
-        for rep in ratio_test_cubic(trials(3, 0), s, eps):
+        for rep in ratio_test_cubic(trials(3, 0), s, eps)[0]:
             maxima[rep.test_name] = rep.max_ratio
-        maxima["quintic"] = ratio_test_quintic(trials(5, 1), eps).max_ratio
-        maxima["nullform"] = ratio_test_nullform(trials(4, 2), eps).ratio.max_ratio
-        bil = bilinear_embedding_test(trials(2, 3), 1.0, eps)
-        maxima["bilinear_uv"] = bil.uv.max_ratio
-        maxima["bilinear_u_conj_v"] = bil.u_conj_v.max_ratio
-        maxima["bilinear_diagonal"] = bil.diagonal.max_ratio
+        maxima["quintic"] = ratio_test_quintic(trials(5, 1), eps)[0][0].max_ratio
+        maxima["nullform"] = ratio_test_nullform(trials(4, 2), eps)[0][0].max_ratio
+        (uv, u_conj_v, diagonal), _ = bilinear_embedding_test(trials(2, 3), 1.0, eps)
+        maxima["bilinear_uv"] = uv.max_ratio
+        maxima["bilinear_u_conj_v"] = u_conj_v.max_ratio
+        maxima["bilinear_diagonal"] = diagonal.max_ratio
 
         adversarial = [
             Trial(
@@ -287,7 +287,7 @@ def test_07_estimate_ratios_stable_under_grid_doubling():
             )
             for i in range(6)
         ]
-        for rep in ratio_test_cubic(adversarial, s, eps):
+        for rep in ratio_test_cubic(adversarial, s, eps)[0]:
             maxima[f"paraboloid_{rep.test_name}"] = rep.max_ratio
 
         levels[n] = maxima
@@ -314,8 +314,9 @@ def test_08_transport_pairing_assembly_and_degeneracy():
     # zeroing the pairing up to Poisson-solve roundoff.
     g = Grid2D(n=32, length=LENGTH)
     trials = sample_trials(g, 64, TWIN, 4, 6, 811, 5, 10)
-    rep = ratio_test_nullform(trials, 0.01)
-    assert rep.max_assembly_mismatch < 1e-9
+    _, extras = ratio_test_nullform(trials, 0.01)
+    mismatch = extras["nullform_ibp_mismatch"]
+    assert mismatch < 1e-9
 
     base = trials[0]
     degenerate = Trial(
@@ -323,12 +324,12 @@ def test_08_transport_pairing_assembly_and_degeneracy():
         seed=base.seed,
         flavor=base.flavor,
     )
-    degen = ratio_test_nullform([degenerate], 0.01)
-    assert degen.ratio.max_ratio < 1e-15
+    (degen,), _ = ratio_test_nullform([degenerate], 0.01)
+    assert degen.max_ratio < 1e-15
     _pass(
         "08 transport pairing",
-        f"assembly mismatch {rep.max_assembly_mismatch:.1e}, "
-        f"degenerate ratio {degen.ratio.max_ratio:.1e}",
+        f"assembly mismatch {mismatch:.1e}, "
+        f"degenerate ratio {degen.max_ratio:.1e}",
     )
 
 

@@ -1,5 +1,6 @@
 """Config validation, experiment orchestration, and the command line."""
 
+import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -280,6 +281,26 @@ class TestRunExperiments:
             assert lower <= upper + 1e-12
             assert upper <= counting + 1e-12
 
+    def test_ratio_tables_keep_the_suite_order(self, tmp_path):
+        # Suites run in their fixed order whatever order the config lists
+        # them in, so both tables come out the same, byte for byte.
+        for suites in (["cubic", "quintic", "nullform", "bilinear"],
+                       ["bilinear", "cubic", "nullform", "quintic"]):
+            options = {"nt": 32, "n_trials": 2, "suites": suites}
+            run_experiments(parse_config(wrap(dict(TINY_RATIO, options=options))),
+                            tmp_path / suites[0])
+        a, b = tmp_path / "cubic" / "tiny-ratio", tmp_path / "bilinear" / "tiny-ratio"
+        for name in ("ratios.csv", "ratio_extras.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        with open(a / "ratios.csv", newline="") as fh:
+            assert [row["test_name"] for row in csv.DictReader(fh)] == [
+                "cubic_conj2", "cubic_conj23", "cubic_plain", "quintic", "nullform",
+                "bilinear_uv_p1", "bilinear_uconjv_p1", "bilinear_diag_p1"]
+        with open(a / "ratio_extras.csv", newline="") as fh:
+            extras = {row["quantity"]: float(row["value"]) for row in csv.DictReader(fh)}
+        assert list(extras) == ["nullform_ibp_mismatch", "sup_l2_max_ratio", "sup_l2_cap"]
+        assert extras["sup_l2_max_ratio"] <= extras["sup_l2_cap"]
+
 
 class TestMain:
     def test_runs_config_and_reports(self, tmp_path, capsys):
@@ -374,6 +395,8 @@ class TestMain:
         (TINY_EVOLVE, {"store_every": 0}, "store_every"),
         (TINY_MSM, {"store_every": 0}, "store_every"),
         (TINY_RATIO, {"eps": "x"}, "eps"),
+        (TINY_RATIO, {"eps": 0}, "eps"),
+        (dict(TINY_RATIO, options={"suites": ["quintic", "bilinear"]}), {"eps": -0.01}, "eps"),
         (TINY_LINE, {"eta": "a"}, "eta"),
         (TINY_LINE, {"eta": 0}, "eta"),
         (TINY_RATIO, {"nt": 48}, "nt"),
@@ -393,11 +416,15 @@ class TestMain:
         (dict(CONSTANT_LINE, preset={"name": "single_mode", "params": {"amplitude": 0.0}}),
          {"n_data": 2}, "n_data"),
         (dict(CONSTANT_LINE, preset=ZERO_RANDOM_LINE), {"n_data": 1}, "n_data"),
-    ], ids=["evolve-store-every", "msm-store-every", "ratio-eps-text", "hasimoto-eta-text",
+        # A single mode is a plane-wave gauge field: constant modulus, no cubic fit.
+        (dict(CONSTANT_LINE, preset={"name": "single_mode"}), {"n_data": 1}, "n_data"),
+    ], ids=["evolve-store-every", "msm-store-every", "ratio-eps-text", "ratio-eps-zero",
+            "ratio-eps-negative", "hasimoto-eta-text",
             "hasimoto-eta-zero", "ratio-nt", "ratio-cubic-s", "ratio-p", "ratio-space-band",
             "ratio-time-band", "mult-restarts", "mult-modulus-1", "mult-modulus-2000",
             "hasimoto-soliton-length", "oracle-steps-1", "hasimoto-two-snapshots",
-            "hasimoto-zero-preset", "hasimoto-zero-amplitude", "hasimoto-zero-real-chart"])
+            "hasimoto-zero-preset", "hasimoto-zero-amplitude", "hasimoto-zero-real-chart",
+            "hasimoto-single-mode"])
     def test_bad_option_exits_2_before_compute(self, tmp_path, capsys, first, bad, key):
         cfgfile = tmp_path / "run.json"
         second = dict(first, name="second", options={**first.get("options", {}), **bad})
@@ -436,6 +463,9 @@ class TestMain:
               preset={"name": "near_north_pole", "params": {"distance": -1}}), "'distance'"),
         (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"],
               preset={"name": "near_north_pole", "params": {"distance": 2.5}}), "'distance'"),
+        # The cubic fits need the chart of the first map, which fails at the pole.
+        (dict(DEFAULT_EXPERIMENTS["hasimoto_1d"],
+              preset={"name": "near_north_pole", "params": {"distance": 1e-14}}), "north pole"),
         (dict(DEFAULT_EXPERIMENTS["evolve_map"],
               preset={"name": "smooth_bump", "params": {"amplitude": float("nan")}}),
          "'amplitude'"),
@@ -445,7 +475,7 @@ class TestMain:
             "hasimoto-k-pair", "hasimoto-amplitude-text", "hasimoto-band", "msm-band",
             "gauge-band-smallest-size", "oracle-band-first-rung", "evolve-width-zero",
             "msm-width-negative", "hasimoto-distance-negative", "hasimoto-distance-past-pole",
-            "evolve-amplitude-nan", "msm-amplitude-inf"])
+            "hasimoto-chart-at-pole", "evolve-amplitude-nan", "msm-amplitude-inf"])
     def test_bad_preset_or_map_dt_exits_2_before_compute(self, tmp_path, capsys,
                                                          second, message):
         cfgfile = tmp_path / "run.json"

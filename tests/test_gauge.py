@@ -216,3 +216,12 @@ class TestHasimoto:
         zero = np.zeros(16, dtype=complex)
         with pytest.raises(ValueError, match="snapshot 1 vanishes"):
             fit_nls_coefficient([zero] * 3, 0.1, Grid1D(n=16, length=1.0))
+
+    @pytest.mark.parametrize("field", ["constant", "plane_wave"])
+    def test_fit_refuses_snapshots_of_constant_modulus(self, field):
+        # |u|^2 u is then parallel to the phase direction u that the fit
+        # projects out, so no cubic coefficient is left to identify.
+        grid = Grid1D(n=16, length=1.0)
+        u = np.ones(16) if field == "constant" else np.exp(2j * np.pi * grid.x)
+        with pytest.raises(ValueError, match="cannot be identified"):
+            fit_nls_coefficient([u] * 3, 0.1, grid)

@@ -11,7 +11,6 @@ from msmlab.storage import format_value
 from msmlab.xsb import (
     DELTA_FRAC,
     FLAVORS,
-    BilinearReport,
     MultiplierSpec,
     RatioReport,
     SpaceTimeField,
@@ -300,7 +299,7 @@ class TestCubicRatios:
 
     def test_zero_member_contributes_zero(self):
         z = SpaceTimeField(grid=grid(), t_window=TWIN, values=np.zeros((32, 32, 64), complex))
-        reports = ratio_test_cubic([Trial(fields=(z, z, z), seed=0, flavor="white")], 1.0, 0.01)
+        reports, _ = ratio_test_cubic([Trial(fields=(z, z, z), seed=0, flavor="white")], 1.0, 0.01)
         assert all(r.max_ratio == 0.0 for r in reports)
 
     def test_single_mode_closed_form(self):
@@ -313,7 +312,7 @@ class TestCubicRatios:
             for m, a in ((m1, a1), (m2, a2), (m3, a3))
         )
         reports = {r.test_name: r for r in ratio_test_cubic(
-            [Trial(fields=fields, seed=5, flavor="white")], s=1.0, eps=0.01)}
+            [Trial(fields=fields, seed=5, flavor="white")], s=1.0, eps=0.01)[0]}
         msum = tuple(m1[i] - m2[i] + m3[i] for i in range(3))
         f0 = fields[0]
         cut = window(f0)
@@ -327,13 +326,13 @@ class TestCubicRatios:
 
     def test_ratio_is_scale_invariant(self):
         trials = sample_trials(grid(), 64, TWIN, 3, 3, seed=21, space_band=4, time_band=6)
-        base = {r.test_name: r.max_ratio for r in ratio_test_cubic(trials, 1.0, 0.01)}
+        base = {r.test_name: r.max_ratio for r in ratio_test_cubic(trials, 1.0, 0.01)[0]}
         rescaled = [
             Trial(fields=(scaled(t.fields[0], 3 - 4j), t.fields[1], scaled(t.fields[2], 0.1)),
                   seed=t.seed, flavor=t.flavor)
             for t in trials
         ]
-        again = {r.test_name: r.max_ratio for r in ratio_test_cubic(rescaled, 1.0, 0.01)}
+        again = {r.test_name: r.max_ratio for r in ratio_test_cubic(rescaled, 1.0, 0.01)[0]}
         for name in base:
             assert again[name] == pytest.approx(base[name], rel=1e-11)
 
@@ -342,8 +341,8 @@ class TestCubicRatios:
         # a doubled grid must reproduce the max ratios, far inside the 2x
         # stability budget (frozen pilot factor: 1.001).
         args = dict(arity=3, n_trials=6, seed=501, space_band=5, time_band=10)
-        coarse = ratio_test_cubic(sample_trials(grid(32), 64, TWIN, **args), 1.0, 0.01)
-        fine = ratio_test_cubic(sample_trials(grid(64), 128, TWIN, **args), 1.0, 0.01)
+        coarse, _ = ratio_test_cubic(sample_trials(grid(32), 64, TWIN, **args), 1.0, 0.01)
+        fine, _ = ratio_test_cubic(sample_trials(grid(64), 128, TWIN, **args), 1.0, 0.01)
         for rc, rf in zip(coarse, fine):
             assert rc.test_name == rf.test_name
             assert rf.max_ratio < 2 * rc.max_ratio
@@ -386,8 +385,8 @@ class TestQuinticRatios:
 
     def test_stable_under_grid_doubling(self):
         args = dict(arity=5, n_trials=6, seed=502, space_band=3, time_band=6)
-        coarse = ratio_test_quintic(sample_trials(grid(32), 64, TWIN, **args), eps=0.01)
-        fine = ratio_test_quintic(sample_trials(grid(64), 128, TWIN, **args), eps=0.01)
+        (coarse,), _ = ratio_test_quintic(sample_trials(grid(32), 64, TWIN, **args), eps=0.01)
+        (fine,), _ = ratio_test_quintic(sample_trials(grid(64), 128, TWIN, **args), eps=0.01)
         assert coarse.s == pytest.approx(1.0)
         assert fine.max_ratio < 2 * coarse.max_ratio
         assert coarse.max_ratio < 2 * fine.max_ratio
@@ -402,26 +401,27 @@ class TestNullForm:
         t = self.trials(n_trials=1)[0]
         w = t.fields[3]
         z = SpaceTimeField(grid=w.grid, t_window=w.t_window, values=np.zeros_like(w.values))
-        report = ratio_test_nullform([Trial(fields=t.fields[:3] + (z,), seed=0, flavor="white")], 0.01)
-        assert report.ratio.max_ratio == 0.0
+        trial = Trial(fields=t.fields[:3] + (z,), seed=0, flavor="white")
+        (report,), _ = ratio_test_nullform([trial], 0.01)
+        assert report.max_ratio == 0.0
 
     def test_equal_pair_kills_the_form(self):
         # u1 = u2 makes the stream source Im(u1 conj u1) vanish identically.
         t = self.trials(n_trials=1)[0]
         u1 = t.fields[0]
         trial = Trial(fields=(u1, u1, t.fields[2], t.fields[3]), seed=1, flavor="white")
-        report = ratio_test_nullform([trial], 0.01)
-        assert report.ratio.max_ratio < 1e-15
+        (report,), _ = ratio_test_nullform([trial], 0.01)
+        assert report.max_ratio < 1e-15
 
     def test_integration_by_parts_is_boundary_free(self):
-        report = ratio_test_nullform(self.trials(), 0.01)
-        assert report.max_assembly_mismatch < 1e-9
+        _, extras = ratio_test_nullform(self.trials(), 0.01)
+        assert extras["nullform_ibp_mismatch"] < 1e-9
 
     def test_stable_under_grid_doubling(self):
-        coarse = ratio_test_nullform(self.trials(32, 64), 0.01)
-        fine = ratio_test_nullform(self.trials(64, 128), 0.01)
-        assert fine.ratio.max_ratio < 2 * coarse.ratio.max_ratio
-        assert coarse.ratio.max_ratio < 2 * fine.ratio.max_ratio
+        (coarse,), _ = ratio_test_nullform(self.trials(32, 64), 0.01)
+        (fine,), _ = ratio_test_nullform(self.trials(64, 128), 0.01)
+        assert fine.max_ratio < 2 * coarse.max_ratio
+        assert coarse.max_ratio < 2 * fine.max_ratio
 
 
 class TestBilinearEmbedding:
@@ -435,30 +435,31 @@ class TestBilinearEmbedding:
     def test_single_mode_diagonal_closed_form(self):
         mode, amp = (2, 1, 3), 1.5 + 0.5j
         f = realize_mode_field(grid(), 64, TWIN, {mode: amp})
-        report = bilinear_embedding_test([Trial(fields=(f, f), seed=3, flavor="white")], 2.0, 0.01)
+        (_, _, diagonal), _ = bilinear_embedding_test(
+            [Trial(fields=(f, f), seed=3, flavor="white")], 2.0, 0.01)
         # |u| is constant in space for one mode, so L^4_t L^4_x factorizes.
         l44 = abs(amp) * (LENGTH**2) ** 0.25 * (f.dt * np.sum(window(f) ** 4)) ** 0.25
         expect = l44 / xsb_norm(f, 0.0, 0.51, +1)
-        assert report.diagonal.max_ratio == pytest.approx(expect, rel=1e-12)
+        assert diagonal.max_ratio == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_ratios_finite_and_reported(self, p):
-        report = bilinear_embedding_test(self.trials(), p, 0.01)
-        assert isinstance(report, BilinearReport)
-        for rep in (report.uv, report.u_conj_v, report.diagonal):
+        reports, _ = bilinear_embedding_test(self.trials(), p, 0.01)
+        assert len(reports) == 3
+        for rep in reports:
             assert rep.ensemble_size == 6
             assert 0 < rep.max_ratio < np.inf
 
     def test_sup_l2_bounded_by_exact_constant(self):
         # The time-frequency Cauchy-Schwarz reduction holds discretely with
         # a computable constant, no unquantified slack involved.
-        report = bilinear_embedding_test(self.trials(), 1.0, 0.01)
-        assert report.sup_l2_max_ratio <= report.sup_l2_cap * (1 + 1e-9)
+        _, extras = bilinear_embedding_test(self.trials(), 1.0, 0.01)
+        assert extras["sup_l2_max_ratio"] <= extras["sup_l2_cap"] * (1 + 1e-9)
         # C^2 = max over xi of sum over tau of <tau - |xi|^2>^(-2b), over T, at b = 1/2 + eps.
         f = self.trials(1)[0].fields[0]
         gap = time_frequencies(f)[None, None, :] - f.grid.k2[:, :, None]
         cap = np.sqrt(np.max(np.sum((1.0 + gap**2) ** -0.51, axis=2)) / TWIN)
-        assert report.sup_l2_cap == pytest.approx(cap, rel=1e-12)
+        assert extras["sup_l2_cap"] == pytest.approx(cap, rel=1e-12)
 
 
 class TestMultiplierBounds:
@@ -636,12 +637,33 @@ def small_trials(arity, n_trials=4, seed=40):
     return sample_trials(grid(16), 32, TWIN, arity, n_trials, seed, space_band=3, time_band=6)
 
 
+# Each suite's arity, its run, and the names of its reports and of its extras.
 SUITES = {
-    "cubic": (3, lambda t: ratio_test_cubic(t, 1.0, 0.01)),
-    "quintic": (5, lambda t: ratio_test_quintic(t, 0.01)),
-    "nullform": (4, lambda t: ratio_test_nullform(t, 0.01)),
-    "bilinear": (2, lambda t: bilinear_embedding_test(t, 1.0, 0.01)),
+    "cubic": (3, lambda t: ratio_test_cubic(t, 1.0, 0.01),
+              ("cubic_conj2", "cubic_conj23", "cubic_plain"), ()),
+    "quintic": (5, lambda t: ratio_test_quintic(t, 0.01), ("quintic",), ()),
+    "nullform": (4, lambda t: ratio_test_nullform(t, 0.01),
+                 ("nullform",), ("nullform_ibp_mismatch",)),
+    "bilinear": (2, lambda t: bilinear_embedding_test(t, 1.0, 0.01),
+                 ("bilinear_uv_p1", "bilinear_uconjv_p1", "bilinear_diag_p1"),
+                 ("sup_l2_max_ratio", "sup_l2_cap")),
 }
+
+
+@pytest.mark.parametrize("n_trials", [0, 3])
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_every_suite_returns_its_reports_and_named_extras(suite, n_trials):
+    arity, run, names, extras = SUITES[suite]
+    out = run(small_trials(arity, n_trials))
+    assert isinstance(out, tuple) and len(out) == 2
+    reports, quantities = out
+    assert isinstance(reports, list) and all(isinstance(r, RatioReport) for r in reports)
+    assert [r.test_name for r in reports] == list(names)
+    assert all(r.ensemble_size == n_trials == len(r.ratios) for r in reports)
+    assert isinstance(quantities, dict) and tuple(quantities) == extras
+    assert all(isinstance(v, float) and np.isfinite(v) for v in quantities.values())
+    if not n_trials:
+        assert all(r.max_ratio == 0.0 for r in reports) and not any(quantities.values())
 
 
 class TestLazyTrials:
@@ -666,7 +688,7 @@ class TestLazyTrials:
     def test_lazy_and_eager_reports_agree(self, suite, passes):
         # A lazy ensemble realizes its trials afresh on every pass, so a second
         # report over the same ensemble must equal the first and the eager one.
-        arity, run = SUITES[suite]
+        arity, run, _, _ = SUITES[suite]
         trials = small_trials(arity)
         eager = run(list(trials))
         for _ in range(passes):
@@ -676,7 +698,7 @@ class TestLazyTrials:
     def test_each_factor_realized_once(self, suite, monkeypatch):
         import msmlab.xsb as xsb
 
-        arity, run = SUITES[suite]
+        arity, run, _, _ = SUITES[suite]
         calls = [0]
         original = xsb.realize_mode_field
 
@@ -898,7 +920,7 @@ class TestSmallestUnaliasedGrid:
     @pytest.mark.parametrize("n", [32, 64])
     def test_cubic_matches_n_grid_products(self, n):
         trials = banded_trials(3, n)
-        reports = {r.test_name: r for r in ratio_test_cubic(trials, 1.0, 0.01)}
+        reports = {r.test_name: r for r in ratio_test_cubic(trials, 1.0, 0.01)[0]}
         for i, trial in enumerate(trials):
             for name, expect in n_grid_cubic(trial, 1.0, 0.01).items():
                 assert reports[name].ratios[i] == pytest.approx(expect, rel=1e-12)
@@ -907,7 +929,7 @@ class TestSmallestUnaliasedGrid:
     @pytest.mark.parametrize("n", [32, 64])
     def test_quintic_matches_n_grid_potentials(self, n):
         trials = banded_trials(5, n)
-        report = ratio_test_quintic(trials, 0.01)
+        (report,), _ = ratio_test_quintic(trials, 0.01)
         assert report.grid_n == n
         for i, trial in enumerate(trials):
             assert report.ratios[i] == pytest.approx(n_grid_quintic(trial, 0.01), rel=1e-12)
@@ -915,11 +937,11 @@ class TestSmallestUnaliasedGrid:
     @pytest.mark.parametrize("n", [32, 64])
     def test_nullform_matches_n_grid_pairing(self, n):
         trials = banded_trials(4, n)
-        report = ratio_test_nullform(trials, 0.01)
-        assert report.ratio.grid_n == n
-        assert report.max_assembly_mismatch < 1e-12
+        (report,), extras = ratio_test_nullform(trials, 0.01)
+        assert report.grid_n == n
+        assert extras["nullform_ibp_mismatch"] < 1e-12
         for i, trial in enumerate(trials):
-            assert report.ratio.ratios[i] == pytest.approx(n_grid_nullform(trial, 0.01), rel=1e-12)
+            assert report.ratios[i] == pytest.approx(n_grid_nullform(trial, 0.01), rel=1e-12)
 
     @pytest.mark.parametrize("s,b,sign", [(1.0, 0.51, +1), (-1.0, 0.48, -1), (0.0, 0.0, +1)])
     def test_box_norm_is_grid_free_and_matches_full_spectrum(self, s, b, sign):
@@ -939,7 +961,7 @@ class TestSmallestUnaliasedGrid:
 
     @pytest.mark.parametrize("suite", ["cubic", "quintic", "nullform"])
     def test_unknown_band_keeps_the_n_grid(self, suite, monkeypatch):
-        arity, run = SUITES[suite]
+        arity, run, _, _ = SUITES[suite]
         trials = [unbanded(t) for t in banded_trials(arity, 64, n_trials=1)]
         shapes = _record_fft_shapes(monkeypatch)
         run(trials)
@@ -949,7 +971,7 @@ class TestSmallestUnaliasedGrid:
     def test_no_suite_builds_a_realized_full_spectrum(self, suite, monkeypatch):
         import msmlab.xsb as xsb
 
-        arity, run = SUITES[suite]
+        arity, run, _, _ = SUITES[suite]
         realized = []
         original = xsb.realize_mode_field
 
@@ -1083,7 +1105,7 @@ class TestSynthesisFromTheBox:
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_only_bilinear_and_the_fifth_quintic_factor_synthesize_on_n(self, suite, monkeypatch):
-        arity, run = SUITES[suite]
+        arity, run, _, _ = SUITES[suite]
         trials = banded_trials(arity, 64, n_trials=2)
         calls = _count_syntheses(monkeypatch)
         run(trials)
@@ -1101,13 +1123,13 @@ class TestSynthesisFromTheBox:
         # pytest.approx always adds an absolute 1e-12, loose for ratios of
         # 1e-11 to 1e-4; compare relative to rounding only.
         trials = banded_trials(3, n)
-        reports = {r.test_name: r for r in ratio_test_cubic(trials, 1.0, 0.01)}
+        reports = {r.test_name: r for r in ratio_test_cubic(trials, 1.0, 0.01)[0]}
         for i, trial in enumerate(trials):
             for name, expect in n_grid_cubic(trial, 1.0, 0.01).items():
                 assert reports[name].ratios[i] == pytest.approx(expect, rel=1e-12, abs=0)
         trials = banded_trials(5, n)
-        for trial, ratio in zip(trials, ratio_test_quintic(trials, 0.01).ratios):
+        for trial, ratio in zip(trials, ratio_test_quintic(trials, 0.01)[0][0].ratios):
             assert ratio == pytest.approx(n_grid_quintic(trial, 0.01), rel=1e-12, abs=0)
         trials = banded_trials(4, n)
-        for trial, ratio in zip(trials, ratio_test_nullform(trials, 0.01).ratio.ratios):
+        for trial, ratio in zip(trials, ratio_test_nullform(trials, 0.01)[0][0].ratios):
             assert ratio == pytest.approx(n_grid_nullform(trial, 0.01), rel=1e-12, abs=0)
