@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -248,6 +249,18 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
                 raise ConfigError(f"{where}.options.{key} = {opt[key]} must be below {size} / 2")
         if "cubic" in opt["suites"] and not _ratio_s(opt) > 5 * opt["eps"]:
             raise ConfigError(f"{where}.options.s = {_ratio_s(opt)} must exceed 5 eps for cubic")
+        # The largest squared weight <xi>^2S <tau -+ |xi|^2>^2b (b < 3/4) sits at
+        # the grid's corner and must stay below 1e300; S is the largest |s| weighed.
+        weighed = {"eps": 100 * opt["eps"]}
+        if "cubic" in opt["suites"]:
+            weighed["s"] = abs(_ratio_s(opt))
+        key = max(weighed, key=weighed.get)
+        k = math.pi * grid["n"] / grid["length"]
+        k2, tau = 2 * k * k, math.pi * opt["nt"] / opt["t_window"]
+        if (weighed[key] * math.log1p(k2) + 0.75 * math.log1p((tau + k2) * (tau + k2))
+                >= math.log(1e300)):
+            raise ConfigError(f"{where}.options.{key} = {opt[key]} makes the weights of the "
+                              f"ratio norms overflow on this grid")
     return exp
 
 

@@ -45,13 +45,15 @@ _MODULUS = math.isqrt(MAX_ENUMERATION)
 # Values with a range narrower than their default's type, as (least,
 # greatest, description), both ends included.  A bump width divides a
 # length, the eta = 0 soliton vanishes, a ratio suite's eps is the margin of
-# b = 1/2 + eps above 1/2, and a pole distance is a height on the unit
-# sphere, whose south pole is 2.  Each set of a multiplier pair draws up to
-# half of Z_N, and its N^2 values must fit the enumeration budget.
+# b = 1/2 + eps above 1/2 and keeps the numerator's b = -1/2 + 2 eps below
+# zero, and a pole distance is a height on the unit sphere, whose south pole
+# is 2.  Each set of a multiplier pair draws up to half of Z_N, and its N^2
+# values must fit the enumeration budget.
 # The oracle's centered differences need the three snapshots of two steps.
 _RANGES = {
     **dict.fromkeys(("width", "length", "dt", "t_final", "dt0", "t_window", "soliton_length",
-                     "eta", "eps"), (_TINY, _BIG, "a finite positive number")),
+                     "eta"), (_TINY, _BIG, "a finite positive number")),
+    "eps": (_TINY, math.nextafter(0.25, 0.0), "a number in (0, 1/4)"),
     **dict.fromkeys(("store_every", "rungs", "restarts"), (1, math.inf, "a positive integer")),
     "steps": (2, math.inf, "an integer >= 2"),
     "distance": (_TINY, 2.0, "a number in (0, 2]"),

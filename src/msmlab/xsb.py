@@ -29,7 +29,6 @@ alternating maximization from below.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -110,71 +109,53 @@ def unit_window(t) -> np.ndarray:
 class SpaceTimeField:
     """Complex field on (x, y, t), smoothly vanishing at the time seam.
 
-    A field is one of two things: its samples on its grid (``values``, of
-    shape n x n x nt) or its space-time box (``box``, below); ``nt`` is the
-    last axis of whichever it was built from.  The time axis must hold a
-    power of two samples and the values at the first and last slice must be
-    below BOUNDARY_TOL relative to the field's sup, so that treating the
-    time axis as periodic is exact to rounding rather than an O(1) lie.
+    A field is built from its samples on its grid (``values``, n x n x nt)
+    or, when band-limited, from its mode ``columns``: the time series of the
+    spatial modes -B..B along each axis, in increasing order, of shape
+    (2B + 1, 2B + 1, nt) with 2B < n; every other mode is zero.  The time
+    axis must hold a power of two samples and the values at the first and
+    last slice must be below BOUNDARY_TOL relative to the field's sup, so
+    that treating the time axis as periodic is exact to rounding rather
+    than an O(1) lie.
 
-    ``band``, when known, bounds the spatial frequency indices of the
-    continuum field that ``values`` samples (``max(|mx|, |my|) <= band``);
-    ``None`` means unknown.  A band of n/2 or more is allowed: the samples
-    are still exact, only their grid spectrum aliases.  ``box``, when
-    known, holds the space-time coefficients of the (2 band + 1)^2 spatial
-    columns, modes -band..band along each axis in increasing order; every
-    other coefficient is zero.
-
-    A field built from its box alone (``values=None``) synthesizes its
-    values on its grid from the box the first time they are read, and keeps
-    them; ``nt`` and the weighted norms never read them.  The finiteness
-    and seam checks run at construction on the box's time columns c_t
-    instead: the seam values are at most the l1 sum of c_t at the first and
-    last slice, and by Parseval the sup is at least the largest l2 norm of
-    a c_t, so passing with those two bounds implies passing on the values.
+    ``band`` is B, and None for a field of samples.  A band-limited field
+    derives its space-time ``box`` and its values from the columns on first
+    read, and the same columns build it on any grid with more than 2B points
+    a side.  Its checks run on the columns c_t: the seam values are at most
+    the l1 sum of c_t at the first and last slice, and by Parseval the sup
+    is at least the largest l2 norm of a c_t, so passing with those two
+    bounds implies passing on the values.
     """
 
-    def __init__(
-        self,
-        grid: Grid2D,
-        t_window: float,
-        values: np.ndarray | None,
-        band: int | None = None,
-        box: np.ndarray | None = None,
-    ):
-        self.grid, self.t_window, self.band, self.box = grid, t_window, band, box
-        if values is None and box is None:
-            raise ValueError("a field needs its values or its box")
+    def __init__(self, grid: Grid2D, t_window: float, values: np.ndarray | None = None,
+                 columns: np.ndarray | None = None):
+        if (values is None) == (columns is None):
+            raise ValueError("a field needs exactly one of its values or its columns")
         if values is not None and (values.ndim != 3 or values.shape[:2] != grid.shape):
             raise ValueError(f"values must have shape {grid.shape + ('nt',)}, got {values.shape}")
-        source = box if values is None else values
-        nt = self.nt = source.shape[2] if source.ndim == 3 else 0
+        if columns is not None and (columns.ndim != 3 or columns.shape[0] != columns.shape[1]
+                                    or columns.shape[0] % 2 == 0 or columns.shape[0] > grid.n):
+            raise ValueError(f"columns must have shape (2B + 1, 2B + 1, nt) with 2B < "
+                             f"{grid.n}, got {columns.shape}")
+        self.grid, self.t_window, self.columns = grid, t_window, columns
+        self.band = None if columns is None else columns.shape[0] // 2
+        nt = self.nt = (values if columns is None else columns).shape[2]
         if nt < 2 or nt & (nt - 1):
             raise ValueError(f"time axis must hold a power of two samples, got {nt}")
         if not t_window > 0:
             raise ValueError("t_window must be positive")
-        if band is not None and band < 0:
-            raise ValueError(f"band must be nonnegative, got {band}")
-        if box is not None and (
-            band is None or 2 * band >= grid.n or box.shape != (2 * band + 1,) * 2 + (nt,)
-        ):
-            raise ValueError("box must hold the (2 band + 1)^2 x nt coefficients of the grid")
-        if values is None:
-            # Checked before the transform, which would spread and warn.
-            if not np.all(np.isfinite(box)):
-                raise ValueError("box contains non-finite entries")
-            # Time series of the box's spatial columns, kept for the synthesis.
-            cols = self._columns = np.fft.ifft(box, axis=2) * nt
-            top = float(np.max(np.linalg.norm(cols.reshape(-1, nt), axis=0)))
-            edge = float(np.sum(np.abs(cols[:, :, [0, -1]])))
-        else:
-            # One pass: the sup is NaN or inf exactly when an entry is not finite.
-            top = float(np.max(np.abs(values)))
-            if not np.isfinite(top):
-                raise ValueError("values contain non-finite entries")
+        if columns is None:
             self.values = values.astype(np.complex128, copy=False)
+            top = float(np.max(np.abs(values)))
             edge = max(float(np.max(np.abs(values[:, :, 0]))),
                        float(np.max(np.abs(values[:, :, -1]))))
+        else:
+            mags = np.abs(columns)
+            top = float(np.sqrt(np.max(np.sum(mags**2, axis=(0, 1)))))
+            edge = float(np.sum(mags[:, :, [0, -1]]))
+        # The sup is NaN or inf exactly when an entry is not finite.
+        if not np.isfinite(top):
+            raise ValueError("field contains non-finite entries")
         if edge > BOUNDARY_TOL * top:
             raise ValueError(
                 f"field does not vanish at the time boundary "
@@ -182,17 +163,21 @@ class SpaceTimeField:
             )
 
     @cached_property
+    def box(self) -> np.ndarray:
+        """Space-time coefficients of the columns, transformed on first read."""
+        return np.fft.fft(self.columns, axis=2) / self.nt
+
+    @cached_property
     def values(self) -> np.ndarray:
-        """Samples on the grid, synthesized from the box on first read."""
-        return _synthesize(self._columns, self.grid.n)
+        """Samples on the grid, synthesized from the columns on first read."""
+        return _synthesize(self.columns, self.grid.n)
 
     @property
     def dt(self) -> float:
         return self.t_window / self.nt
 
     def conjugate(self) -> "SpaceTimeField":
-        return SpaceTimeField(grid=self.grid, t_window=self.t_window,
-                              values=np.conj(self.values), band=self.band)
+        return SpaceTimeField(grid=self.grid, t_window=self.t_window, values=np.conj(self.values))
 
 
 def _tau(nt: int, t_window: float) -> np.ndarray:
@@ -218,12 +203,10 @@ def _band_sum(fields: Sequence[SpaceTimeField]) -> int | None:
 
 
 def _synthesize(columns: np.ndarray, m: int) -> np.ndarray:
-    """Samples on an m x m grid of the field with the given spatial columns.
+    """Samples on an m x m grid of the field with the given mode columns.
 
-    ``columns`` holds the time series of the spatial modes -b..b along each
-    axis, in increasing order, with b = (len(columns) - 1) / 2.  The field
-    is summed mode by mode, in two small matrix products, so its samples
-    are exact on any grid; with m > 2b they also determine it.
+    The field is summed mode by mode, in two small matrix products, so its
+    samples are exact on any grid; with m > 2B they also determine it.
     """
     band = columns.shape[0] // 2
     ms = np.arange(-band, band + 1)
@@ -238,40 +221,32 @@ def _product(factors: Sequence[SpaceTimeField], conj: Sequence[bool]) -> SpaceTi
     vals = np.conj(first.values) if conj[0] else first.values
     for f, c in zip(factors[1:], conj[1:]):
         vals = vals * (np.conj(f.values) if c else f.values)
-    return SpaceTimeField(grid=first.grid, t_window=first.t_window, values=vals,
-                          band=_band_sum(factors))
+    return SpaceTimeField(grid=first.grid, t_window=first.t_window, values=vals)
 
 
-def _unaliased(
-    fields: Sequence[SpaceTimeField], bound: Callable[[list[int]], int]
-) -> tuple[SpaceTimeField, ...]:
-    """The fields sampled on the smallest grid with more than bound(bands) points a side.
+def _unaliased(fields: Sequence[SpaceTimeField],
+               bound: Callable[[list[int]], int]) -> tuple[SpaceTimeField, ...]:
+    """The fields built from their columns on the smallest grid with more than
+    bound(bands) points a side.
 
     The caller's ``bound``, a function of the fields' bands, makes the step
     it takes on the coarse grid unaliased.  The grid is a power of two with
-    at least 8 points and more than twice every band, so each field is
-    sampled exactly: its box and the time columns checked when it was built
-    carry over to the coarse grid, where its values are synthesized when
-    read.  When a field was not built from its box alone, or no grid
-    smaller than the fields' own qualifies, the fields come back unchanged.
+    at least 8 points and more than twice every band, so the same columns
+    build each field there exactly.  When a field is not band-limited, or
+    no grid smaller than the fields' own qualifies, the fields come back
+    unchanged.
     """
-    grid = fields[0].grid
-    if any("_columns" not in vars(f) for f in fields):
+    grid, bands = fields[0].grid, [f.band for f in fields]
+    if None in bands:
         return tuple(fields)
-    bands = [f.band for f in fields]
     m = 8
     while m <= max(bound(bands), 2 * max(bands)):
         m *= 2
     if m >= grid.n:
         return tuple(fields)
     coarse = Grid2D(n=m, length=grid.length)
-    # Copies keep every attribute, f's checked box and columns among them;
-    # values read on the fine grid are dropped, to be synthesized on the coarse.
-    out = tuple(copy.copy(f) for f in fields)
-    for g in out:
-        g.grid = coarse
-        g.__dict__.pop("values", None)
-    return out
+    return tuple(SpaceTimeField(grid=coarse, t_window=f.t_window, columns=f.columns)
+                 for f in fields)
 
 
 def realize_mode_field(
@@ -288,11 +263,10 @@ def realize_mode_field(
     strictly inside the Nyquist box of the requested grid.
 
     The window acts along t only, so every occupied spatial frequency
-    keeps its own windowed time series: the field's spectrum is known
-    exactly from the mode box (zero outside it) and is kept as the
-    field's ``box``.  The field is built from the box alone; its values on
-    any grid are synthesized by two small matrix products, and only when
-    a suite reads them there.
+    keeps its own windowed time series: one inverse transform along t
+    gives the field's mode columns, and the field is built from them
+    alone (zero outside them).  Its box and its values on any grid are
+    derived from the columns, and only when a suite reads them.
     """
     n = grid.n
     keys = np.array(list(modes), dtype=np.int64).reshape(-1, 3)
@@ -310,9 +284,8 @@ def realize_mode_field(
     box[keys[:, 0] + band, keys[:, 1] + band, -keys[:, 2] % nt] = coefs
     times = np.arange(nt) * (t_window / nt)
     cut = unit_window((times - t_window / 2) / (DELTA_FRAC * t_window))
-    columns = np.fft.ifft(box, axis=2) * (nt * cut)
-    return SpaceTimeField(grid=grid, t_window=t_window, values=None, band=band,
-                          box=np.fft.fft(columns, axis=2) / nt)
+    return SpaceTimeField(grid=grid, t_window=t_window,
+                          columns=np.fft.ifft(box, axis=2) * (nt * cut))
 
 
 def free_solution_field(
@@ -340,7 +313,10 @@ def free_solution_field(
 def _weight_sq(
     grid: Grid2D, nt: int, t_window: float, s: float, b: float, sign: int
 ) -> np.ndarray:
-    """Squared weight of :func:`xsb_norm`, one read-only array per key."""
+    """Squared weight of :func:`xsb_norm`, one read-only array per key.
+
+    A weight that overflows or underflows is refused: the norm would be lost.
+    """
     k2 = grid.k2[:, :, None]
     tau = _tau(nt, t_window)
     gap = tau[None, None, :] - sign * k2
@@ -351,7 +327,10 @@ def _weight_sq(
     gap[:, :, nt // 2] = np.abs(tau[nt // 2]) + k2[:, :, 0]
     bracket_tau = np.sqrt(1.0 + gap**2)
     bracket_xi = np.sqrt(1.0 + k2)
-    weight_sq = (bracket_tau**b * bracket_xi**s) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight_sq = (bracket_tau**b * bracket_xi**s) ** 2
+    if not np.all((weight_sq > 0) & (weight_sq < np.inf)):
+        raise ValueError(f"weight <tau -+ |xi|^2>^{b:g} <xi>^{s:g} overflows or underflows")
     weight_sq.setflags(write=False)
     return weight_sq
 
@@ -362,9 +341,9 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
         raise ValueError("sign must be +1 (paraboloid) or -1 (mirrored)")
     measure = u.grid.length**2 * u.t_window
     weight_sq = _weight_sq(u.grid, u.nt, u.t_window, s, b, sign)
-    if u.box is None:
+    if u.columns is None:
         coef = np.fft.fftn(u.values) / u.values.size
-    else:  # every coefficient outside the box is zero
+    else:  # every coefficient outside the columns' box is zero
         idx = _box_index(u.band, u.grid.n)
         coef, weight_sq = u.box, weight_sq[np.ix_(idx, idx)]
     total = np.sum(np.abs(coef) ** 2 * weight_sq)
@@ -682,10 +661,10 @@ def _grad_potential(
     if band is None or 2 * band >= coarse.n:
         return grid.grad_from_hat(coarse.inverse_laplacian_symbol[:, :, None] * sh)
     cells = np.ix_(*[_box_index(band, coarse.n)] * 2)
-    box = (coarse.inverse_laplacian_symbol[cells] / coarse.n**2)[:, :, None] * sh[cells]
+    cols = (coarse.inverse_laplacian_symbol[cells] / coarse.n**2)[:, :, None] * sh[cells]
     ik = (2j * np.pi / grid.length) * np.arange(-band, band + 1)
-    return (_synthesize(ik[:, None, None] * box, grid.n),
-            _synthesize(ik[None, :, None] * box, grid.n))
+    return (_synthesize(ik[:, None, None] * cols, grid.n),
+            _synthesize(ik[None, :, None] * cols, grid.n))
 
 
 def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> _SuiteResult:
@@ -716,7 +695,7 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> _SuiteResult:
         vals += g1y * g2y
         del g1y, g2y
         vals *= u[4].values
-        prod = SpaceTimeField(grid=grid, t_window=u[0].t_window, values=vals, band=_band_sum(u))
+        prod = SpaceTimeField(grid=grid, t_window=u[0].t_window, values=vals)
         return (xsb_norm(prod, s, b_num, +1) / den,)
 
     return _suite(trials, ("quintic",), (), eps, s, one)

@@ -397,6 +397,12 @@ class TestMain:
         (TINY_RATIO, {"eps": "x"}, "eps"),
         (TINY_RATIO, {"eps": 0}, "eps"),
         (dict(TINY_RATIO, options={"suites": ["quintic", "bilinear"]}), {"eps": -0.01}, "eps"),
+        # At eps >= 1/4 the numerator's b = -1/2 + 2 eps is no longer negative.
+        (TINY_RATIO, {"eps": 0.25}, "eps"),
+        (TINY_RATIO, {"eps": 0.3}, "eps"),
+        (dict(TINY_RATIO, options={"suites": ["quintic", "bilinear"]}), {"eps": 1e307}, "eps"),
+        # <xi>^2s overflows at the corner of n = 16.
+        (TINY_RATIO, {"s": 1000}, "s"),
         (TINY_LINE, {"eta": "a"}, "eta"),
         (TINY_LINE, {"eta": 0}, "eta"),
         (TINY_RATIO, {"nt": 48}, "nt"),
@@ -419,7 +425,8 @@ class TestMain:
         # A single mode is a plane-wave gauge field: constant modulus, no cubic fit.
         (dict(CONSTANT_LINE, preset={"name": "single_mode"}), {"n_data": 1}, "n_data"),
     ], ids=["evolve-store-every", "msm-store-every", "ratio-eps-text", "ratio-eps-zero",
-            "ratio-eps-negative", "hasimoto-eta-text",
+            "ratio-eps-negative", "ratio-eps-quarter", "ratio-eps-above-quarter",
+            "ratio-eps-huge", "ratio-s-overflow", "hasimoto-eta-text",
             "hasimoto-eta-zero", "ratio-nt", "ratio-cubic-s", "ratio-p", "ratio-space-band",
             "ratio-time-band", "mult-restarts", "mult-modulus-1", "mult-modulus-2000",
             "hasimoto-soliton-length", "oracle-steps-1", "hasimoto-two-snapshots",

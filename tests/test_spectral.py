@@ -397,9 +397,10 @@ def test_no_module_reads_the_environment_or_starts_threads():
 
 
 def test_no_module_bypasses_a_constructor():
-    # An instance filled in attribute by attribute skips its class's checks
-    # and silently drops any attribute the list does not name.
-    banned = re.compile(r"object\.__new__|\bvars\([^)]*\)\.update")
+    # An instance filled in attribute by attribute, or copied and rebound,
+    # skips its class's checks and silently drops any attribute the list
+    # does not name.
+    banned = re.compile(r"object\.__new__|\bvars\([^)]*\)\.update|\bcopy\.copy\(|__dict__|\bvars\(")
     for path in sorted(Path(msmlab.__file__).parent.glob("*.py")):
         found = banned.search(path.read_text())
         assert found is None, f"{path.name}: {found.group(0)}"

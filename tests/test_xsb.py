@@ -55,9 +55,8 @@ def white_field(seed, n=32, nt=64, sb=4, tb=8):
 
 
 def scaled(f, factor):
-    """The field factor * f, built from its box like any realized field."""
-    return SpaceTimeField(grid=f.grid, t_window=f.t_window, values=None, band=f.band,
-                          box=factor * f.box)
+    """The field factor * f, built from its columns like any realized field."""
+    return SpaceTimeField(grid=f.grid, t_window=f.t_window, columns=factor * f.columns)
 
 
 def sample_times(f):
@@ -138,6 +137,12 @@ class TestSpaceTimeField:
         assert xsb_norm(scaled(f, 3 - 4j), 0.7, 0.55, +1) == pytest.approx(
             5 * xsb_norm(f, 0.7, 0.55, +1), rel=1e-12
         )
+
+    @pytest.mark.parametrize("s,b", [(1000.0, 0.5), (-1000.0, 0.5), (1.0, 400.0)])
+    def test_weights_that_overflow_or_underflow_refused(self, s, b):
+        # At the corner of n = 32, <xi>^2s reaches e^(+-4860) and <tau - |xi|^2>^2b e^4150.
+        with pytest.raises(ValueError, match="overflow"):
+            xsb_norm(white_field(2), s, b, +1)
 
     def test_single_mode_weighted_norm(self):
         mode, amp = (2, -1, 3), 1.5 + 0.5j
@@ -988,20 +993,35 @@ class TestSmallestUnaliasedGrid:
         on_n = [name for name, shape in shapes if shape == (32, 32, 64)]
         assert on_n == ["fftn"] * (3 if suite == "quintic" else 0)
 
-    def test_band_and_box_validated(self):
+    def test_band_and_box_derived_from_the_columns(self):
         f = white_field(8, sb=3)
-        assert f.band == 3 and f.box.shape == (7, 7, 64)
-        with pytest.raises(ValueError, match="band"):
-            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, band=-1)
-        with pytest.raises(ValueError, match="box"):
-            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, band=2, box=f.box)
-        with pytest.raises(ValueError, match="box"):
-            SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values, box=f.box)
+        assert f.band == 3 and f.columns.shape == (7, 7, 64)
+        assert np.array_equal(f.box, np.fft.fft(f.columns, axis=2) / 64)
+        assert SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values).band is None
 
-    def test_scaled_and_conjugate_keep_the_band(self):
+    @pytest.mark.parametrize("shape,band", [
+        ((7, 7, 64), 3), ((1, 1, 64), 0), ((31, 31, 64), 15),
+        ((6, 6, 64), None), ((7, 5, 64), None), ((33, 33, 64), None), ((7, 7), None),
+    ], ids=["band-3", "band-0", "band-15", "even-side", "not-square", "side-above-n", "no-time"])
+    def test_band_read_from_an_odd_side_below_n(self, shape, band):
+        # On n = 32 a side 2B + 1 needs 2B < 32: band 15 is the widest.
+        columns = np.zeros(shape, complex)
+        if band is None:
+            with pytest.raises(ValueError, match="columns"):
+                SpaceTimeField(grid=grid(32), t_window=TWIN, columns=columns)
+        else:
+            assert SpaceTimeField(grid=grid(32), t_window=TWIN, columns=columns).band == band
+
+    def test_exactly_one_of_values_and_columns(self):
+        f = white_field(8, sb=3)
+        for kwargs in ({"values": f.values, "columns": f.columns}, {}):
+            with pytest.raises(ValueError, match="exactly one"):
+                SpaceTimeField(grid=f.grid, t_window=TWIN, **kwargs)
+
+    def test_scaled_keeps_the_band_and_a_conjugate_is_samples(self):
         f = white_field(9, sb=3)
         g = scaled(f, 2 - 1j)
-        assert g.band == 3 and f.conjugate().band == 3
+        assert g.band == 3 and f.conjugate().band is None
         np.testing.assert_allclose(g.values, (2 - 1j) * f.values,
                                    atol=1e-13 * np.max(np.abs(f.values)))
         np.testing.assert_allclose(box_spectrum(g), np.fft.fftn(g.values) / g.values.size,
@@ -1047,20 +1067,19 @@ class TestSynthesisFromTheBox:
             realize_mode_field(grid(32), 64, TWIN, modes)
         if case != "seam":
             f = white_field(71)
-            box = f.box.copy()
-            box[1, 2, 3] = modes[(1, -2, 3)]
+            columns = f.columns.copy()
+            columns[1, 2, 3] = modes[(1, -2, 3)]
             with pytest.raises(ValueError, match="non-finite"):
-                SpaceTimeField(grid=f.grid, t_window=TWIN, values=None, band=f.band, box=box)
+                SpaceTimeField(grid=f.grid, t_window=TWIN, columns=columns)
         assert calls == []
 
     def test_band_at_half_the_grid_rejected_before_any_synthesis(self, monkeypatch):
         calls = _count_syntheses(monkeypatch)
-        with pytest.raises(ValueError, match="box"):
-            SpaceTimeField(grid=grid(16), t_window=TWIN, values=None,
-                           band=8, box=np.zeros((17, 17, 32), complex))
+        with pytest.raises(ValueError, match="columns"):
+            SpaceTimeField(grid=grid(16), t_window=TWIN, columns=np.zeros((17, 17, 32), complex))
         with pytest.raises(ValueError, match="fit"):
             realize_mode_field(grid(16), 32, TWIN, {(8, 1, 0): 1.0})
-        with pytest.raises(ValueError, match="values or its box"):
+        with pytest.raises(ValueError, match="values or its columns"):
             SpaceTimeField(grid=grid(16), t_window=TWIN, values=None)
         assert calls == []
 
@@ -1081,18 +1100,31 @@ class TestSynthesisFromTheBox:
         assert [t.flavor for t in trials] == list(FLAVORS)
         for trial in trials:
             fine = trial.fields[0]
-            full = fine.values  # read first: the coarse copy must not keep it
+            full = fine.values  # read first: the coarse field must not keep it
             (coarse,) = _unaliased(trial.fields, lambda bands: 0)
             step = n // coarse.grid.n
-            assert step > 1 and coarse.box is fine.box
-            # The fine field's checked time columns carry over: no transform is redone.
-            assert coarse._columns is fine._columns
-            # Every other attribute carries over too; only the grid and the values differ.
-            assert set(vars(coarse)) == set(vars(fine)) - {"values"}
-            assert all(vars(coarse)[k] is v for k, v in vars(fine).items()
-                       if k not in ("grid", "values"))
+            # The coarse field is built from the fine field's columns, not a copy of them.
+            assert step > 1 and coarse.columns is fine.columns and coarse.band == fine.band
+            assert coarse.t_window == fine.t_window and coarse.grid.length == fine.grid.length
             expect = full[::step, ::step]
             assert np.max(np.abs(coarse.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_a_realized_factor_costs_one_time_transform_each_way(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(np.fft, name)
+
+            def recorded(a, *args, name=name, original=original, **kwargs):
+                calls.append((name, np.shape(a), kwargs.get("axis")))
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, recorded)
+        f = white_field(72, sb=3)
+        assert calls == [("ifft", (7, 7, 64), 2)]
+        box = f.box
+        assert calls[1:] == [("fft", (7, 7, 64), 2)]
+        (coarse,) = _unaliased([f], lambda bands: 0)
+        assert coarse.grid.n == 8 and f.box is box and len(calls) == 2
 
     def test_quintic_runs_no_two_dimensional_transform_on_the_fine_grid(self, monkeypatch):
         # Band-5 factors at n=64: the band-10 pair sources go through fft2 on
