@@ -22,6 +22,12 @@ Every suite returns one shape: its reports, one ``RatioReport`` per ratio
 it measures, and a dict of its named extra quantities (empty for the
 cubic and quintic suites).
 
+A band-limited field is its mode columns, and its norm reads only their
+box against a weight built on that box.  Every quantity a suite measures
+is a box of mode columns or a sum over time slices, so the quintic, null
+form and bilinear suites synthesize samples one time block at a time and
+never hold all n x n x nt samples of a band-limited factor.
+
 The last section estimates norms of multilinear convolution multipliers on
 finite abelian groups (Z_N)^d: an exact slice bound from above and an
 alternating maximization from below.
@@ -177,7 +183,11 @@ class SpaceTimeField:
         return self.t_window / self.nt
 
     def conjugate(self) -> "SpaceTimeField":
-        return SpaceTimeField(grid=self.grid, t_window=self.t_window, values=np.conj(self.values))
+        """The complex conjugate; mode k of it is the conjugate of mode -k, so a
+        band-limited field stays band-limited."""
+        if self.columns is None:
+            return SpaceTimeField(self.grid, self.t_window, values=np.conj(self.values))
+        return SpaceTimeField(self.grid, self.t_window, columns=np.conj(self.columns[::-1, ::-1]))
 
 
 def _tau(nt: int, t_window: float) -> np.ndarray:
@@ -213,6 +223,55 @@ def _synthesize(columns: np.ndarray, m: int) -> np.ndarray:
     # e^{i 2 pi k j / m} at grid point j, with the phase reduced mod m.
     phase = np.exp((2j * np.pi / m) * (np.outer(np.arange(m), ms) % m))
     return phase @ np.tensordot(phase, columns, axes=(1, 0))
+
+
+# A streamed step holds about this many grid points of each field at a time.
+_BLOCK_POINTS = 2**16
+
+
+def _time_blocks(nt: int, m: int) -> list[slice]:
+    """Consecutive slices of an nt-slice time axis, each about _BLOCK_POINTS
+    points of an m x m grid."""
+    step = max(1, _BLOCK_POINTS // m**2)
+    return [slice(t, t + step) for t in range(0, nt, step)]
+
+
+def _samples(f: SpaceTimeField, blk: slice) -> np.ndarray:
+    """The field's samples on its grid over one time block."""
+    if f.columns is None:
+        return f.values[:, :, blk]
+    return _synthesize(f.columns[:, :, blk], f.grid.n)
+
+
+def _blocks(fields: Sequence[SpaceTimeField]) -> Iterable[list[np.ndarray]]:
+    """The fields' samples on their grid, one time block at a time."""
+    _compatible(fields)
+    for blk in _time_blocks(fields[0].nt, fields[0].grid.n):
+        yield [_samples(f, blk) for f in fields]
+
+
+def _cut(grid: Grid2D, samples: np.ndarray, band: int) -> np.ndarray:
+    """Mode columns -band..band of samples of that band, with 2 band < grid.n."""
+    cells = np.ix_(*[_box_index(band, grid.n)] * 2)
+    return grid.fft(samples)[cells] / grid.n**2
+
+
+def _assembled(grid: Grid2D, t_window: float, nt: int, band: int | None,
+               block: Callable[[slice], np.ndarray]) -> SpaceTimeField:
+    """The field on grid whose samples over each time block blk are block(blk).
+
+    When its band is known and 2 band < grid.n, each block is cut to its
+    mode columns and only the columns are kept; otherwise the blocks fill
+    its values.
+    """
+    banded = band is not None and 2 * band < grid.n
+    shape = (2 * band + 1, 2 * band + 1) if banded else grid.shape
+    out = np.empty(shape + (nt,), dtype=np.complex128)
+    for blk in _time_blocks(nt, grid.n):
+        out[:, :, blk] = _cut(grid, block(blk), band) if banded else block(blk)
+    if banded:
+        return SpaceTimeField(grid, t_window, columns=out)
+    return SpaceTimeField(grid, t_window, values=out)
 
 
 def _product(factors: Sequence[SpaceTimeField], conj: Sequence[bool]) -> SpaceTimeField:
@@ -311,13 +370,16 @@ def free_solution_field(
 
 @lru_cache(maxsize=8)
 def _weight_sq(
-    grid: Grid2D, nt: int, t_window: float, s: float, b: float, sign: int
+    grid: Grid2D, nt: int, t_window: float, s: float, b: float, sign: int, band: int | None
 ) -> np.ndarray:
     """Squared weight of :func:`xsb_norm`, one read-only array per key.
 
-    A weight that overflows or underflows is refused: the norm would be lost.
+    With a band it is built on the spatial modes -band..band only, the box
+    a band-limited field's norm reads; with None, on the whole grid.  A
+    weight that overflows or underflows is refused: the norm would be lost.
     """
-    k2 = grid.k2[:, :, None]
+    k2 = grid.k2 if band is None else grid.k2[np.ix_(*[_box_index(band, grid.n)] * 2)]
+    k2 = k2[:, :, None]
     tau = _tau(nt, t_window)
     gap = tau[None, None, :] - sign * k2
     # The single unpaired time frequency aliases +-Nyquist equally; giving
@@ -340,12 +402,9 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 (paraboloid) or -1 (mirrored)")
     measure = u.grid.length**2 * u.t_window
-    weight_sq = _weight_sq(u.grid, u.nt, u.t_window, s, b, sign)
-    if u.columns is None:
-        coef = np.fft.fftn(u.values) / u.values.size
-    else:  # every coefficient outside the columns' box is zero
-        idx = _box_index(u.band, u.grid.n)
-        coef, weight_sq = u.box, weight_sq[np.ix_(idx, idx)]
+    weight_sq = _weight_sq(u.grid, u.nt, u.t_window, s, b, sign, u.band)
+    # Every coefficient outside a band-limited field's box is zero.
+    coef = np.fft.fftn(u.values) / u.values.size if u.columns is None else u.box
     total = np.sum(np.abs(coef) ** 2 * weight_sq)
     return float(np.sqrt(measure * total))
 
@@ -365,15 +424,28 @@ def mixed_norm(u: SpaceTimeField, p_t: float, q_x: float) -> float:
     """Lebesgue norm L^p in time of L^q in space; either index may be inf."""
     if p_t < 1 or q_x < 1:
         raise ValueError("exponents must be at least 1")
-    absu = np.abs(u.values)
-    h2 = u.grid.spacing**2
-    if np.isinf(q_x):
-        slices = np.max(absu, axis=(0, 1))
+    if q_x == 2 and u.columns is not None:
+        # Parseval: a slice's L^2 norm is L times the l2 norm of its mode column.
+        slices = u.grid.length * np.sqrt(np.sum(np.abs(u.columns) ** 2, axis=(0, 1)))
     else:
-        slices = (h2 * np.sum(absu**q_x, axis=(0, 1))) ** (1.0 / q_x)
-    if np.isinf(p_t):
+        h2 = u.grid.spacing**2
+        slices = np.concatenate([_slice_norms(su, q_x, h2) for su, in _blocks([u])])
+    return _time_norm(slices, p_t, u.dt)
+
+
+def _slice_norms(samples: np.ndarray, q: float, h2: float) -> np.ndarray:
+    """L^q norm in space of each time slice; h2 is the area of a grid cell."""
+    absu = np.abs(samples)
+    if np.isinf(q):
+        return np.max(absu, axis=(0, 1))
+    return (h2 * np.sum(absu**q, axis=(0, 1))) ** (1.0 / q)
+
+
+def _time_norm(slices: np.ndarray, p: float, dt: float) -> float:
+    """L^p norm in time of per-slice values sampled dt apart."""
+    if np.isinf(p):
         return float(np.max(slices))
-    return float((u.dt * np.sum(slices**p_t)) ** (1.0 / p_t))
+    return float((dt * np.sum(slices**p)) ** (1.0 / p))
 
 
 def free_solution_norm_check(
@@ -422,8 +494,9 @@ def _sup_l2_constant(grid: Grid2D, nt: int, t_window: float, b: float) -> float:
     inequality is Cauchy-Schwarz in the time frequency, so it holds
     discretely without any constant slack.
     """
-    gap = _tau(nt, t_window)[None, None, :] - grid.k2[:, :, None]
-    s_max = float(np.max(np.sum((1.0 + gap**2) ** (-b), axis=2)))
+    # The sum depends on the mode only through |xi|^2.
+    gap = _tau(nt, t_window)[None, :] - np.unique(grid.k2)[:, None]
+    s_max = float(np.max(np.sum((1.0 + gap**2) ** (-b), axis=1)))
     return float(np.sqrt(s_max / t_window))
 
 
@@ -646,25 +719,31 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> _SuiteRes
 
 
 def _grad_potential(
-    grid: Grid2D, coarse: Grid2D, source: np.ndarray, band: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient, sampled on grid, of the zero-mean inverse Laplacian of source.
+    grid: Grid2D, pair: Sequence[SpaceTimeField]
+) -> Callable[[slice], tuple[np.ndarray, np.ndarray]]:
+    """Gradient on grid, one time block at a time, of the zero-mean inverse
+    Laplacian of u conj(v) for the pair (u, v).
 
-    ``source`` is sampled on ``coarse`` and has spatial band ``band``.
-    When the band is known and coarse has more than twice as many points,
-    the spectrum there is unaliased: the potential's (2 band + 1)^2
-    columns are cut from it, and each derivative is synthesized from them
-    on ``grid``.  Otherwise ``coarse`` is ``grid`` and the gradient comes
-    from the potential's spectrum by two inverse transforms.
+    When the pair's band is known and unaliased on the pair's grid, the
+    potential's columns are cut there from the source spectrum one block
+    at a time, and each block of the gradient is synthesized from them on
+    grid.  Otherwise the pair lives on grid, and each block of the gradient
+    comes from the potential's spectrum by two inverse transforms.
     """
-    sh = coarse.fft(source)
+    (u, v), coarse, band = pair, pair[0].grid, _band_sum(pair)
     if band is None or 2 * band >= coarse.n:
-        return grid.grad_from_hat(coarse.inverse_laplacian_symbol[:, :, None] * sh)
-    cells = np.ix_(*[_box_index(band, coarse.n)] * 2)
-    cols = (coarse.inverse_laplacian_symbol[cells] / coarse.n**2)[:, :, None] * sh[cells]
+        def block(blk: slice) -> tuple[np.ndarray, np.ndarray]:
+            sh = grid.fft(_samples(u, blk) * np.conj(_samples(v, blk)))
+            return grid.grad_from_hat(grid.inverse_laplacian_symbol[:, :, None] * sh)
+        return block
+    symbol = coarse.inverse_laplacian_symbol[np.ix_(*[_box_index(band, coarse.n)] * 2)]
+    cols = np.empty((2 * band + 1, 2 * band + 1, u.nt), dtype=np.complex128)
+    for blk in _time_blocks(u.nt, coarse.n):
+        cols[:, :, blk] = symbol[:, :, None] * _cut(
+            coarse, _samples(u, blk) * np.conj(_samples(v, blk)), band)
     ik = (2j * np.pi / grid.length) * np.arange(-band, band + 1)
-    return (_synthesize(ik[:, None, None] * cols, grid.n),
-            _synthesize(ik[None, :, None] * cols, grid.n))
+    return lambda blk: (_synthesize(ik[:, None, None] * cols[:, :, blk], grid.n),
+                        _synthesize(ik[None, :, None] * cols[:, :, blk], grid.n))
 
 
 def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> _SuiteResult:
@@ -682,20 +761,17 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> _SuiteResult:
         if den == 0.0:
             return (0.0,)
         # The pair sources and their potentials on a grid where the sources
-        # are unaliased; the band-5B product itself stays on the fine grid.
+        # are unaliased; the band-5B product is formed one time block at a
+        # time on the fine grid.
         pairs = _unaliased(u[:4], lambda b: 2 * max(b[0] + b[1], b[2] + b[3]))
-        grid, coarse = u[0].grid, pairs[0].grid
-        g1x, g1y = _grad_potential(grid, coarse, pairs[0].values * np.conj(pairs[1].values),
-                                   _band_sum(u[:2]))
-        g2x, g2y = _grad_potential(grid, coarse, pairs[2].values * np.conj(pairs[3].values),
-                                   _band_sum(u[2:4]))
-        del pairs
-        vals = g1x * g2x
-        del g1x, g2x
-        vals += g1y * g2y
-        del g1y, g2y
-        vals *= u[4].values
-        prod = SpaceTimeField(grid=grid, t_window=u[0].t_window, values=vals)
+        grid = u[0].grid
+        g1, g2 = _grad_potential(grid, pairs[:2]), _grad_potential(grid, pairs[2:])
+
+        def block(blk: slice) -> np.ndarray:
+            (g1x, g1y), (g2x, g2y) = g1(blk), g2(blk)
+            return (g1x * g2x + g1y * g2y) * _samples(u[4], blk)
+
+        prod = _assembled(grid, u[0].t_window, u[0].nt, _band_sum(u), block)
         return (xsb_norm(prod, s, b_num, +1) / den,)
 
     return _suite(trials, ("quintic",), (), eps, s, one)
@@ -706,16 +782,18 @@ def _nullform_values(trial: Trial) -> tuple[complex, complex]:
     # A grid sum keeps only the integrand's zero mode, exact on any grid with
     # more points than the integrand's band; the stream source (band of the
     # pair u1, u2) needs twice its band to stay unaliased.
-    u1, u2, u3, w = _unaliased(trial.fields, lambda b: max(sum(b), 2 * (b[0] + b[1])))
-    grid = u1.grid
-    # Stream potential of the pair (u1, u2), slicewise in time.
-    beta_x, beta_y = grid.real_grad_from_hat(beta_hat(grid, u1.values, u2.values, 1.0))
-    u3_x, u3_y = grid.grad_from_hat(grid.fft(u3.values))
-    w_x, w_y = grid.grad_from_hat(grid.fft(w.values))
-    measure = grid.spacing**2 * u1.dt
-    direct = measure * np.sum(w.values * (beta_x * u3_y - beta_y * u3_x))
-    parts = measure * np.sum(u3.values * (beta_y * w_x - beta_x * w_y))
-    return complex(direct), complex(parts)
+    fields = _unaliased(trial.fields, lambda b: max(sum(b), 2 * (b[0] + b[1])))
+    grid = fields[0].grid
+    direct = parts = 0.0
+    for u1, u2, u3, w in _blocks(fields):
+        # Stream potential of the pair (u1, u2), slicewise in time.
+        beta_x, beta_y = grid.real_grad_from_hat(beta_hat(grid, u1, u2, 1.0))
+        u3_x, u3_y = grid.grad_from_hat(grid.fft(u3))
+        w_x, w_y = grid.grad_from_hat(grid.fft(w))
+        direct += np.sum(w * (beta_x * u3_y - beta_y * u3_x))
+        parts += np.sum(u3 * (beta_y * w_x - beta_x * w_y))
+    measure = grid.spacing**2 * fields[0].dt
+    return complex(measure * direct), complex(measure * parts)
 
 
 def ratio_test_nullform(trials: Sequence[Trial], eps: float) -> _SuiteResult:
@@ -766,8 +844,11 @@ def bilinear_embedding_test(trials: Sequence[Trial], p: float, eps: float) -> _S
         nu, nv = xsb_norm(u, 0.0, b, +1), xsb_norm(v, 0.0, b, +1)
         if nu == 0.0 or nv == 0.0:
             return 0.0, 0.0, 0.0, 0.0, cap
-        uv = mixed_norm(_product([u, v], (False, False)), p_conj, p) / (nu * nv)
-        ucv = mixed_norm(_product([u, v], (False, True)), p_conj, p) / (nu * nv)
+        # Slice norms of u v and u conj(v), block by block: no product is kept whole.
+        h2 = u.grid.spacing**2
+        rows = [(_slice_norms(su * sv, p, h2), _slice_norms(su * np.conj(sv), p, h2))
+                for su, sv in _blocks([u, v])]
+        uv, ucv = (_time_norm(np.concatenate(c), p_conj, u.dt) / (nu * nv) for c in zip(*rows))
         diag = mixed_norm(u, 2 * p_conj, 2 * p) / nu
         sup = mixed_norm(u, np.inf, 2) / nu
         return uv, ucv, diag, sup, cap

@@ -1,5 +1,6 @@
 """Derivative-field system: assembly, stepping, oracle, invariance."""
 
+import importlib
 from collections import Counter
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from msmlab.msm import (
     ALL_TERMS,
     MSMState,
     SolverConfig,
+    _rhs_from_connection,
     evolve,
     hk_norm,
     mass,
@@ -29,6 +31,7 @@ from msmlab.msm import (
     scaling_invariance_test,
     step,
 )
+from msmlab.presets import map_preset
 from msmlab.spectral import Grid2D
 from reference_ops import riesz_alpha
 
@@ -606,6 +609,41 @@ class TestGaugeTrajectoryOracle:
         assert fine.max_residual() < 1e-3
         assert np.min(fine.residuals_raw) > 10 * fine.max_residual()
         assert np.max(fine.alpha_identity) < np.max(coarse.alpha_identity) / 3
+
+
+def _solver_against_connection_gap(n: int) -> float:
+    """Relative gap between the solver's right side and the chart connection's.
+
+    On the gauge state of the map-side preset (random_seeded, band 3,
+    amplitude 0.4, seed 0), i lap u + nonlinearity(u, dealias=False) is set
+    against _rhs_from_connection(u, a - c, a0), with c the harmonic means.
+    """
+    g = Grid2D(n=n, length=1.0)
+    gs = build_gauge_state(map_preset(g, "random_seeded", {"band": 3, "amplitude": 0.4}, seed=0))
+    state = MSMState(grid=g, u1=gs.u1, u2=gs.u2, sign=gs.sign)
+    spectra = nonlinearity(state, g.fft(gs.u1), g.fft(gs.u2), dealias=False)
+    solver = [1j * g.laplacian(u) + g.ifft(nh) for u, nh in zip((gs.u1, gs.u2), spectra)]
+    c1, c2 = gs.harmonic_means
+    oracle = _rhs_from_connection(g, gs.u1, gs.u2, gs.a1 - c1, gs.a2 - c2, gs.a0)
+    gap = np.hypot(*(g.norm2(s - r) for s, r in zip(solver, oracle)))
+    return float(gap / np.hypot(*(g.norm2(r) for r in oracle)))
+
+
+class TestSolverEquationMatchesTheMap:
+    """The MSM solver's beta and Im-cubic terms against the map's own connection."""
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_solver_right_side_is_the_connection_right_side(self, n):
+        # Measured: 8.0e-11 at n=64 and 8.3e-16 at n=128.
+        assert _solver_against_connection_gap(n) < 1e-9
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("module,name", [("gauge", "BETA_COEF"), ("msm", "IM_CUBIC_COEF")])
+    def test_a_flipped_coupling_breaks_the_match(self, n, module, name, monkeypatch):
+        # Negative control: either constant with the opposite sign misses by about 7e-2.
+        mod = importlib.import_module(f"msmlab.{module}")
+        monkeypatch.setattr(mod, name, -getattr(mod, name))
+        assert _solver_against_connection_gap(n) > 1e-2
 
 
 class TestScalingInvariance:

@@ -1,6 +1,8 @@
 """Space-time norms, ratio experiments, and multiplier brackets."""
 
 import csv
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -867,7 +869,11 @@ class TestVectorisedDraws:
 
 
 def banded_trials(arity, n, n_trials=3, seed=61):
-    """Trials whose coarse grid lies below n: band 2 at n=32, band 5 at n=64."""
+    """Trials whose coarse grid lies below n: band 2 at n=32, band 5 at n=64.
+
+    At n=16 the band is 5 too, and the quintic's pair sources and product
+    alias there: every step stays on n.
+    """
     band = 2 if n == 32 else 5
     return list(sample_trials(grid(n), 64, TWIN, arity, n_trials, seed,
                               space_band=band, time_band=10))
@@ -931,7 +937,7 @@ class TestSmallestUnaliasedGrid:
                 assert reports[name].ratios[i] == pytest.approx(expect, rel=1e-12)
         assert all(r.grid_n == n for r in reports.values())
 
-    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("n", [16, 32, 64])
     def test_quintic_matches_n_grid_potentials(self, n):
         trials = banded_trials(5, n)
         (report,), _ = ratio_test_quintic(trials, 0.01)
@@ -986,12 +992,15 @@ class TestSmallestUnaliasedGrid:
 
         monkeypatch.setattr(xsb, "realize_mode_field", kept)
         shapes = _record_fft_shapes(monkeypatch)
-        run(sample_trials(grid(32), 64, TWIN, arity, 3, seed=63, space_band=2, time_band=10))
+        reads = _record_values_reads(monkeypatch)
+        run(sample_trials(grid(64), 64, TWIN, arity, 3, seed=63, space_band=5, time_band=10))
         assert len(realized) == 3 * arity
-        # Only the quintic's band-5B product is transformed on n; the full
-        # spectrum of a realized factor would add a transform of that shape.
-        on_n = [name for name, shape in shapes if shape == (32, 32, 64)]
-        assert on_n == ["fftn"] * (3 if suite == "quintic" else 0)
+        # No suite holds all n x n x nt samples of a band-limited field: none
+        # reads its values on n, and every transform on n takes one time block.
+        assert 64 not in reads
+        on_n = [(name, shape[2]) for name, shape in shapes if shape[:2] == (64, 64)]
+        assert all(name == "fft2" and slices < 64 for name, slices in on_n)
+        assert bool(on_n) == (suite == "quintic")
 
     def test_band_and_box_derived_from_the_columns(self):
         f = white_field(8, sb=3)
@@ -1018,25 +1027,43 @@ class TestSmallestUnaliasedGrid:
             with pytest.raises(ValueError, match="exactly one"):
                 SpaceTimeField(grid=f.grid, t_window=TWIN, **kwargs)
 
-    def test_scaled_keeps_the_band_and_a_conjugate_is_samples(self):
+    def test_scaled_and_conjugate_keep_the_band(self):
         f = white_field(9, sb=3)
-        g = scaled(f, 2 - 1j)
-        assert g.band == 3 and f.conjugate().band is None
+        g, c = scaled(f, 2 - 1j), f.conjugate()
+        assert g.band == 3 and c.band == 3 and c.columns is not None
         np.testing.assert_allclose(g.values, (2 - 1j) * f.values,
+                                   atol=1e-13 * np.max(np.abs(f.values)))
+        np.testing.assert_allclose(c.values, np.conj(f.values),
                                    atol=1e-13 * np.max(np.abs(f.values)))
         np.testing.assert_allclose(box_spectrum(g), np.fft.fftn(g.values) / g.values.size,
                                    atol=1e-13 * np.max(np.abs(g.box)))
 
 
-def _count_syntheses(monkeypatch) -> list[tuple[int, int]]:
-    """Patch the box synthesis to record (number of modes a side, grid points a side)."""
+def _record_values_reads(monkeypatch) -> list[int]:
+    """Record the grid size at every read of a band-limited field's values."""
+    import msmlab.xsb as xsb
+
+    reads = []
+
+    class Recorded:
+        def __get__(self, f, owner=None):
+            reads.append(f.grid.n)
+            return xsb._synthesize(f.columns, f.grid.n)
+
+    # A field of samples keeps its values on the instance, which shadows this.
+    monkeypatch.setattr(SpaceTimeField, "values", Recorded())
+    return reads
+
+
+def _count_syntheses(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch the box synthesis to record (modes a side, grid points a side, time slices)."""
     import msmlab.xsb as xsb
 
     calls = []
     original = xsb._synthesize
 
     def recorded(columns, m):
-        calls.append((columns.shape[0], m))
+        calls.append((columns.shape[0], m, columns.shape[2]))
         return original(columns, m)
 
     monkeypatch.setattr(xsb, "_synthesize", recorded)
@@ -1051,7 +1078,7 @@ class TestSynthesisFromTheBox:
         xsb_norm(f, 1.0, 0.51)
         assert calls == [] and "values" not in f.__dict__
         first = f.values
-        assert f.values is first and calls == [(7, 32)]
+        assert f.values is first and calls == [(7, 32, 64)]
 
     @pytest.mark.parametrize("case", ["seam", "nan", "inf"])
     def test_realized_field_rejected_before_any_synthesis(self, case, monkeypatch):
@@ -1126,29 +1153,37 @@ class TestSynthesisFromTheBox:
         (coarse,) = _unaliased([f], lambda bands: 0)
         assert coarse.grid.n == 8 and f.box is box and len(calls) == 2
 
-    def test_quintic_runs_no_two_dimensional_transform_on_the_fine_grid(self, monkeypatch):
+    def test_quintic_transforms_each_fine_grid_slice_once(self, monkeypatch):
         # Band-5 factors at n=64: the band-10 pair sources go through fft2 on
-        # 32^2, the potentials' gradients are synthesized, and only the
-        # product's fftn runs on 64^2.
-        trials = banded_trials(5, 64, n_trials=1)
+        # 32^2, the potentials' gradients are synthesized, and the band-25
+        # product goes through fft2 on 64^2 one time block at a time; its
+        # blocks cover the nt = 64 slices of each trial once.  No fftn runs.
+        trials = banded_trials(5, 64, n_trials=2)
         shapes = _record_fft_shapes(monkeypatch)
         ratio_test_quintic(trials, 0.01)
-        assert shapes == [("fft2", (32, 32, 64))] * 2 + [("fftn", (64, 64, 64))]
+        assert {name for name, _ in shapes} == {"fft2"}
+        slices = {m: sum(shape[2] for _, shape in shapes if shape[0] == m) for m in (32, 64)}
+        assert slices == {32: 2 * 64 * len(trials), 64: 64 * len(trials)}
+        assert all(shape[2] < 64 for _, shape in shapes if shape[0] == 64)
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_only_bilinear_and_the_fifth_quintic_factor_synthesize_on_n(self, suite, monkeypatch):
+        # Counted in time slices: a field synthesized on n one block at a
+        # time counts nt = 64 slices each pass.  The bilinear suite passes
+        # over u and v once; its L^2-in-space norms of u read the columns.
         arity, run, _, _ = SUITES[suite]
         trials = banded_trials(arity, 64, n_trials=2)
         calls = _count_syntheses(monkeypatch)
         run(trials)
-        on_n = [modes for modes, m in calls if m == 64]
-        factors_on_n = on_n.count(11)  # the band-5 factors; potentials have band 10
-        expected = {"cubic": 0, "nullform": 0, "quintic": 1, "bilinear": 2}[suite]
-        assert factors_on_n == expected * len(trials)
-        if suite == "quintic":
-            assert on_n.count(21) == 4 * len(trials)
-        else:
-            assert len(on_n) == factors_on_n
+        assert all(slices < 64 for _, m, slices in calls if m == 64)
+        on_n = Counter()
+        for modes, m, slices in calls:
+            if m == 64:
+                on_n[modes] += slices
+        # The band-5 factors have 11 modes a side; the potentials' gradients, band 10, 21.
+        expected = {"cubic": {}, "nullform": {}, "quintic": {11: 1, 21: 4},
+                    "bilinear": {11: 2}}[suite]
+        assert on_n == {modes: passes * 64 * len(trials) for modes, passes in expected.items()}
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_suites_match_the_n_grid_relatively(self, n):
@@ -1165,3 +1200,40 @@ class TestSynthesisFromTheBox:
         trials = banded_trials(4, n)
         for trial, ratio in zip(trials, ratio_test_nullform(trials, 0.01)[0][0].ratios):
             assert ratio == pytest.approx(n_grid_nullform(trial, 0.01), rel=1e-12, abs=0)
+
+
+class TestStreamedSuites:
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("s", [1.3, -0.7])
+    def test_box_weight_is_the_sliced_full_weight(self, s, sign):
+        from msmlab.xsb import _box_index, _weight_sq
+
+        g, nt = grid(32), 64
+        for band in (0, 5, 15):
+            idx = np.ix_(*[_box_index(band, g.n)] * 2)
+            box = _weight_sq(g, nt, TWIN, s, 0.51, sign, band)
+            assert box.shape == (2 * band + 1, 2 * band + 1, nt)
+            assert np.array_equal(box, _weight_sq(g, nt, TWIN, s, 0.51, sign, None)[idx])
+            # The unpaired time-Nyquist plane takes one distance for both signs.
+            mirrored = _weight_sq(g, nt, TWIN, s, 0.51, -sign, band)
+            assert np.array_equal(box[:, :, nt // 2], mirrored[:, :, nt // 2])
+
+    @pytest.mark.parametrize("suite,limit_mib", [("quintic", 28), ("bilinear", 18)])
+    def test_one_band_5_trial_stays_below_its_memory_peak(self, suite, limit_mib):
+        # At n=64, nt=128 one complex sample box is 8 MiB; holding the
+        # quintic's gradients or the bilinear products whole peaked near 55
+        # and 37 MiB.  The weights are built inside the traced span.
+        import msmlab.xsb as xsb
+
+        arity, run, _, _ = SUITES[suite]
+        trial = sample_trials(grid(64), 128, TWIN, arity, 1, seed=64, space_band=5,
+                              time_band=10)[0]
+        xsb._weight_sq.cache_clear()
+        xsb._sup_l2_constant.cache_clear()
+        tracemalloc.start()
+        try:
+            run([trial])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
