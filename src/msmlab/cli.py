@@ -187,6 +187,7 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
             raise ConfigError(
                 f"{where}.time: t_final / dt = {steps:.12g} is not a whole number of steps"
             )
+        steps = round(steps)
     preset = dict(raw.get("preset", {}))
     if "preset" in raw:
         _check_keys(preset, {"name", "params"}, f"{where}.preset")
@@ -215,7 +216,11 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
                 f"{where}.time.dt = {time['dt']:.3e} exceeds the midpoint contraction "
                 f"bound {limit:.3e} for this grid"
             )
-    if kind == "hasimoto_1d" and round(time["t_final"] / time["dt"]) // opt["store_every"] < 2:
+    # The last stored state is the run's "final" artifact, so it must be t_final's.
+    if kind in ("msm_run", "evolve_map") and steps % opt["store_every"]:
+        raise ConfigError(f"{where}.options.store_every = {opt['store_every']} does not divide "
+                          f"the {steps} steps, so the final state would not be stored")
+    if kind == "hasimoto_1d" and steps // opt["store_every"] < 2:
         raise ConfigError(f"{where}.options.store_every = {opt['store_every']} keeps fewer "
                           f"than the three snapshots a centered fit needs")
     if kind == "hasimoto_1d" and opt["n_data"] > 0:

@@ -220,6 +220,8 @@ def step_geometric(mf: MapField, dt: float) -> MapField:
 
 def evolve(mf: MapField, dt: float, n_steps: int, store_every: int = 1) -> MapTrajectory:
     """Integrate the map flow, storing every ``store_every``-th snapshot."""
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     maps = [mf]
     times = [0.0]
     current = mf

@@ -21,7 +21,10 @@ name.  It is assembled in Fourier space in 15 2-D transforms (13 when the
 physical fields are at hand), so a step costs 62 with ETDRK4, 34 with
 Strang splitting and 17 plus 15 per iteration with Picard.  Seven of the
 15 act on real fields and use the real pair: the four potential sources go
-forward, and d_x beta, d_y beta and alpha come back.
+forward, and d_x beta, d_y beta and alpha come back.  An evaluation builds
+the shared real fields once and then one component's right side at a time;
+an ETDRK4 step sums its result as the stages go and frees each stage once
+no later formula reads it, so it holds at most five stage pairs.
 
 As a standalone PDE on the torus the potentials are normalized to zero
 mean and the connection carries no constant part.  Gauge transforms of
@@ -157,21 +160,24 @@ def nonlinearity(state: MSMState, v1, v2, terms=ALL_TERMS, dealias=True, fields=
         return np.zeros_like(v1), np.zeros_like(v2)
     u1, u2 = fields if fields is not None else (g.ifft(v1), g.ifft(v2))
     mask, half_mask = (g.dealias_mask, g.half_dealias_mask) if dealias else (1.0, 1.0)
-    f1 = f2 = pot = coupling = 0.0
+    pot = coupling = 0.0
     if TERM_NULL in terms or TERM_QUINTIC in terms:
         bx, by = g.real_grad_from_hat(half_mask * beta_hat(g, u1, u2, sign))
-    if TERM_NULL in terms:
-        (d1x, d1y), (d2x, d2y) = g.grad_from_hat(v1), g.grad_from_hat(v2)
-        f1 = 2.0 * (bx * d1y - by * d1x)
-        f2 = 2.0 * (bx * d2y - by * d2x)
     if TERM_QUINTIC in terms:
         pot = bx**2 + by**2
     if TERM_ALPHA_CUBIC in terms:
         pot = pot + g.irfft(half_mask * alpha_hat(g, u1, u2, sign))
     if TERM_IM_CUBIC in terms:
         coupling = (IM_CUBIC_COEF * sign) * np.imag(u1 * np.conj(u2))
-    return (mask * g.fft(f1 - 1j * pot * u1 - coupling * u2),
-            mask * g.fft(f2 - 1j * pot * u2 + coupling * u1))
+
+    def transport(v):
+        if TERM_NULL not in terms:
+            return 0.0
+        dx, dy = g.grad_from_hat(v)
+        return 2.0 * (bx * dy - by * dx)
+
+    n1 = mask * g.fft(transport(v1) - 1j * pot * u1 - coupling * u2)
+    return n1, mask * g.fft(transport(v2) - 1j * pot * u2 + coupling * u1)
 
 
 # -- time stepping -----------------------------------------------------------
@@ -224,15 +230,21 @@ def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     v1, v2 = g.fft(state.u1), g.fft(state.u2)
 
     n_u = nonlinearity(state, v1, v2, cfg.terms, cfg.dealias, (state.u1, state.u2))
+    w1, w2 = e * v1 + f1 * n_u[0], e * v2 + f1 * n_u[1]
     a1, a2 = e2 * v1 + q * n_u[0], e2 * v2 + q * n_u[1]
     n_a = nonlinearity(state, a1, a2, cfg.terms, cfg.dealias)
     b1, b2 = e2 * v1 + q * n_a[0], e2 * v2 + q * n_a[1]
+    del v1, v2
     n_b = nonlinearity(state, b1, b2, cfg.terms, cfg.dealias)
+    del b1, b2
+    w1 += 2 * f2 * (n_a[0] + n_b[0])
+    w2 += 2 * f2 * (n_a[1] + n_b[1])
+    del n_a
     c1, c2 = e2 * a1 + q * (2 * n_b[0] - n_u[0]), e2 * a2 + q * (2 * n_b[1] - n_u[1])
+    del a1, a2, n_u, n_b
     n_c = nonlinearity(state, c1, c2, cfg.terms, cfg.dealias)
-
-    w1 = e * v1 + f1 * n_u[0] + 2 * f2 * (n_a[0] + n_b[0]) + f3 * n_c[0]
-    w2 = e * v2 + f1 * n_u[1] + 2 * f2 * (n_a[1] + n_b[1]) + f3 * n_c[1]
+    w1 += f3 * n_c[0]
+    w2 += f3 * n_c[1]
     return w1, w2
 
 
@@ -304,6 +316,8 @@ def _run_step(state: MSMState, cfg: SolverConfig, index: int) -> MSMState:
 
 def evolve(state: MSMState, cfg: SolverConfig, store_every: int = 1) -> list[MSMState]:
     """Advance to t_final, returning stored snapshots (initial state included)."""
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     out = [state]
     current = state
     for k in range(cfg.n_steps):

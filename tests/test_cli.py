@@ -442,6 +442,20 @@ class TestMain:
         assert "config error" in err and f"options.{key}" in err and "second" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("first,store_every", [(TINY_MSM, 2), (TINY_EVOLVE, 3)],
+                             ids=["msm", "evolve"])
+    def test_store_every_must_reach_t_final(self, tmp_path, capsys, first, store_every):
+        # A stride that skips the last step would store an earlier state as the final one.
+        steps = round(first["time"]["t_final"] / first["time"]["dt"])
+        second = dict(first, name="second", options={"store_every": store_every})
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(wrap(dict(first, name="first"), second)))
+        out = tmp_path / "out"
+        assert main([COMMANDS[first["kind"]], "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"options.store_every = {store_every}" in err and f"the {steps} steps" in err
+        assert "second" in err and not out.exists()
+
     @pytest.mark.parametrize("second,message", [
         (dict(TINY_MSM, preset={"name": "nope"}), "nope"),
         (dict(TINY_MSM, preset={"name": "smooth_bump", "params": {"wdth": 0.1}}), "wdth"),

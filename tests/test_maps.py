@@ -352,6 +352,13 @@ class TestEvolve:
         assert len(traj) == 6
         assert np.allclose(np.diff(traj.times), 2 * dt)
 
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_store_every_below_one_rejected(self, monkeypatch, store_every):
+        g = Grid2D(n=16, length=4.0)
+        monkeypatch.setattr("msmlab.maps.step_geometric", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="store_every"):
+            evolve(bump_chart_map(g), 1e-6, 10, store_every=store_every)
+
     def test_one_dimensional_grid(self):
         g = Grid1D(n=64, length=20.0)
         w = 0.5 * np.exp(-((g.x - 10.0) ** 2) / 4.0)

@@ -1,6 +1,7 @@
 """Derivative-field system: assembly, stepping, oracle, invariance."""
 
 import importlib
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from msmlab.msm import (
     ALL_TERMS,
     MSMState,
     SolverConfig,
+    _propagator_tables,
     _rhs_from_connection,
     evolve,
     hk_norm,
@@ -389,6 +391,13 @@ class TestStepping:
         drift = abs(mass(out) - mass(st)) / mass(st)
         assert drift < 1e-6
 
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_store_every_below_one_rejected(self, monkeypatch, store_every):
+        st = MSMState.zero(Grid2D(n=8, length=1.0))
+        monkeypatch.setattr("msmlab.msm._run_step", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="store_every"):
+            evolve(st, SolverConfig(dt=1e-3, t_final=3e-3), store_every=store_every)
+
     def test_picard_agrees_with_strang(self):
         st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=12)
         a = evolve(st, SolverConfig(dt=5e-3, t_final=0.05, scheme="picard_duhamel"))[-1]
@@ -569,6 +578,52 @@ class TestTransformCounts:
         assert count.total() == 6
         g.irfft(g.rfft(np.zeros(g.shape + (3,))))
         assert count.total() == 12
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("scheme,fields", [("etd_rk4", 21), ("strang_split", 16)])
+    def test_warm_step_peak_in_complex_fields(self, scheme, fields):
+        # Measured 19.5 and 15.5 fields; holding every ETDRK4 stage to the
+        # end reads 28, and both components' right sides at once 20 for Strang.
+        st = bandlimited_state(128, 1.0, 0.5, 6, seed=0)
+        cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme=scheme)
+        step(st, cfg)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            step(st, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < fields * st.u1.nbytes
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_etdrk4_step_is_the_one_expression_formula(self, sign, dealias):
+        # The stepper frees stages early and accumulates w in place; the
+        # bits must be those of the textbook form with every stage alive.
+        st = bandlimited_state(64, 1.0, 0.5, 6, seed=4, sign=sign)
+        cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme="etd_rk4", dealias=dealias)
+        g = st.grid
+        e, e2, q, f1, f2, f3 = _propagator_tables(g, cfg.dt)
+
+        def n(v1, v2, fields=None):
+            return nonlinearity(st, v1, v2, cfg.terms, dealias, fields)
+
+        v1, v2 = g.fft(st.u1), g.fft(st.u2)
+        n_u = n(v1, v2, (st.u1, st.u2))
+        a1, a2 = e2 * v1 + q * n_u[0], e2 * v2 + q * n_u[1]
+        n_a = n(a1, a2)
+        b1, b2 = e2 * v1 + q * n_a[0], e2 * v2 + q * n_a[1]
+        n_b = n(b1, b2)
+        c1, c2 = e2 * a1 + q * (2 * n_b[0] - n_u[0]), e2 * a2 + q * (2 * n_b[1] - n_u[1])
+        n_c = n(c1, c2)
+        w1 = e * v1 + f1 * n_u[0] + 2 * f2 * (n_a[0] + n_b[0]) + f3 * n_c[0]
+        w2 = e * v2 + f1 * n_u[1] + 2 * f2 * (n_a[1] + n_b[1]) + f3 * n_c[1]
+
+        out = step(st, cfg)
+        assert np.array_equal(out.u1, g.ifft(w1)) and np.array_equal(out.u2, g.ifft(w2))
 
 
 class TestGaugeTrajectoryOracle:
