@@ -310,8 +310,9 @@ def _run_gauge_check(exp: ExperimentConfig, out: Path) -> list[str]:
     rows = []
     for n in exp.grid["sizes"]:
         grid = Grid2D(n=n, length=exp.grid["length"])
-        mf = map_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed)
-        report = verify_consistency(build_gauge_state(mf))
+        # The map is a temporary, freed once its gauge state exists.
+        report = verify_consistency(build_gauge_state(
+            map_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed)))
         rows.append([n, report.div_a, report.torsion, report.curvature,
                      report.harmonic_means[0], report.harmonic_means[1]])
     write_csv(out / "gauge_residuals.csv",

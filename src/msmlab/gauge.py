@@ -19,6 +19,11 @@ as residuals by :func:`verify_consistency`:
 * torsion:     D1 u2 - D2 u1 = 0,
 * curvature:   d1 a2 - d2 a1 = CURVATURE_COEF * Im(conj(u1) u2).
 
+The build frees its temporaries early: b_j is divided in place into the
+chart's derivative, and b_j, the phase and m_j = 2 Im(conj(b_j) w) are
+dropped once u_j and a_j exist.  The check computes one identity at a
+time.  Neither changes a floating-point operation or its order.
+
 On the periodic box the connection keeps a harmonic part: the means of
 ``a_1`` and ``a_2`` cannot be removed by any periodic ``psi``.  They are
 reported alongside the residuals and fed back into the trajectory oracle,
@@ -126,23 +131,47 @@ class GaugeState:
 
 
 def _chart_fields(w: np.ndarray, dw) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """b = d / (1 + |w|^2) and m = 2 Im(conj(b) w) for each derivative d of the chart w in dw."""
+    """b = d / (1 + |w|^2) and m = 2 Im(conj(b) w) for each derivative d of the chart w in dw.
+
+    b is divided in place into the arrays of dw, which callers hand over
+    and do not read again.
+    """
     rho = 1.0 + np.abs(w) ** 2
-    b = tuple(d / rho for d in dw)
+    b = tuple(np.divide(d, rho, out=d) for d in dw)
+    del rho
     return b, tuple(2.0 * np.imag(np.conj(bj) * w) for bj in b)
 
 
 def build_gauge_state(mf: MapField) -> GaugeState:
-    return _gauge_state(mf.grid, mf.stereo())
+    """The gauge state of a sphere map.
+
+    The map is released once charted, so a map passed as a temporary is
+    freed before the gauge fields are built.
+    """
+    grid, w = mf.grid, mf.stereo()
+    del mf
+    return _gauge_state(grid, w)
 
 
 def _gauge_state(grid: Grid2D, w: np.ndarray) -> GaugeState:
-    """The gauge state of the sphere map whose chart is w."""
+    """The gauge state of the sphere map whose chart is w.
+
+    By the potential's solve only the chart, u_j, a_j and psi are alive.
+    """
     (b1, b2), (m1, m2) = _chart_fields(w, grid.gradient(w))
-    psi = grid.inverse_laplacian(grid.dx(m1) + grid.dy(m2))
+    div_m = grid.dx(m1)
+    div_m += grid.dy(m2)
+    psi = grid.inverse_laplacian(div_m)
+    del div_m
     phase = np.exp(1j * psi)
-    u1, u2 = phase * b1, phase * b2
-    a1, a2 = m1 - grid.dx(psi), m2 - grid.dy(psi)
+    u1 = phase * b1
+    del b1
+    u2 = phase * b2
+    del b2, phase
+    a1 = m1 - grid.dx(psi)
+    del m1
+    a2 = m2 - grid.dy(psi)
+    del m2
     sign = Target.SPHERE.sign
     a0 = grid.irfft(alpha_hat(grid, u1, u2, sign))
     return GaugeState(grid=grid, sign=sign, u1=u1, u2=u2, a1=a1, a2=a2, a0=a0, psi=psi)
@@ -168,29 +197,34 @@ def _relative(residual: float, scale: float) -> float:
     return 0.0 if scale == 0.0 else residual / scale
 
 
-def verify_consistency(gs: GaugeState) -> ConsistencyReport:
-    """Residuals of the divergence, torsion and curvature identities."""
-    g = gs.grid
-
+def _divergence_residual(g: Grid2D, gs: GaugeState) -> float:
     d1a1, d2a2 = g.dx(gs.a1), g.dy(gs.a2)
-    div = d1a1 + d2a2
-    r_div = _relative(g.norm2(div), max(g.norm2(d1a1), g.norm2(d2a2)))
+    return _relative(g.norm2(d1a1 + d2a2), max(g.norm2(d1a1), g.norm2(d2a2)))
 
+
+def _torsion_residual(g: Grid2D, gs: GaugeState) -> float:
     d1u2, d2u1 = g.dx(gs.u2), g.dy(gs.u1)
-    tor = (d1u2 + 1j * gs.a1 * gs.u2) - (d2u1 + 1j * gs.a2 * gs.u1)
     tor_scale = max(
         g.norm2(d1u2), g.norm2(d2u1), g.norm2(gs.a1 * gs.u2), g.norm2(gs.a2 * gs.u1),
     )
-    r_tor = _relative(g.norm2(tor), tor_scale)
+    tor = (d1u2 + 1j * gs.a1 * gs.u2) - (d2u1 + 1j * gs.a2 * gs.u1)
+    return _relative(g.norm2(tor), tor_scale)
 
+
+def _curvature_residual(g: Grid2D, gs: GaugeState) -> float:
     d1a2, d2a1 = g.dx(gs.a2), g.dy(gs.a1)
     source = CURVATURE_COEF * gs.sign * np.imag(np.conj(gs.u1) * gs.u2)
-    curv = d1a2 - d2a1 - source
     curv_scale = max(g.norm2(d1a2), g.norm2(d2a1), g.norm2(source))
-    r_curv = _relative(g.norm2(curv), curv_scale)
+    return _relative(g.norm2(d1a2 - d2a1 - source), curv_scale)
 
+
+def verify_consistency(gs: GaugeState) -> ConsistencyReport:
+    """Residuals of the divergence, torsion and curvature identities, one at a time."""
+    g = gs.grid
     return ConsistencyReport(
-        div_a=r_div, torsion=r_tor, curvature=r_curv,
+        div_a=_divergence_residual(g, gs),
+        torsion=_torsion_residual(g, gs),
+        curvature=_curvature_residual(g, gs),
         harmonic_means=gs.harmonic_means,
     )
 

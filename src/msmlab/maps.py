@@ -131,11 +131,13 @@ class MapField:
         """Inverse stereographic chart w -> s3 (sphere, w = 0 at the south pole)."""
         w = np.asarray(w, dtype=complex)
         den = 1.0 + np.abs(w) ** 2
-        s3 = np.stack(
-            [2.0 * w.real / den, 2.0 * w.imag / den, (np.abs(w) ** 2 - 1.0) / den],
-            axis=-1,
-        )
-        return cls.create(grid, s3, Target.SPHERE)
+        s3 = np.empty(w.shape + (3,))
+        np.divide(2.0 * w.real, den, out=s3[..., 0])
+        np.divide(2.0 * w.imag, den, out=s3[..., 1])
+        np.divide(np.abs(w) ** 2 - 1.0, den, out=s3[..., 2])
+        del den
+        s3 = Target.SPHERE.normalize(s3)  # as in create, but the raw values are freed first
+        return cls(grid, s3, Target.SPHERE)
 
     def stereo(self) -> np.ndarray:
         """Chart value w = (x1 + i x2)/(1 - x3); undefined at the north pole."""

@@ -32,7 +32,9 @@ actual map trajectories pick up two torus-only zero-mode corrections (a
 constant in-plane connection and a spatially constant phase drift); the
 trajectory oracle :func:`msm_residual_of_gauge_trajectory` measures both
 corrections from the data instead of assuming them away, and reports the
-residual with and without them.
+residual with and without them.  It charts and gauges the snapshots in
+order and holds the chart and gauge state of only the three snapshots that
+a centered difference reads.
 """
 
 from __future__ import annotations
@@ -192,8 +194,10 @@ def _step_strang(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     half = _propagator_tables(g, cfg.dt)[1]
     v1, v2 = half * g.fft(state.u1), half * g.fft(state.u2)
     n1, n2 = nonlinearity(state, v1, v2, cfg.terms, cfg.dealias)
-    m1, m2 = nonlinearity(state, v1 + (cfg.dt / 2) * n1, v2 + (cfg.dt / 2) * n2,
-                          cfg.terms, cfg.dealias)
+    # N(v)'s arrays become the midpoint argument v + (dt/2) N(v).
+    np.add(v1, np.multiply(cfg.dt / 2, n1, out=n1), out=n1)
+    np.add(v2, np.multiply(cfg.dt / 2, n2, out=n2), out=n2)
+    m1, m2 = nonlinearity(state, n1, n2, cfg.terms, cfg.dealias)
     return half * (v1 + cfg.dt * m1), half * (v2 + cfg.dt * m2)
 
 
@@ -358,11 +362,39 @@ def _rhs_from_connection(g: Grid2D, u1, u2, a1, a2, a0) -> tuple[np.ndarray, np.
     a_sq = a1**2 + a2**2
 
     def one(u, other, f_sign):
-        transport = a1 * g.dx(u) + a2 * g.dy(u)
+        transport = a1 * g.dx(u)
+        transport += a2 * g.dy(u)
         return (1j * g.laplacian(u) - 2.0 * transport - 1j * (a_sq + a0) * u
                 + f_sign * curl * other)
 
     return one(u1, u2, -1.0), one(u2, u1, +1.0)
+
+
+def _oracle_row(g: Grid2D, h: float, prev, cur, nxt) -> tuple[float, float, float]:
+    """Residual, raw residual and alpha identity at the middle of three (chart, state) pairs."""
+    (w_prev, gs_prev), (w, gs), (w_next, gs_next) = prev, cur, nxt
+    du1 = (gs_next.u1 - gs_prev.u1) / (2 * h)
+    du2 = (gs_next.u2 - gs_prev.u2) / (2 * h)
+
+    # zero modes the standalone normalization cannot see, measured
+    # directly from the data
+    m_t = _chart_fields(w, ((w_next - w_prev) / (2 * h),))[1][0]
+    mu = float(g.integral(m_t)) / g.length**2
+
+    r1, r2 = _rhs_from_connection(g, gs.u1, gs.u2, gs.a1, gs.a2, gs.a0 + mu)
+    scale = max(float(np.hypot(g.norm2(r1), g.norm2(r2))), 1e-300)
+    res = float(np.hypot(g.norm2(du1 - r1), g.norm2(du2 - r2))) / scale
+    del r1, r2
+
+    c1, c2 = gs.harmonic_means
+    r1n, r2n = _rhs_from_connection(g, gs.u1, gs.u2, gs.a1 - c1, gs.a2 - c2, gs.a0)
+    res_raw = float(np.hypot(g.norm2(du1 - r1n), g.norm2(du2 - r2n))) / scale
+    del du1, du2, r1n, r2n
+
+    psi_dot = (gs_next.psi - gs_prev.psi) / (2 * h)
+    a0_kinematic = m_t - psi_dot
+    diff = g.norm2((gs.a0 + mu) - a0_kinematic)
+    return res, res_raw, float(diff / max(g.norm2(a0_kinematic), 1e-300))
 
 
 def msm_residual_of_gauge_trajectory(traj: MapTrajectory) -> GaugeOracleReport:
@@ -370,7 +402,9 @@ def msm_residual_of_gauge_trajectory(traj: MapTrajectory) -> GaugeOracleReport:
 
     Time derivatives of the fields and of the chart come from centered
     differences on the stored snapshots, so the residual scales like
-    O(dt^2) plus the spectral error of the underlying map solve.
+    O(dt^2) plus the spectral error of the underlying map solve.  The
+    snapshots are charted and gauged in order, and only the chart and gauge
+    state of the three that a centered difference reads are held at once.
     """
     times = np.asarray(traj.times, dtype=float)
     if len(times) < 3:
@@ -379,43 +413,21 @@ def msm_residual_of_gauge_trajectory(traj: MapTrajectory) -> GaugeOracleReport:
     if not np.allclose(spacings, spacings[0], rtol=1e-10, atol=0.0):
         raise ValueError("oracle requires uniformly spaced snapshots")
     h = float(spacings[0])
-
     g = traj.maps[0].grid
-    charts = [m.stereo() for m in traj.maps]
-    states = [_gauge_state(g, w) for w in charts]
 
-    out_t, res, res_raw, alpha_id = [], [], [], []
-    for k in range(1, len(states) - 1):
-        gs = states[k]
-        du1 = (states[k + 1].u1 - states[k - 1].u1) / (2 * h)
-        du2 = (states[k + 1].u2 - states[k - 1].u2) / (2 * h)
+    def snapshot(k):
+        w = traj.maps[k].stereo()
+        return w, _gauge_state(g, w)
 
-        # zero modes the standalone normalization cannot see, measured
-        # directly from the data
-        w_dot = (charts[k + 1] - charts[k - 1]) / (2 * h)
-        _, (m_t,) = _chart_fields(charts[k], (w_dot,))
-        mu = float(g.integral(m_t)) / g.length**2
-
-        r1, r2 = _rhs_from_connection(g, gs.u1, gs.u2, gs.a1, gs.a2, gs.a0 + mu)
-        scale = max(float(np.hypot(g.norm2(r1), g.norm2(r2))), 1e-300)
-        res.append(float(np.hypot(g.norm2(du1 - r1), g.norm2(du2 - r2))) / scale)
-
-        c1, c2 = gs.harmonic_means
-        r1n, r2n = _rhs_from_connection(g, gs.u1, gs.u2, gs.a1 - c1, gs.a2 - c2, gs.a0)
-        res_raw.append(float(np.hypot(g.norm2(du1 - r1n), g.norm2(du2 - r2n))) / scale)
-
-        psi_dot = (states[k + 1].psi - states[k - 1].psi) / (2 * h)
-        a0_kinematic = m_t - psi_dot
-        diff = g.norm2((gs.a0 + mu) - a0_kinematic)
-        alpha_id.append(float(diff / max(g.norm2(a0_kinematic), 1e-300)))
-        out_t.append(times[k])
-
-    return GaugeOracleReport(
-        times=np.array(out_t),
-        residuals=np.array(res),
-        residuals_raw=np.array(res_raw),
-        alpha_identity=np.array(alpha_id),
-    )
+    window = [snapshot(0), snapshot(1)]
+    rows = []
+    for k in range(1, len(times) - 1):
+        window.append(snapshot(k + 1))
+        rows.append(_oracle_row(g, h, *window))
+        del window[0]
+    res, res_raw, alpha_id = (np.array(col) for col in zip(*rows))
+    return GaugeOracleReport(times=times[1:-1].copy(), residuals=res, residuals_raw=res_raw,
+                             alpha_identity=alpha_id)
 
 
 # -- invariance and persistence experiments ----------------------------------

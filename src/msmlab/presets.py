@@ -158,8 +158,11 @@ def _random_chart(grid: PeriodicGrid, band: int, amplitude: float, seed: int) ->
     box = np.arange(-band, band + 1)
     coef[np.ix_(*[box] * grid.dim)] = draw[..., 0] + 1j * draw[..., 1]
     w = grid.ifft(coef)
+    del coef
     top = float(np.max(np.abs(w)))
-    return w * (amplitude / top) if top > 0 else w
+    if top > 0:
+        w *= amplitude / top
+    return w
 
 
 def map_preset(grid, name: str, params: dict | None = None, seed: int = 0) -> MapField:

@@ -19,6 +19,7 @@ from msmlab.gauge import (
 )
 from msmlab.maps import MapField, Target, evolve, max_stable_dt
 from msmlab.spectral import Grid1D, Grid2D
+from memtrace import traced_peak
 from reference_ops import riesz_alpha
 
 
@@ -61,6 +62,17 @@ class TestConstruction:
         mf = MapField(grid=grid, s3=s3, target=Target.HYPERBOLIC)
         with pytest.raises(ChartUndefinedError):
             build_gauge_state(mf)
+
+
+class TestWorkingSet:
+    def test_cold_build_and_check_peak_in_complex_fields(self):
+        # A fresh grid, so the operator symbols are built inside the span as
+        # well.  Measured 10.4 fields; bounded at 12 for allocator and numpy
+        # version slack.  Keeping every temporary of the build to its end and
+        # every identity's fields to the end of the check read 14.4.
+        mf = bump_map(128)
+        peak = traced_peak(lambda: verify_consistency(build_gauge_state(mf)))
+        assert peak < 12 * mf.grid.n**2 * np.dtype(complex).itemsize
 
 
 class TestKinematicIdentities:

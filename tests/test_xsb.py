@@ -1,7 +1,6 @@
 """Space-time norms, ratio experiments, and multiplier brackets."""
 
 import csv
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -42,6 +41,7 @@ from msmlab.xsb import (
     xsb_norm,
     _unaliased,
 )
+from memtrace import traced_peak
 from reference_ops import grad_inverse_laplacian
 
 LENGTH = 4 * np.pi
@@ -1230,10 +1230,4 @@ class TestStreamedSuites:
                               time_band=10)[0]
         xsb._weight_sq.cache_clear()
         xsb._sup_l2_constant.cache_clear()
-        tracemalloc.start()
-        try:
-            run([trial])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit_mib * 2**20
+        assert traced_peak(lambda: run([trial])) < limit_mib * 2**20
