@@ -149,6 +149,13 @@ def _ratio_s(options: dict) -> float:
     return 100 * options["eps"] if options["s"] is None else options["s"]
 
 
+def _oracle_dt0_bound(grid: dict, rungs: int) -> float:
+    """Largest oracle dt0: each rung halves dt and doubles n, and the midpoint
+    bound falls as 1/n^2, so the finest rung's bound, scaled up exactly, binds."""
+    scale = 2 ** (rungs - 1)
+    return max_stable_dt(Grid2D(n=grid["n"] * scale, length=grid["length"])) * scale
+
+
 def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
     where = f"experiment {index}"
     if not isinstance(raw, dict):
@@ -236,16 +243,13 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
                               f"a gauge field of constant modulus, where the cubic coefficient "
                               f"cannot be identified")
     if kind == "msm_oracle" and opt["dt0"] is not None:
-        # Each rung halves dt and doubles n, and the bound falls as 1/n^2,
-        # so the finest rung is the tightest.
-        finest = Grid2D(n=grid["n"] * 2 ** (opt["rungs"] - 1), length=grid["length"])
-        limit = max_stable_dt(finest)
-        dt = opt["dt0"] / 2 ** (opt["rungs"] - 1)
-        if dt > limit:
+        scale = 2 ** (opt["rungs"] - 1)
+        bound = _oracle_dt0_bound(grid, opt["rungs"])
+        if opt["dt0"] > bound:
             raise ConfigError(
                 f"{where}.options.dt0 = {opt['dt0']:.3e} steps the finest rung "
-                f"(n = {finest.n}) at dt = {dt:.3e}, above the midpoint contraction "
-                f"bound {limit:.3e}"
+                f"(n = {grid['n'] * scale}) at dt = {opt['dt0'] / scale:.3e}, above the "
+                f"midpoint contraction bound {bound / scale:.3e}"
             )
     if kind == "ratio_suite":
         # Each trial's mode box must fit strictly inside the Nyquist box.
@@ -337,10 +341,7 @@ def _run_oracle(exp: ExperimentConfig, out: Path) -> list[str]:
     n0, length = exp.grid["n"], exp.grid["length"]
     rungs, steps, dt0 = exp.options["rungs"], exp.options["steps"], exp.options["dt0"]
     if dt0 is None:
-        # Choose the base step so the finest rung, after halving it rungs - 1
-        # times, still sits safely inside the midpoint contraction bound.
-        finest = Grid2D(n=n0 * 2 ** (rungs - 1), length=length)
-        dt0 = 0.8 * max_stable_dt(finest) * 2 ** (rungs - 1)
+        dt0 = 0.8 * _oracle_dt0_bound(exp.grid, rungs)
     rows = []
     for r in range(rungs):
         grid = Grid2D(n=n0 * 2**r, length=length)

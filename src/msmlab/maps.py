@@ -30,6 +30,9 @@ component-major memory, still indexed ``(..., 3)``: each component is then
 one contiguous plane for the transforms and the pointwise work of every
 inner iteration, and the step's result does not depend on the memory layout
 of its input.
+
+The map flow and the MSM solver both step through :func:`_run`, so every
+solver failure, a stalled midpoint step included, names its step and t.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .conventions import LL_SIGN
-from .errors import ChartUndefinedError, NoConvergenceError
+from .errors import ChartUndefinedError, NoConvergenceError, SolverError
 from .spectral import PeriodicGrid
 
 __all__ = [
@@ -220,16 +223,29 @@ def step_geometric(mf: MapField, dt: float) -> MapField:
     return MapField(grid, s1, target)
 
 
-def evolve(mf: MapField, dt: float, n_steps: int, store_every: int = 1) -> MapTrajectory:
-    """Integrate the map flow, storing every ``store_every``-th snapshot."""
+def _run(state, advance, n_steps: int, store_every: int, reach):
+    """Yield the start state and every ``store_every``-th of ``n_steps`` states.
+
+    A :class:`SolverError` of ``advance`` is tagged with its 1-based step k
+    and the time ``reach(state, k)`` that step from ``state`` was to reach.
+    """
     if store_every < 1:
         raise ValueError(f"store_every must be at least 1, got {store_every}")
-    maps = [mf]
-    times = [0.0]
-    current = mf
-    for step in range(1, n_steps + 1):
-        current = step_geometric(current, dt)
-        if step % store_every == 0:
-            maps.append(current)
-            times.append(step * dt)
-    return MapTrajectory(times=np.array(times), maps=maps, dt=dt * store_every)
+    yield state
+    for k in range(1, n_steps + 1):
+        try:
+            state = advance(state)
+        except SolverError as err:
+            err.step, err.t = k, reach(state, k)
+            raise
+        if k % store_every == 0:
+            yield state
+
+
+def evolve(mf: MapField, dt: float, n_steps: int, store_every: int = 1) -> MapTrajectory:
+    """Integrate the map flow, storing every ``store_every``-th snapshot."""
+    # The lambdas read step_geometric at each call, so a rebound name sees every step.
+    maps = list(_run(mf, lambda m: step_geometric(m, dt), n_steps, store_every,
+                     lambda m, k: k * dt))
+    times = np.arange(len(maps)) * store_every * dt
+    return MapTrajectory(times=times, maps=maps, dt=dt * store_every)

@@ -26,6 +26,9 @@ the shared real fields once and then one component's right side at a time;
 an ETDRK4 step sums its result as the stages go and frees each stage once
 no later formula reads it, so it holds at most five stage pairs.
 
+:func:`evolve` and :func:`regularity_persistence_test` step through
+:func:`msmlab.maps._run`, so a failed step names its step and t.
+
 As a standalone PDE on the torus the potentials are normalized to zero
 mean and the connection carries no constant part.  Gauge transforms of
 actual map trajectories pick up two torus-only zero-mode corrections (a
@@ -47,7 +50,7 @@ import numpy as np
 from .conventions import IM_CUBIC_COEF
 from .errors import ConfigError, PicardDivergedError, SolverBlowupError
 from .gauge import _chart_fields, _gauge_state, alpha_hat, beta_hat
-from .maps import MapTrajectory
+from .maps import MapTrajectory, _run
 from .spectral import Grid2D
 
 __all__ = [
@@ -309,26 +312,10 @@ def step(state: MSMState, cfg: SolverConfig) -> MSMState:
     return MSMState(grid=g, u1=u1, u2=u2, sign=state.sign, t=t)
 
 
-def _run_step(state: MSMState, cfg: SolverConfig, index: int) -> MSMState:
-    """``step`` inside a run loop; a failure is tagged with its step index and t."""
-    try:
-        return step(state, cfg)
-    except (SolverBlowupError, PicardDivergedError) as err:
-        err.step, err.t = index, state.t + cfg.dt
-        raise
-
-
 def evolve(state: MSMState, cfg: SolverConfig, store_every: int = 1) -> list[MSMState]:
     """Advance to t_final, returning stored snapshots (initial state included)."""
-    if store_every < 1:
-        raise ValueError(f"store_every must be at least 1, got {store_every}")
-    out = [state]
-    current = state
-    for k in range(cfg.n_steps):
-        current = _run_step(current, cfg, k + 1)
-        if (k + 1) % store_every == 0:
-            out.append(current)
-    return out
+    return list(_run(state, lambda s: step(s, cfg), cfg.n_steps, store_every,
+                     lambda s, k: s.t + cfg.dt))
 
 
 # -- trajectory oracle -------------------------------------------------------
@@ -513,19 +500,14 @@ def regularity_persistence_test(
     if growth_factor <= 1:
         raise ValueError("growth_factor must exceed 1")
     norm0 = hk_norm(state0, k)
-    times = [state0.t]
-    norms = [norm0]
-    current = state0
-    lifetime = cfg.t_final
-    capped = True
-    for index in range(1, cfg.n_steps + 1):
-        current = _run_step(current, cfg, index)
-        nk = hk_norm(current, k)
+    times, norms = [], []
+    lifetime, capped = cfg.t_final, True
+    for current in _run(state0, lambda s: step(s, cfg), cfg.n_steps, 1,
+                        lambda s, _: s.t + cfg.dt):
         times.append(current.t)
-        norms.append(nk)
-        if norm0 > 0 and nk > growth_factor * norm0:
-            lifetime = current.t
-            capped = False
+        norms.append(hk_norm(current, k))
+        if norm0 > 0 and norms[-1] > growth_factor * norm0:
+            lifetime, capped = current.t, False
             break
     return PersistenceReport(
         k=k, lifetime=float(lifetime), capped=capped,

@@ -415,9 +415,8 @@ def duality_pairing(u: SpaceTimeField, w: SpaceTimeField) -> complex:
     Cauchy-Schwarz against the mirrored weight is exact for it:
     |pairing| <= xsb_norm(u, s, b, +1) * xsb_norm(w, -s, -b, -1).
     """
-    _compatible([u, w])
     measure = u.grid.spacing**2 * u.dt
-    return complex(measure * np.sum(u.values * w.values))
+    return complex(measure * sum(np.sum(su * sw) for su, sw in _blocks([u, w])))
 
 
 def mixed_norm(u: SpaceTimeField, p_t: float, q_x: float) -> float:
@@ -900,20 +899,12 @@ class MultiplierSpec:
 
 def _negated_sum_index(spec: MultiplierSpec) -> np.ndarray:
     """Flat group index of -(xi_1 + ... + xi_{k-1}) at each hyperplane point."""
-    size = spec.group_size
-    shape = (size,) * (spec.k - 1)
-    # Per-coordinate digits of every group element in mixed radix.
-    digits = np.array(np.unravel_index(np.arange(size), (spec.modulus,) * spec.dim))
-    out = np.zeros(shape, dtype=np.int64)
-    for d in range(spec.dim):
-        comp = np.zeros(shape, dtype=np.int64)
-        for axis in range(spec.k - 1):
-            idx = [None] * (spec.k - 1)
-            idx[axis] = slice(None)
-            comp = comp + digits[d][tuple(idx)]
-        comp = (-comp) % spec.modulus
-        out = out * spec.modulus + comp
-    return out
+    radix = (spec.modulus,) * spec.dim
+    # Per-coordinate digits of every group element in mixed radix, and one
+    # sparse axis per free frequency.
+    digits = np.unravel_index(np.arange(spec.group_size), radix)
+    axes = np.meshgrid(*[np.arange(spec.group_size)] * (spec.k - 1), indexing="ij", sparse=True)
+    return np.ravel_multi_index([-sum(d[a] for a in axes) % spec.modulus for d in digits], radix)
 
 
 def exact_norm_k2(spec: MultiplierSpec) -> float:

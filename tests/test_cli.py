@@ -52,6 +52,8 @@ TINY_LINE = dict(DEFAULT_EXPERIMENTS["hasimoto_1d"], grid={"n": 32, "length": 6.
                  time={"dt": 1e-3, "t_final": 4e-3},
                  options={"n_data": 1, "soliton_n": 64, "soliton_length": 50.0})
 
+TINY_ORACLE = dict(DEFAULT_EXPERIMENTS["msm_oracle"], grid={"n": 16, "length": 1.0})
+
 CONSTANT_LINE = dict(TINY_LINE, preset={"name": "zero"},
                      options={**TINY_LINE["options"], "n_data": 0})
 ZERO_RANDOM_LINE = {"name": "random_seeded", "params": {"band": 2, "amplitude": 0.0, "real": True}}
@@ -561,6 +563,24 @@ class TestMain:
         assert main(["msm", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "'hot'" in err and "blew up at step" in err
+
+    @pytest.mark.parametrize("exp", [TINY_EVOLVE, TINY_LINE, TINY_ORACLE],
+                             ids=["evolve", "hasimoto", "oracle"])
+    def test_stalled_midpoint_exits_1_naming_experiment_and_step(self, tmp_path, capsys,
+                                                                 monkeypatch, exp):
+        import msmlab.maps as maps
+        from msmlab.cli import _oracle_dt0_bound
+
+        monkeypatch.setattr(maps, "MIDPOINT_MAX_ITERS", 1)
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(wrap(exp)))
+        out = tmp_path / "out"
+        assert main([COMMANDS[exp["kind"]], "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        rungs = OPTIONS["msm_oracle"]["rungs"]
+        dt = exp["time"]["dt"] if "time" in exp else 0.8 * _oracle_dt0_bound(exp["grid"], rungs)
+        assert f"'{exp['name']}'" in err and "midpoint iteration stalled" in err
+        assert f"at step 1, t={dt:.6g}\n" in err
 
     def test_empty_config_succeeds(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"

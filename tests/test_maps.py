@@ -359,6 +359,17 @@ class TestEvolve:
         with pytest.raises(ValueError, match="store_every"):
             evolve(bump_chart_map(g), 1e-6, 10, store_every=store_every)
 
+    def test_stalled_step_is_located(self, monkeypatch):
+        import msmlab.maps as maps
+
+        g = Grid2D(n=32, length=2 * np.pi)
+        dt = 0.9 * max_stable_dt(g)
+        monkeypatch.setattr(maps, "MIDPOINT_MAX_ITERS", 1)
+        with pytest.raises(NoConvergenceError) as err:
+            evolve(bump_chart_map(g), dt, 3)
+        assert (err.value.step, err.value.t) == (1, dt)
+        assert str(err.value).endswith(f"after 1 iterations at step 1, t={dt:.6g}")
+
     def test_one_dimensional_grid(self):
         g = Grid1D(n=64, length=20.0)
         w = 0.5 * np.exp(-((g.x - 10.0) ** 2) / 4.0)

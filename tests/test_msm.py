@@ -395,7 +395,7 @@ class TestStepping:
     @pytest.mark.parametrize("store_every", [0, -1])
     def test_store_every_below_one_rejected(self, monkeypatch, store_every):
         st = MSMState.zero(Grid2D(n=8, length=1.0))
-        monkeypatch.setattr("msmlab.msm._run_step", lambda *a: pytest.fail("stepped"))
+        monkeypatch.setattr("msmlab.msm.step", lambda *a: pytest.fail("stepped"))
         with pytest.raises(ValueError, match="store_every"):
             evolve(st, SolverConfig(dt=1e-3, t_final=3e-3), store_every=store_every)
 

@@ -362,6 +362,21 @@ def test_only_spectral_branches_on_the_grid_class():
             assert found is None, f"{path.name}: {found.group(0)}"
 
 
+def test_only_the_run_loop_locates_solver_failures():
+    # maps._run tags every run's failed step with its index and time; a module
+    # that located failures in a loop of its own would be a second home for it.
+    found = {
+        (path.name, node.attr)
+        for path in sorted(Path(msmlab.__file__).parent.glob("*.py"))
+        for handler in ast.walk(ast.parse(path.read_text()))
+        if isinstance(handler, ast.ExceptHandler)
+        for node in ast.walk(handler)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in ("step", "t")
+    }
+    assert found == {("maps.py", "step"), ("maps.py", "t")}
+
+
 def _target_comparisons(node, where=()):
     """Qualified names of the scopes holding a comparison with a Target member."""
     for child in ast.iter_child_nodes(node):

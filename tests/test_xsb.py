@@ -187,6 +187,17 @@ class TestDualityPairing:
         with pytest.raises(ValueError, match="grids"):
             duality_pairing(white_field(0, n=32), white_field(0, n=16))
 
+    def test_streamed_pairing_matches_whole_sum(self):
+        from msmlab.xsb import _synthesize
+
+        # 64^2 points a slice and 128 slices span several time blocks.
+        u, w = white_field(31, n=64, nt=128), white_field(32, n=64, nt=128)
+        whole = np.sum(_synthesize(u.columns, 64) * _synthesize(w.columns, 64))
+        measure = u.grid.spacing**2 * u.dt
+        assert duality_pairing(u, w) == pytest.approx(measure * whole, rel=1e-13)
+        # Neither field caches its samples.
+        assert "values" not in vars(u) and "values" not in vars(w)
+
 
 class TestMixedNorm:
     def test_two_two_is_spacetime_l2(self):
@@ -807,6 +818,31 @@ class TestBatchedLowerBound:
         neg_idx = _negated_sum_index(spec)
         assert _alternating_lower_bound(spec, neg_idx, 5, 0) == 0.0
         assert serial_lower_bound(spec, neg_idx, 5, 0) == 0.0
+
+
+def brute_negated_sum_index(k, modulus, dim):
+    """Point by point: the mixed-radix index of minus the digit sums of k - 1 group elements."""
+    size = modulus**dim
+    out = np.empty((size,) * (k - 1), dtype=np.int64)
+    for point in np.ndindex(out.shape):
+        index = 0
+        for place in range(dim - 1, -1, -1):  # most significant digit first
+            digit_sum = sum(xi // modulus**place % modulus for xi in point)
+            index = index * modulus + (-digit_sum) % modulus
+        out[point] = index
+    return out
+
+
+@pytest.mark.parametrize("k,modulus,dim", [
+    (k, modulus, dim) for k in (2, 3, 4) for modulus in (2, 3, 5, 8) for dim in (1, 2)
+    if modulus ** (dim * (k - 1)) <= 2 * 10**5
+])
+def test_negated_sum_index_matches_brute_force(k, modulus, dim):
+    from msmlab.xsb import _negated_sum_index
+
+    size = modulus**dim
+    spec = MultiplierSpec(k=k, modulus=modulus, dim=dim, m=np.zeros((size,) * (k - 1)))
+    assert np.array_equal(_negated_sum_index(spec), brute_negated_sum_index(k, modulus, dim))
 
 
 def scalar_coef(rng):
