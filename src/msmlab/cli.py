@@ -38,7 +38,7 @@ from .maps import energy, evolve as evolve_map, max_stable_dt
 from .msm import (
     ALL_TERMS,
     SolverConfig,
-    evolve as evolve_msm,
+    _stored_states,
     hk_norm,
     mass,
     msm_residual_of_gauge_trajectory,
@@ -330,10 +330,13 @@ def _run_msm(exp: ExperimentConfig, out: Path) -> list[str]:
     opt = exp.options
     cfg = SolverConfig(dt=exp.time["dt"], t_final=exp.time["t_final"], scheme=opt["scheme"],
                        dealias=opt["dealias"], terms=tuple(opt["terms"]))
-    states = evolve_msm(state, cfg, store_every=opt["store_every"])
-    rows = [[i, st.t, mass(st), hk_norm(st, 1.0)] for i, st in enumerate(states)]
+    # Each snapshot becomes its trace row as it comes and rebinds state, so
+    # the run holds two states, not every stored one.
+    rows = []
+    for i, state in enumerate(_stored_states(state, cfg, opt["store_every"])):
+        rows.append([i, state.t, mass(state), hk_norm(state, 1.0)])
     write_csv(out / "trace.csv", ["index", "time", "mass", "h1_norm"], rows)
-    save_msm_state(out / "final_state.msmf", states[-1])
+    save_msm_state(out / "final_state.msmf", state)
     return ["trace.csv", "final_state.msmf"]
 
 

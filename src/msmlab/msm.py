@@ -24,10 +24,16 @@ Strang splitting and 17 plus 15 per iteration with Picard.  Seven of the
 forward, and d_x beta, d_y beta and alpha come back.  An evaluation builds
 the shared real fields once and then one component's right side at a time;
 an ETDRK4 step sums its result as the stages go and frees each stage once
-no later formula reads it, so it holds at most five stage pairs.
+no later formula reads it, so it holds at most five stage pairs.  The six
+tables of the linear flow are cached once per distinct |k|^2 with an int32
+index of each mode into them, under one field in all at n = 256; a stepper
+gathers a table onto the grid only around the products that read it.
 
-:func:`evolve` and :func:`regularity_persistence_test` step through
-:func:`msmlab.maps._run`, so a failed step names its step and t.
+:func:`evolve`, :func:`regularity_persistence_test` and the command line's
+``msm`` runner iterate :func:`_stored_states`, which steps through
+:func:`msmlab.maps._run`, so a failed step names its step and t.  The runner
+reduces each snapshot to its trace row as it comes and holds two states,
+not every stored one.
 
 As a standalone PDE on the torus the potentials are normalized to zero
 mean and the connection carries no constant part.  Gauge transforms of
@@ -194,13 +200,16 @@ def nonlinearity(state: MSMState, v1, v2, terms=ALL_TERMS, dealias=True, fields=
 def _step_strang(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Half linear flow (exact in Fourier), midpoint rule on N, half linear."""
     g = state.grid
-    half = _propagator_tables(g, cfg.dt)[1]
+    index, tables = _propagator_tables(g, cfg.dt)
+    half = tables[1].take(index)
     v1, v2 = half * g.fft(state.u1), half * g.fft(state.u2)
+    del half
     n1, n2 = nonlinearity(state, v1, v2, cfg.terms, cfg.dealias)
     # N(v)'s arrays become the midpoint argument v + (dt/2) N(v).
     np.add(v1, np.multiply(cfg.dt / 2, n1, out=n1), out=n1)
     np.add(v2, np.multiply(cfg.dt / 2, n2, out=n2), out=n2)
     m1, m2 = nonlinearity(state, n1, n2, cfg.terms, cfg.dealias)
+    half = tables[1].take(index)
     return half * (v1 + cfg.dt * m1), half * (v2 + cfg.dt * m2)
 
 
@@ -211,8 +220,16 @@ def _propagator_tables(grid: Grid2D, dt: float):
     The one home of the linear flow: Strang reads the half step, Picard
     the full step and ETDRK4 all six tables.  The coefficients come from
     the contour-quadrature recipe.  They depend on the mode only through
-    |k|^2, so each is evaluated once per distinct value and scattered back
-    onto the grid.
+    |k|^2, so each is evaluated once per distinct value.  Returns
+    ``(index, tables)``: ``index`` holds each mode's position among the
+    distinct values (int32, grid shaped) and ``tables`` the six per-value
+    vectors (e_full, e_half, q, f1, f2, f3), so ``tables[j].take(index)`` is
+    table j on the grid.  A stepper gathers a table right before the
+    products that read it, binds it to a name first and drops it before the
+    next evaluation of the nonlinearity.  The name matters for the bits:
+    numpy may compute a product with a temporary operand into that
+    temporary with the operands swapped, and complex multiplication is not
+    bitwise commutative.
     """
     k2, where = np.unique(grid.k2.ravel(), return_inverse=True)
     lam = -1j * k2 * dt
@@ -228,28 +245,36 @@ def _propagator_tables(grid: Grid2D, dt: float):
     f1 = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr**2)) / lr**3, axis=1)
     f2 = dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr**3, axis=1)
     f3 = dt * np.mean((-4 - 3 * lr - lr**2 + np.exp(lr) * (4 - lr)) / lr**3, axis=1)
-    return tuple(c[where].reshape(grid.shape) for c in (e_full, e_half, q, f1, f2, f3))
+    return where.astype(np.int32).reshape(grid.shape), (e_full, e_half, q, f1, f2, f3)
 
 
 def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     g = state.grid
-    e, e2, q, f1, f2, f3 = _propagator_tables(g, cfg.dt)
+    index, tables = _propagator_tables(g, cfg.dt)
     v1, v2 = g.fft(state.u1), g.fft(state.u2)
 
     n_u = nonlinearity(state, v1, v2, cfg.terms, cfg.dealias, (state.u1, state.u2))
+    e, f1 = tables[0].take(index), tables[3].take(index)
     w1, w2 = e * v1 + f1 * n_u[0], e * v2 + f1 * n_u[1]
+    del e, f1
+    e2, q = tables[1].take(index), tables[2].take(index)
     a1, a2 = e2 * v1 + q * n_u[0], e2 * v2 + q * n_u[1]
+    del e2, q
     n_a = nonlinearity(state, a1, a2, cfg.terms, cfg.dealias)
+    e2, q = tables[1].take(index), tables[2].take(index)
     b1, b2 = e2 * v1 + q * n_a[0], e2 * v2 + q * n_a[1]
-    del v1, v2
+    del v1, v2, e2, q
     n_b = nonlinearity(state, b1, b2, cfg.terms, cfg.dealias)
     del b1, b2
+    f2 = tables[4].take(index)
     w1 += 2 * f2 * (n_a[0] + n_b[0])
     w2 += 2 * f2 * (n_a[1] + n_b[1])
-    del n_a
+    del n_a, f2
+    e2, q = tables[1].take(index), tables[2].take(index)
     c1, c2 = e2 * a1 + q * (2 * n_b[0] - n_u[0]), e2 * a2 + q * (2 * n_b[1] - n_u[1])
-    del a1, a2, n_u, n_b
+    del a1, a2, n_u, n_b, e2, q
     n_c = nonlinearity(state, c1, c2, cfg.terms, cfg.dealias)
+    f3 = tables[5].take(index)
     w1 += f3 * n_c[0]
     w2 += f3 * n_c[1]
     return w1, w2
@@ -264,13 +289,15 @@ def _step_picard(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     local Lipschitz size; failure raises with the contraction trace.
     """
     g = state.grid
-    prop = _propagator_tables(g, cfg.dt)[0]
+    index, tables = _propagator_tables(g, cfg.dt)
     v1, v2 = g.fft(state.u1), g.fft(state.u2)
     n0 = nonlinearity(state, v1, v2, cfg.terms, cfg.dealias, (state.u1, state.u2))
+    prop = tables[0].take(index)
     base1 = prop * (v1 + (cfg.dt / 2) * n0[0])
     base2 = prop * (v2 + (cfg.dt / 2) * n0[1])
 
     w1, w2 = prop * v1, prop * v2
+    del prop
     scale0 = max(np.linalg.norm(w1), np.linalg.norm(w2), 1e-300)
     trace: list[float] = []
     for _ in range(PICARD_MAX_ITERS):
@@ -312,10 +339,20 @@ def step(state: MSMState, cfg: SolverConfig) -> MSMState:
     return MSMState(grid=g, u1=u1, u2=u2, sign=state.sign, t=t)
 
 
+def _stored_states(state: MSMState, cfg: SolverConfig, store_every: int = 1):
+    """Yield the start state and every ``store_every``-th state up to t_final.
+
+    The run holds only the state it steps from, so a caller that reduces
+    each snapshot as it comes keeps two states alive, not every stored one.
+    """
+    # The lambda reads step at each call, so a rebound name sees every step.
+    return _run(state, lambda s: step(s, cfg), cfg.n_steps, store_every,
+                lambda s, _: s.t + cfg.dt)
+
+
 def evolve(state: MSMState, cfg: SolverConfig, store_every: int = 1) -> list[MSMState]:
     """Advance to t_final, returning stored snapshots (initial state included)."""
-    return list(_run(state, lambda s: step(s, cfg), cfg.n_steps, store_every,
-                     lambda s, k: s.t + cfg.dt))
+    return list(_stored_states(state, cfg, store_every))
 
 
 # -- trajectory oracle -------------------------------------------------------
@@ -502,8 +539,7 @@ def regularity_persistence_test(
     norm0 = hk_norm(state0, k)
     times, norms = [], []
     lifetime, capped = cfg.t_final, True
-    for current in _run(state0, lambda s: step(s, cfg), cfg.n_steps, 1,
-                        lambda s, _: s.t + cfg.dt):
+    for current in _stored_states(state0, cfg):
         times.append(current.t)
         norms.append(hk_norm(current, k))
         if norm0 > 0 and norms[-1] > growth_factor * norm0:

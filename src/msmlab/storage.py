@@ -48,25 +48,22 @@ def _grid_from_meta(meta: dict):
 
 
 def _write_snapshot(path, kind: str, grid, arrays: dict[str, np.ndarray], scalars: dict) -> None:
-    entries = []
-    blobs = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dtype = "<c16" if np.iscomplexobj(arr) else "<f8"
-        arr = arr.astype(dtype)
-        entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+    # The header needs only dtypes and shapes, so each array is written from
+    # its own buffer; a copy is made only of a strided or non-native array.
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    dtypes = {name: "<c16" if np.iscomplexobj(arr) else "<f8" for name, arr in arrays.items()}
     header = dict(scalars)
     header["kind"] = kind
     header["grid"] = _grid_meta(grid)
-    header["arrays"] = entries
+    header["arrays"] = [{"name": name, "dtype": dtypes[name], "shape": list(arr.shape)}
+                        for name, arr in arrays.items()]
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(payload)))
         fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+        for name, arr in arrays.items():
+            fh.write(arr.astype(dtypes[name], copy=False))
 
 
 def _read_exactly(fh, path, size: int, what: str) -> bytes:

@@ -600,7 +600,8 @@ class TestWorkingSet:
         st = bandlimited_state(64, 1.0, 0.5, 6, seed=4, sign=sign)
         cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme="etd_rk4", dealias=dealias)
         g = st.grid
-        e, e2, q, f1, f2, f3 = _propagator_tables(g, cfg.dt)
+        index, tables = _propagator_tables(g, cfg.dt)
+        e, e2, q, f1, f2, f3 = (t[index] for t in tables)
 
         def n(v1, v2, fields=None):
             return nonlinearity(st, v1, v2, cfg.terms, dealias, fields)
@@ -618,6 +619,38 @@ class TestWorkingSet:
 
         out = step(st, cfg)
         assert np.array_equal(out.u1, g.ifft(w1)) and np.array_equal(out.u2, g.ifft(w2))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_strang_step_is_the_one_expression_formula(self, sign, dealias):
+        # The stepper gathers the half step twice and forms the midpoint
+        # argument in N(v)'s arrays; the bits must be those of the textbook
+        # form with the full table alive.
+        st = bandlimited_state(64, 1.0, 0.5, 6, seed=4, sign=sign)
+        cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme="strang_split", dealias=dealias)
+        g = st.grid
+        index, tables = _propagator_tables(g, cfg.dt)
+        half = tables[1][index]
+
+        def n(v1, v2):
+            return nonlinearity(st, v1, v2, cfg.terms, dealias)
+
+        v1, v2 = half * g.fft(st.u1), half * g.fft(st.u2)
+        n_v = n(v1, v2)
+        m1, m2 = n(v1 + (cfg.dt / 2) * n_v[0], v2 + (cfg.dt / 2) * n_v[1])
+        w1, w2 = half * (v1 + cfg.dt * m1), half * (v2 + cfg.dt * m2)
+
+        out = step(st, cfg)
+        assert np.array_equal(out.u1, g.ifft(w1)) and np.array_equal(out.u2, g.ifft(w2))
+
+    def test_cached_tables_take_less_than_one_field(self):
+        # One int32 index and six vectors over the distinct |k|^2; the six
+        # tables scattered onto the grid took six fields.
+        g = Grid2D(n=256, length=1.0)
+        index, tables = _propagator_tables(g, 2e-4)
+        assert index.shape == g.shape and len(tables) == 6
+        assert index.nbytes + sum(t.nbytes for t in tables) < g.n**2 * np.dtype(complex).itemsize
+        assert np.array_equal(tables[1][index], np.exp(-0.5j * g.k2 * 2e-4))
 
 
 class TestGaugeTrajectoryOracle:

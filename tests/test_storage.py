@@ -21,6 +21,7 @@ from msmlab.storage import (
     write_csv,
     write_manifest,
 )
+from memtrace import traced_peak
 
 
 def random_state(n=16, seed=0):
@@ -82,6 +83,22 @@ class TestSnapshots:
         assert header["grid"] == {"dim": 2, "n": 16, "length": 2.0}
         assert [e["name"] for e in header["arrays"]] == ["u1", "u2"]
         assert arrays["u1"].dtype == np.dtype("<c16")
+
+    def test_saving_copies_no_contiguous_array(self, tmp_path):
+        # Each array is written from its own buffer.  A dtype copy of each,
+        # and every array's bytes held until the file was written, read 3 fields.
+        st = random_state(n=256)
+        peak = traced_peak(lambda: save_msm_state(tmp_path / "state.msmf", st))
+        assert peak < st.u1.nbytes / 8
+
+    def test_file_does_not_depend_on_memory_layout(self, tmp_path):
+        mf = MapField.from_stereo(Grid2D(n=16, length=1.0), random_state().u1 / 4)
+        strided = MapField(mf.grid, np.moveaxis(np.moveaxis(mf.s3, -1, 0).copy(), 0, -1),
+                           mf.target)
+        assert not strided.s3.flags.c_contiguous
+        save_map_field(tmp_path / "a.msmf", mf)
+        save_map_field(tmp_path / "b.msmf", strided)
+        assert (tmp_path / "a.msmf").read_bytes() == (tmp_path / "b.msmf").read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.msmf"
