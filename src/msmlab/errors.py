@@ -25,18 +25,6 @@ class NoConvergenceError(SolverError):
     """Implicit solve failed to reach tolerance within the iteration budget."""
 
 
-class PicardDivergedError(SolverError):
-    """Picard iteration stopped contracting.
-
-    Carries the per-iteration update sizes so the caller can inspect how the
-    iteration behaved before it was abandoned.
-    """
-
-    def __init__(self, message: str, trace: list[float]):
-        super().__init__(message)
-        self.trace = list(trace)
-
-
 class TooLargeError(MsmLabError):
     """Requested exhaustive enumeration exceeds the supported budget."""
 

@@ -18,8 +18,8 @@ pinned.
 :func:`nonlinearity` takes the spectra of the pair and returns the spectra
 of the selected terms; the steppers call it through this module's global
 name.  It is assembled in Fourier space in 15 2-D transforms (13 when the
-physical fields are at hand), so a step costs 62 with ETDRK4, 34 with
-Strang splitting and 17 plus 15 per iteration with Picard.  Seven of the
+physical fields are at hand), so a step costs 62 with ETDRK4 (fourth
+order) and 34 with Strang splitting (second order).  Seven of the
 15 act on real fields and use the real pair: the four potential sources go
 forward, and d_x beta, d_y beta and alpha come back.  An evaluation builds
 the shared real fields once and then one component's right side at a time;
@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conventions import IM_CUBIC_COEF
-from .errors import ConfigError, PicardDivergedError, SolverBlowupError
+from .errors import ConfigError, SolverBlowupError
 from .gauge import _chart_fields, _gauge_state, alpha_hat, beta_hat
 from .maps import MapTrajectory, _run
 from .spectral import Grid2D
@@ -86,10 +86,6 @@ TERM_ALPHA_CUBIC = "alpha_cubic"
 TERM_IM_CUBIC = "im_cubic"
 TERM_QUINTIC = "quintic"
 ALL_TERMS = (TERM_NULL, TERM_ALPHA_CUBIC, TERM_IM_CUBIC, TERM_QUINTIC)
-
-# Iteration budget and relative update tolerance of the Picard step.
-PICARD_MAX_ITERS = 40
-PICARD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -217,9 +213,9 @@ def _step_strang(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
 def _propagator_tables(grid: Grid2D, dt: float):
     """Linear propagators e^{-i|k|^2 dt}, e^{-i|k|^2 dt/2} and the ETDRK4 coefficients.
 
-    The one home of the linear flow: Strang reads the half step, Picard
-    the full step and ETDRK4 all six tables.  The coefficients come from
-    the contour-quadrature recipe.  They depend on the mode only through
+    The one home of the linear flow: Strang reads the half step and
+    ETDRK4 all six tables.  The coefficients come from the
+    contour-quadrature recipe.  They depend on the mode only through
     |k|^2, so each is evaluated once per distinct value.  Returns
     ``(index, tables)``: ``index`` holds each mode's position among the
     distinct values (int32, grid shaped) and ``tables`` the six per-value
@@ -280,49 +276,9 @@ def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     return w1, w2
 
 
-def _step_picard(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point iteration on the integral (Duhamel) form of one step.
-
-    The integral of the propagated nonlinearity over the step is closed
-    with the trapezoid rule, so the converged step is second order.  The
-    iteration contracts only for dt small against the nonlinearity's
-    local Lipschitz size; failure raises with the contraction trace.
-    """
-    g = state.grid
-    index, tables = _propagator_tables(g, cfg.dt)
-    v1, v2 = g.fft(state.u1), g.fft(state.u2)
-    n0 = nonlinearity(state, v1, v2, cfg.terms, cfg.dealias, (state.u1, state.u2))
-    prop = tables[0].take(index)
-    base1 = prop * (v1 + (cfg.dt / 2) * n0[0])
-    base2 = prop * (v2 + (cfg.dt / 2) * n0[1])
-
-    w1, w2 = prop * v1, prop * v2
-    del prop
-    scale0 = max(np.linalg.norm(w1), np.linalg.norm(w2), 1e-300)
-    trace: list[float] = []
-    for _ in range(PICARD_MAX_ITERS):
-        n1 = nonlinearity(state, w1, w2, cfg.terms, cfg.dealias)
-        new1 = base1 + (cfg.dt / 2) * n1[0]
-        new2 = base2 + (cfg.dt / 2) * n1[1]
-        scale = max(np.linalg.norm(new1), np.linalg.norm(new2), 1e-300)
-        delta = max(np.linalg.norm(new1 - w1), np.linalg.norm(new2 - w2)) / scale
-        trace.append(float(delta))
-        if not np.isfinite(delta) or scale > 1e8 * scale0:
-            raise PicardDivergedError("iterates blew past the initial scale", trace)
-        w1, w2 = new1, new2
-        if delta <= PICARD_TOL:
-            return w1, w2
-        if len(trace) >= 3 and trace[-1] > trace[-2] > trace[-3] and trace[-1] > 10 * trace[0]:
-            raise PicardDivergedError("fixed-point iteration is expanding", trace)
-    raise PicardDivergedError(
-        f"no contraction to {PICARD_TOL:g} within {PICARD_MAX_ITERS} iterations", trace
-    )
-
-
 _STEPPERS = {
     "strang_split": _step_strang,
     "etd_rk4": _step_etdrk4,
-    "picard_duhamel": _step_picard,
 }
 SCHEMES = tuple(_STEPPERS)
 

@@ -167,9 +167,10 @@ def test_03_one_dimensional_gauge_reduces_to_cubic_nls():
 
 
 def test_04_independent_integrators_cross_validate():
-    # Strang splitting and ETDRK4 are independent second-order schemes:
-    # their mutual gap must shrink at observed order >= 1.9 under dt
-    # halving, and each must conserve mass to 1e-6 relative over 100 steps.
+    # Strang splitting (second order) and ETDRK4 (fourth order) are
+    # independent schemes: their mutual gap, which Strang's error dominates,
+    # must shrink at observed order >= 1.9 under dt halving, and each must
+    # conserve mass to 1e-6 relative over 100 steps.
     st = _bandlimited_pair(32, 2 * np.pi, 0.5, 4, seed=3)
     g = st.grid
     gaps = []

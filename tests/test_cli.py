@@ -404,6 +404,7 @@ class TestMain:
 
     @pytest.mark.parametrize("options,message", [
         ({"scheme": "rk45"}, "scheme"),
+        ({"scheme": "picard_duhamel"}, "one of ('strang_split', 'etd_rk4')"),
         ({"terms": ["null", "septic"]}, "septic"),
         ({"terms": "null"}, "terms"),
         ({"dealias": "yes"}, "dealias"),
@@ -570,8 +571,8 @@ class TestMain:
 
     def test_module_failures_exit_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
-        # Data far too large for the Picard iteration to contract at this dt.
-        bad = dict(TINY_MSM, name="unstable", options={"scheme": "picard_duhamel"},
+        # Data far too large for ETDRK4 to stay finite at this dt.
+        bad = dict(TINY_MSM, name="unstable", options={"scheme": "etd_rk4"},
                    preset={"name": "random_seeded",
                            "params": {"band": 2, "amplitude": 300.0}})
         cfgfile.write_text(json.dumps(wrap(bad)))
