@@ -36,7 +36,6 @@ from .gauge import (
 )
 from .maps import energy, evolve as evolve_map, max_stable_dt
 from .msm import (
-    ALL_TERMS,
     SolverConfig,
     _stored_states,
     hk_norm,
@@ -87,7 +86,7 @@ RATIO_SUITES = tuple(_RATIO_RUNS)
 OPTIONS = {
     "evolve_map": {"store_every": 1},
     "gauge_check": {},
-    "msm_run": {"scheme": "strang_split", "dealias": True, "terms": ALL_TERMS, "store_every": 1},
+    "msm_run": {"scheme": "strang_split", "store_every": 1},
     "msm_oracle": {"rungs": 3, "steps": 4, "dt0": None},
     "ratio_suite": {"nt": 64, "t_window": 4.0, "eps": 0.01, "s": None, "n_trials": 6,
                     "space_band": 5, "time_band": 10, "suites": RATIO_SUITES, "p": 1.0},
@@ -328,8 +327,7 @@ def _run_msm(exp: ExperimentConfig, out: Path) -> list[str]:
     grid = Grid2D(n=exp.grid["n"], length=exp.grid["length"])
     state = msm_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed)
     opt = exp.options
-    cfg = SolverConfig(dt=exp.time["dt"], t_final=exp.time["t_final"], scheme=opt["scheme"],
-                       dealias=opt["dealias"], terms=tuple(opt["terms"]))
+    cfg = SolverConfig(dt=exp.time["dt"], t_final=exp.time["t_final"], scheme=opt["scheme"])
     # Each snapshot becomes its trace row as it comes and rebinds state, so
     # the run holds two states, not every stored one.
     rows = []

@@ -16,7 +16,7 @@ construction; see :mod:`msmlab.conventions` for how the constants are
 pinned.
 
 :func:`nonlinearity` takes the spectra of the pair and returns the spectra
-of the selected terms; the steppers call it through this module's global
+of the four terms; the steppers call it through this module's global
 name.  It is assembled in Fourier space in 15 2-D transforms (13 when the
 physical fields are at hand), so a step costs 62 with ETDRK4 (fourth
 order) and 34 with Strang splitting (second order).  Seven of the
@@ -60,11 +60,6 @@ from .maps import MapTrajectory, _run
 from .spectral import Grid2D
 
 __all__ = [
-    "TERM_NULL",
-    "TERM_ALPHA_CUBIC",
-    "TERM_IM_CUBIC",
-    "TERM_QUINTIC",
-    "ALL_TERMS",
     "MSMState",
     "SolverConfig",
     "nonlinearity",
@@ -80,13 +75,6 @@ __all__ = [
     "regularity_persistence_test",
     "PersistenceReport",
 ]
-
-TERM_NULL = "null"
-TERM_ALPHA_CUBIC = "alpha_cubic"
-TERM_IM_CUBIC = "im_cubic"
-TERM_QUINTIC = "quintic"
-ALL_TERMS = (TERM_NULL, TERM_ALPHA_CUBIC, TERM_IM_CUBIC, TERM_QUINTIC)
-
 
 @dataclass(frozen=True)
 class MSMState:
@@ -121,8 +109,6 @@ class SolverConfig:
     dt: float
     t_final: float
     scheme: str = "strang_split"
-    terms: tuple[str, ...] = ALL_TERMS
-    dealias: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -131,11 +117,6 @@ class SolverConfig:
             raise ConfigError("t_final must be nonnegative")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not isinstance(self.dealias, bool):
-            raise ConfigError(f"dealias must be true or false, got {self.dealias!r}")
-        unknown = set(self.terms) - set(ALL_TERMS)
-        if unknown:
-            raise ConfigError(f"unknown nonlinearity terms {sorted(unknown)}")
 
     @property
     def n_steps(self) -> int:
@@ -153,33 +134,25 @@ def hk_norm(state: MSMState, k: float) -> float:
     return float(np.hypot(g.sobolev_norm(state.u1, k), g.sobolev_norm(state.u2, k)))
 
 
-def nonlinearity(state: MSMState, v1, v2, terms=ALL_TERMS, dealias=True, fields=None):
-    """Spectra of the selected nonlinear terms, assembled in Fourier space.
+def nonlinearity(state: MSMState, v1, v2, dealias=True, fields=None):
+    """Spectra of the four nonlinear terms, assembled in Fourier space.
 
     Takes and returns spectra: ``v1, v2`` are the spectra of the pair (its
     grid and sign come from ``state``) and ``fields`` the physical fields,
-    when the caller has them.  The 2/3 filter is linear, so it acts once on
-    each quadratic source and once on each summed output.  An unselected
-    term does no transforms.
+    when the caller has them.  The sum is of the transport null form, the
+    quintic, the nonlocal cubic and the Im cubic.  The 2/3 filter is
+    linear, so it acts once on each quadratic source and once on each
+    summed output; ``dealias=False`` drops it, for reading the undealiased
+    right side.
     """
     g, sign = state.grid, state.sign
-    if not set(terms) & set(ALL_TERMS):
-        return np.zeros_like(v1), np.zeros_like(v2)
     u1, u2 = fields if fields is not None else (g.ifft(v1), g.ifft(v2))
     mask, half_mask = (g.dealias_mask, g.half_dealias_mask) if dealias else (1.0, 1.0)
-    pot = coupling = 0.0
-    if TERM_NULL in terms or TERM_QUINTIC in terms:
-        bx, by = g.real_grad_from_hat(half_mask * beta_hat(g, u1, u2, sign))
-    if TERM_QUINTIC in terms:
-        pot = bx**2 + by**2
-    if TERM_ALPHA_CUBIC in terms:
-        pot = pot + g.irfft(half_mask * alpha_hat(g, u1, u2, sign))
-    if TERM_IM_CUBIC in terms:
-        coupling = (IM_CUBIC_COEF * sign) * np.imag(u1 * np.conj(u2))
+    bx, by = g.real_grad_from_hat(half_mask * beta_hat(g, u1, u2, sign))
+    pot = bx**2 + by**2 + g.irfft(half_mask * alpha_hat(g, u1, u2, sign))
+    coupling = (IM_CUBIC_COEF * sign) * np.imag(u1 * np.conj(u2))
 
     def transport(v):
-        if TERM_NULL not in terms:
-            return 0.0
         dx, dy = g.grad_from_hat(v)
         return 2.0 * (bx * dy - by * dx)
 
@@ -200,11 +173,11 @@ def _step_strang(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     half = tables[1].take(index)
     v1, v2 = half * g.fft(state.u1), half * g.fft(state.u2)
     del half
-    n1, n2 = nonlinearity(state, v1, v2, cfg.terms, cfg.dealias)
+    n1, n2 = nonlinearity(state, v1, v2)
     # N(v)'s arrays become the midpoint argument v + (dt/2) N(v).
     np.add(v1, np.multiply(cfg.dt / 2, n1, out=n1), out=n1)
     np.add(v2, np.multiply(cfg.dt / 2, n2, out=n2), out=n2)
-    m1, m2 = nonlinearity(state, n1, n2, cfg.terms, cfg.dealias)
+    m1, m2 = nonlinearity(state, n1, n2)
     half = tables[1].take(index)
     return half * (v1 + cfg.dt * m1), half * (v2 + cfg.dt * m2)
 
@@ -249,18 +222,18 @@ def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     index, tables = _propagator_tables(g, cfg.dt)
     v1, v2 = g.fft(state.u1), g.fft(state.u2)
 
-    n_u = nonlinearity(state, v1, v2, cfg.terms, cfg.dealias, (state.u1, state.u2))
+    n_u = nonlinearity(state, v1, v2, fields=(state.u1, state.u2))
     e, f1 = tables[0].take(index), tables[3].take(index)
     w1, w2 = e * v1 + f1 * n_u[0], e * v2 + f1 * n_u[1]
     del e, f1
     e2, q = tables[1].take(index), tables[2].take(index)
     a1, a2 = e2 * v1 + q * n_u[0], e2 * v2 + q * n_u[1]
     del e2, q
-    n_a = nonlinearity(state, a1, a2, cfg.terms, cfg.dealias)
+    n_a = nonlinearity(state, a1, a2)
     e2, q = tables[1].take(index), tables[2].take(index)
     b1, b2 = e2 * v1 + q * n_a[0], e2 * v2 + q * n_a[1]
     del v1, v2, e2, q
-    n_b = nonlinearity(state, b1, b2, cfg.terms, cfg.dealias)
+    n_b = nonlinearity(state, b1, b2)
     del b1, b2
     f2 = tables[4].take(index)
     w1 += 2 * f2 * (n_a[0] + n_b[0])
@@ -269,7 +242,7 @@ def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     e2, q = tables[1].take(index), tables[2].take(index)
     c1, c2 = e2 * a1 + q * (2 * n_b[0] - n_u[0]), e2 * a2 + q * (2 * n_b[1] - n_u[1])
     del a1, a2, n_u, n_b, e2, q
-    n_c = nonlinearity(state, c1, c2, cfg.terms, cfg.dealias)
+    n_c = nonlinearity(state, c1, c2)
     f3 = tables[5].take(index)
     w1 += f3 * n_c[0]
     w2 += f3 * n_c[1]

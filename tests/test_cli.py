@@ -405,9 +405,13 @@ class TestMain:
     @pytest.mark.parametrize("options,message", [
         ({"scheme": "rk45"}, "scheme"),
         ({"scheme": "picard_duhamel"}, "one of ('strang_split', 'etd_rk4')"),
-        ({"terms": ["null", "septic"]}, "septic"),
-        ({"terms": "null"}, "terms"),
-        ({"dealias": "yes"}, "dealias"),
+        # A step evaluates all four terms under the 2/3 rule, so neither
+        # key is an option, whatever its value.
+        ({"terms": ["null", "septic"]}, "terms"),
+        ({"terms": "null"}, "options.terms is unknown"),
+        ({"terms": ["null"]}, "options.terms is unknown"),
+        ({"dealias": "yes"}, "options.dealias is unknown"),
+        ({"dealias": False}, "options.dealias is unknown"),
     ])
     def test_bad_solver_options_exit_2_before_compute(self, tmp_path, capsys, options, message):
         cfgfile = tmp_path / "run.json"

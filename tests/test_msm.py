@@ -1,5 +1,6 @@
 """Derivative-field system: assembly, stepping, oracle, invariance."""
 
+import functools
 import importlib
 import weakref
 from collections import Counter
@@ -17,8 +18,8 @@ from msmlab.conventions import (
 from msmlab.errors import ConfigError, SolverBlowupError
 from msmlab.gauge import alpha_hat, beta_hat, build_gauge_state, verify_consistency
 from msmlab.maps import MapField, evolve as evolve_map, max_stable_dt
+from msmlab import msm
 from msmlab.msm import (
-    ALL_TERMS,
     SCHEMES,
     MSMState,
     SolverConfig,
@@ -114,15 +115,26 @@ class TestStateAndConfig:
             {"dt": 0.1, "t_final": -1.0},
             {"dt": 0.1, "t_final": 1.0, "scheme": "leapfrog"},
             {"dt": 0.1, "t_final": 1.0, "scheme": "Strang_Split"},
-            {"dt": 0.1, "t_final": 1.0, "dealias": 1},
-            {"dt": 0.1, "t_final": 1.0, "terms": ("null", "septic")},
-            {"dt": 0.1, "t_final": 1.0, "dealias": "yes"},
             {"dt": 0.1, "t_final": 1.0, "scheme": "picard_duhamel"},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dealias": 1},
+            {"terms": ("null", "septic")},
+            {"dealias": "yes"},
+        ],
+    )
+    def test_removed_fields_rejected(self, kwargs):
+        # A step always evaluates all four terms under the 2/3 rule, so
+        # neither key is a field, whatever its value.
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            SolverConfig(dt=0.1, t_final=1.0, **kwargs)
 
     def test_schemes_are_strang_and_etdrk4(self):
         assert SCHEMES == ("strang_split", "etd_rk4")
@@ -154,16 +166,11 @@ def _alpha(st: MSMState, dealias: bool = True) -> np.ndarray:
     return _dealiased(st.grid, alpha) if dealias else alpha
 
 
-def physical_nonlinearity(st: MSMState, terms=ALL_TERMS, dealias: bool = True):
-    """The selected terms in physical space: fft, the spectral assembly, ifft."""
+def physical_nonlinearity(st: MSMState, dealias: bool = True):
+    """The nonlinearity in physical space: fft, the spectral assembly, ifft."""
     g = st.grid
-    h1, h2 = nonlinearity(st, g.fft(st.u1), g.fft(st.u2), terms, dealias, (st.u1, st.u2))
+    h1, h2 = nonlinearity(st, g.fft(st.u1), g.fft(st.u2), dealias, (st.u1, st.u2))
     return g.ifft(h1), g.ifft(h2)
-
-
-def _term_breakdown(st: MSMState, dealias: bool = True) -> dict:
-    """Each nonlinearity class evaluated on its own."""
-    return {t: physical_nonlinearity(st, terms=(t,), dealias=dealias) for t in ALL_TERMS}
 
 
 class TestPotentials:
@@ -215,19 +222,24 @@ class TestNonlinearity:
     def test_parallel_fields_kill_transport_and_quintic(self):
         # u2 parallel to u1 makes the stream potential vanish identically,
         # so only the alpha term survives (the Im coupling dies pointwise).
+        # The package's value must then be the reference's alpha part alone.
         st = bandlimited_state(32, 2 * np.pi, 0.6, 3, seed=7)
         aligned = MSMState(grid=st.grid, u1=st.u1, u2=2.0 * st.u1)
-        parts = _term_breakdown(aligned)
+        parts = {t: _reference_nonlinearity(aligned, (t,), True) for t in TERMS}
         for name in ("null", "quintic", "im_cubic"):
             assert max(np.max(np.abs(parts[name][0])), np.max(np.abs(parts[name][1]))) < 1e-13
         assert np.max(np.abs(parts["alpha_cubic"][0])) > 1e-3
+        for full, alpha in zip(physical_nonlinearity(aligned), parts["alpha_cubic"]):
+            assert np.max(np.abs(full - alpha)) < 1e-13
 
     def test_breakdown_sums_to_full(self):
+        # The reference's four term classes, evaluated one at a time, sum
+        # to the package's single full evaluation.
         st = bandlimited_state(32, 2 * np.pi, 0.8, 4, seed=8)
-        parts = _term_breakdown(st)
+        parts = {t: _reference_nonlinearity(st, (t,), True) for t in TERMS}
         f1, f2 = physical_nonlinearity(st)
-        s1 = sum(parts[t][0] for t in ALL_TERMS)
-        s2 = sum(parts[t][1] for t in ALL_TERMS)
+        s1 = sum(parts[t][0] for t in TERMS)
+        s2 = sum(parts[t][1] for t in TERMS)
         np.testing.assert_allclose(f1, s1, atol=1e-13)
         np.testing.assert_allclose(f2, s2, atol=1e-13)
 
@@ -237,7 +249,9 @@ class TestNonlinearity:
         # the transport term is advection by a divergence-free field.
         st = bandlimited_state(32, 2 * np.pi, 0.8, 4, seed=9)
         g = st.grid
-        for name, (f1, f2) in _term_breakdown(st, dealias=False).items():
+        parts = {t: _reference_nonlinearity(st, (t,), False) for t in TERMS}
+        parts["full"] = physical_nonlinearity(st, dealias=False)
+        for name, (f1, f2) in parts.items():
             pairing = g.integral(np.real(np.conj(st.u1) * f1 + np.conj(st.u2) * f2))
             assert abs(pairing) < 1e-12, name
 
@@ -274,11 +288,14 @@ class TestNonlinearity:
         # the odd symbols i k_x, i k_y and keep only the corner of k_x k_y.
         st = bandlimited_state(n, 2 * np.pi, 0.8, band, seed=30, sign=sign)
         g = st.grid
-        for terms in [(t,) for t in ALL_TERMS] + [ALL_TERMS]:
-            f1, f2 = physical_nonlinearity(st, terms=terms, dealias=dealias)
-            r1, r2 = _reference_nonlinearity(st, terms, dealias)
-            num = np.hypot(g.norm2(f1 - r1), g.norm2(f2 - r2))
-            assert num < 1e-13 * np.hypot(g.norm2(r1), g.norm2(r2)), terms
+        f1, f2 = physical_nonlinearity(st, dealias=dealias)
+        r1, r2 = _reference_nonlinearity(st, TERMS, dealias)
+        num = np.hypot(g.norm2(f1 - r1), g.norm2(f2 - r2))
+        assert num < 1e-13 * np.hypot(g.norm2(r1), g.norm2(r2))
+
+
+# The reference's term classes; the package always sums all four.
+TERMS = ("null", "alpha_cubic", "im_cubic", "quintic")
 
 
 def _reference_nonlinearity(st: MSMState, terms, dealias: bool):
@@ -362,12 +379,17 @@ class TestStepping:
         assert out.t == pytest.approx(0.01)
 
     @pytest.mark.parametrize("scheme", ["strang_split", "etd_rk4"])
-    def test_free_evolution_is_exact(self, scheme):
-        # With every nonlinear term disabled, each scheme must reproduce
-        # the Fourier-exact propagator to roundoff at any dt.
+    def test_free_evolution_is_exact(self, monkeypatch, scheme):
+        # With a zero nonlinearity bound where the steppers read it, each
+        # scheme must reproduce the Fourier-exact propagator to roundoff at
+        # any dt.
+        def zero(state, v1, v2, dealias=True, fields=None):
+            return np.zeros_like(v1), np.zeros_like(v2)
+
+        monkeypatch.setattr(msm, "nonlinearity", zero)
         st = bandlimited_state(32, 2 * np.pi, 1.0, 4, seed=10)
         g = st.grid
-        cfg = SolverConfig(dt=0.05, t_final=0.25, scheme=scheme, terms=())
+        cfg = SolverConfig(dt=0.05, t_final=0.25, scheme=scheme)
         out = evolve(st, cfg)[-1]
         phase = np.exp(-1j * g.k2 * cfg.t_final)
         exact1 = g.ifft(phase * g.fft(st.u1))
@@ -379,7 +401,7 @@ class TestStepping:
         # Strang (second order) and ETDRK4 (fourth order) are distinct
         # integrators; Strang's error dominates their mutual gap at matched
         # dt, so the gap must vanish at order ~2.
-        # Frozen pilot orders: 2.02 and 2.01.
+        # Measured orders: 2.02 and 2.01.
         st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
         gaps = []
         for dt in (0.01, 0.005, 0.0025):
@@ -434,7 +456,7 @@ class TestStepping:
 
     @pytest.mark.parametrize("scheme", ["strang_split", "etd_rk4"])
     def test_mass_drift_over_100_steps(self, scheme):
-        # Frozen pilot values: 2.2e-7 for Strang, 2.5e-11 for ETDRK4.
+        # Measured drift: 8.24e-8 for Strang, 3.49e-11 for ETDRK4.
         st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
         cfg = SolverConfig(dt=1e-3, t_final=0.1, scheme=scheme)
         assert cfg.n_steps == 100
@@ -522,8 +544,6 @@ class TestTransformCounts:
     def test_steppers_call_the_module_nonlinearity(self, monkeypatch, scheme, calls):
         # The steppers look nonlinearity up on the module at each call, so a
         # wrapper bound there, as by a tracer, sees every evaluation.
-        from msmlab import msm
-
         seen = [0]
         core = msm.nonlinearity
 
@@ -536,17 +556,17 @@ class TestTransformCounts:
         step(st, SolverConfig(dt=1e-3, t_final=1e-3, scheme=scheme))
         assert seen[0] == calls
 
-    @pytest.mark.parametrize("terms,total", [
-        ((), 4), (("im_cubic",), 6), (("quintic",), 9), (("alpha_cubic",), 10),
-        (("null",), 13), (ALL_TERMS, 17),
-    ])
-    def test_unselected_terms_cost_nothing(self, monkeypatch, terms, total):
-        # physical_nonlinearity adds 2 forward and 2 inverse transforms
-        # around the Fourier-space assembly.
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("with_fields,ifft2", [(True, 4), (False, 6)])
+    def test_full_evaluation_cost(self, monkeypatch, dealias, with_fields, ifft2):
+        # All four terms cost the same with or without the 2/3 rule; fields
+        # the caller already has save the two inverse transforms of the pair.
         st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
+        v1, v2 = st.grid.fft(st.u1), st.grid.fft(st.u2)
+        fields = (st.u1, st.u2) if with_fields else None
         count = _count_2d_transforms(monkeypatch)
-        physical_nonlinearity(st, terms=terms)
-        assert count.total() == total
+        nonlinearity(st, v1, v2, dealias, fields)
+        assert count == Counter(rfft2=4, irfft2=3, fft2=2, ifft2=ifft2)
 
     def test_gauge_build_costs_eighteen(self, monkeypatch):
         # b_j: 4, psi: 6, a_j: 4, and one forward per alpha source plus
@@ -624,17 +644,20 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("dealias", [True, False])
-    def test_etdrk4_step_is_the_one_expression_formula(self, sign, dealias):
+    def test_etdrk4_step_is_the_one_expression_formula(self, monkeypatch, sign, dealias):
         # The stepper frees stages early and accumulates w in place; the
         # bits must be those of the textbook form with every stage alive.
+        # The steppers read the nonlinearity on the module, so each row
+        # binds its dealias value there.
+        monkeypatch.setattr(msm, "nonlinearity", functools.partial(nonlinearity, dealias=dealias))
         st = bandlimited_state(64, 1.0, 0.5, 6, seed=4, sign=sign)
-        cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme="etd_rk4", dealias=dealias)
+        cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme="etd_rk4")
         g = st.grid
         index, tables = _propagator_tables(g, cfg.dt)
         e, e2, q, f1, f2, f3 = (t[index] for t in tables)
 
         def n(v1, v2, fields=None):
-            return nonlinearity(st, v1, v2, cfg.terms, dealias, fields)
+            return nonlinearity(st, v1, v2, dealias, fields)
 
         v1, v2 = g.fft(st.u1), g.fft(st.u2)
         n_u = n(v1, v2, (st.u1, st.u2))
@@ -652,18 +675,20 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("dealias", [True, False])
-    def test_strang_step_is_the_one_expression_formula(self, sign, dealias):
+    def test_strang_step_is_the_one_expression_formula(self, monkeypatch, sign, dealias):
         # The stepper gathers the half step twice and forms the midpoint
         # argument in N(v)'s arrays; the bits must be those of the textbook
-        # form with the full table alive.
+        # form with the full table alive.  Each row binds its dealias value
+        # on the module, as above.
+        monkeypatch.setattr(msm, "nonlinearity", functools.partial(nonlinearity, dealias=dealias))
         st = bandlimited_state(64, 1.0, 0.5, 6, seed=4, sign=sign)
-        cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme="strang_split", dealias=dealias)
+        cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme="strang_split")
         g = st.grid
         index, tables = _propagator_tables(g, cfg.dt)
         half = tables[1][index]
 
         def n(v1, v2):
-            return nonlinearity(st, v1, v2, cfg.terms, dealias)
+            return nonlinearity(st, v1, v2, dealias)
 
         v1, v2 = half * g.fft(st.u1), half * g.fft(st.u2)
         n_v = n(v1, v2)
@@ -804,8 +829,8 @@ class TestScalingInvariance:
     def test_discrepancy_small_and_shrinking(self):
         # The integrator is exactly homogeneous under the scaling, so the
         # two paths differ only through the spectral tail folded over by
-        # subsampling (and the fixed dealias cutoff riding along).  Frozen
-        # pilot values: 8.0e-8 at n=64, 4.1e-10 at n=128.
+        # subsampling (and the fixed dealias cutoff riding along).  Measured:
+        # 1.65e-7 at n=64, 4.1e-10 at n=128.
         cfg = SolverConfig(dt=2e-3, t_final=0.08)
         fine = scaling_invariance_test(gaussian_state(64, 2 * np.pi, 0.01), 2, cfg)
         finer = scaling_invariance_test(gaussian_state(128, 2 * np.pi, 0.01), 2, cfg)
@@ -828,8 +853,9 @@ class TestRegularityPersistence:
     @pytest.mark.parametrize("k", [1, 2])
     def test_small_data_outlives_large(self, k):
         # Doubling norms four-fold moves the blow-up of the growth cap
-        # from beyond the horizon to deep inside it.  Frozen pilot
-        # lifetime for the large branch: 0.023 (dt-converged).
+        # from beyond the horizon to deep inside it.  Measured lifetimes
+        # of the large branch: 0.023 for k=1 and 0.0085 for k=2; at half
+        # the dt they read 0.023 and 0.00875.
         cfg = SolverConfig(dt=5e-4, t_final=0.05)
         small = regularity_persistence_test(
             bandlimited_state(32, 2 * np.pi, 0.5, 3, seed=11), k, cfg

@@ -486,8 +486,8 @@ def test_every_public_name_has_a_package_reader():
     # No public function that only a test calls: each public name must be
     # read by package code outside its own definition.  The re-exports of
     # __init__.py do not count as a reader.  Names are matched bare, so a
-    # method that shares its name with an attribute read elsewhere (as
-    # Grid2D.dealias did with SolverConfig.dealias) passes unseen.
+    # method that shares its name with an attribute read elsewhere (a
+    # method named norm would count as read by np.linalg.norm) passes unseen.
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(msmlab.__file__).parent.glob("*.py"))}
     del trees["__init__.py"]
