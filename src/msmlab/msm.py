@@ -153,8 +153,11 @@ def nonlinearity(state: MSMState, v1, v2, dealias=True, fields=None):
     coupling = (IM_CUBIC_COEF * sign) * np.imag(u1 * np.conj(u2))
 
     def transport(v):
+        # 2 (bx dy - by dx), written into the gradient arrays it owns.
         dx, dy = g.grad_from_hat(v)
-        return 2.0 * (bx * dy - by * dx)
+        np.multiply(bx, dy, out=dy)
+        np.subtract(dy, np.multiply(by, dx, out=dx), out=dy)
+        return np.multiply(2.0, dy, out=dy)
 
     n1 = mask * g.fft(transport(v1) - 1j * pot * u1 - coupling * u2)
     return n1, mask * g.fft(transport(v2) - 1j * pot * u2 + coupling * u1)

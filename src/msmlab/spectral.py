@@ -31,6 +31,13 @@ S, real fields the real pair with the half symbol.  The real pair follows
 the memory layout of its input, so a stack whose trailing index is the
 slowest in memory is transformed one contiguous plane at a time.
 
+The 2-D ``fft``, ``ifft`` and ``rfft`` allocate one array each, their
+result: they hand numpy an ``out`` array laid out like the input, numpy
+writes the first 1-D pass into it and runs the second in place.  Left to
+itself numpy allocates the result of each pass.  The inverse goes through
+``ifftn`` because numpy's ``ifft2`` ignores ``out``.  ``irfft`` keeps
+numpy's two allocations, since its ``out`` covers the last pass only.
+
 Grids are immutable; derived arrays, including the multipliers, are computed
 once and cached.
 """
@@ -253,13 +260,15 @@ class Grid2D(PeriodicGrid):
     # -- transforms and derivatives --------------------------------------
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(f, axes=(0, 1))
+        return np.fft.fft2(f, axes=(0, 1), out=np.empty_like(f, dtype=np.complex128))
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(fh, axes=(0, 1))
+        # ifftn, not ifft2: numpy's ifft2 ignores out= and allocates twice.
+        return np.fft.ifftn(fh, axes=(0, 1), out=np.empty_like(fh, dtype=np.complex128))
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(f, axes=(0, 1))
+        half = (self.n, self.n // 2 + 1) + f.shape[2:]
+        return np.fft.rfft2(f, axes=(0, 1), out=np.empty_like(f, dtype=np.complex128, shape=half))
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(fh, s=self.shape, axes=(0, 1))

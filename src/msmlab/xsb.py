@@ -171,7 +171,9 @@ class SpaceTimeField:
     @cached_property
     def box(self) -> np.ndarray:
         """Space-time coefficients of the columns, transformed on first read."""
-        return np.fft.fft(self.columns, axis=2) / self.nt
+        coef = np.fft.fft(self.columns, axis=2)
+        coef /= self.nt
+        return coef
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -404,7 +406,11 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
     measure = u.grid.length**2 * u.t_window
     weight_sq = _weight_sq(u.grid, u.nt, u.t_window, s, b, sign, u.band)
     # Every coefficient outside a band-limited field's box is zero.
-    coef = np.fft.fftn(u.values) / u.values.size if u.columns is None else u.box
+    if u.columns is None:
+        coef = np.fft.fftn(u.values, out=np.empty_like(u.values))
+        coef /= u.values.size
+    else:
+        coef = u.box
     total = np.sum(np.abs(coef) ** 2 * weight_sq)
     return float(np.sqrt(measure * total))
 
