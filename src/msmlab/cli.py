@@ -328,13 +328,17 @@ def _run_msm(exp: ExperimentConfig, out: Path) -> list[str]:
     state = msm_preset(grid, exp.preset["name"], exp.preset.get("params"), seed=exp.seed)
     opt = exp.options
     cfg = SolverConfig(dt=exp.time["dt"], t_final=exp.time["t_final"], scheme=opt["scheme"])
-    # Each snapshot becomes its trace row as it comes and rebinds state, so
-    # the run holds two states, not every stored one.
+    # Each snapshot becomes its trace row, and the last one the saved state,
+    # as it comes; dropping it before the run steps on leaves only the state
+    # being stepped from alive.
+    last = cfg.n_steps // opt["store_every"]
     rows = []
-    for i, state in enumerate(_stored_states(state, cfg, opt["store_every"])):
-        rows.append([i, state.t, mass(state), hk_norm(state, 1.0)])
+    for state in _stored_states(state, cfg, opt["store_every"]):
+        rows.append([len(rows), state.t, mass(state), hk_norm(state, 1.0)])
+        if len(rows) > last:
+            save_msm_state(out / "final_state.msmf", state)
+        del state
     write_csv(out / "trace.csv", ["index", "time", "mass", "h1_norm"], rows)
-    save_msm_state(out / "final_state.msmf", state)
     return ["trace.csv", "final_state.msmf"]
 
 

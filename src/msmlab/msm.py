@@ -22,18 +22,21 @@ physical fields are at hand), so a step costs 62 with ETDRK4 (fourth
 order) and 34 with Strang splitting (second order).  Seven of the
 15 act on real fields and use the real pair: the four potential sources go
 forward, and d_x beta, d_y beta and alpha come back.  An evaluation builds
-the shared real fields once and then one component's right side at a time;
-an ETDRK4 step sums its result as the stages go and frees each stage once
-no later formula reads it, so it holds at most five stage pairs.  The six
-tables of the linear flow are cached once per distinct |k|^2 with an int32
-index of each mode into them, under one field in all at n = 256; a stepper
-gathers a table onto the grid only around the products that read it.
+the shared real fields once and then one component's right side at a time,
+summed and transformed in place in the arrays of that component's gradient.
+An ETDRK4 step sums its result as the stages go, forms each stage in the
+arrays of one that no later formula reads and frees each stage once none
+does, so it holds at most four stage pairs.  The six tables of the linear
+flow are cached once per distinct |k|^2 with an int32 index of each mode
+into them, under one field in all at n = 256, and built a block of values
+at a time; a stepper gathers a table onto the grid only around the products
+that read it.
 
 :func:`evolve`, :func:`regularity_persistence_test` and the command line's
 ``msm`` runner iterate :func:`_stored_states`, which steps through
 :func:`msmlab.maps._run`, so a failed step names its step and t.  The runner
-reduces each snapshot to its trace row as it comes and holds two states,
-not every stored one.
+reduces each snapshot to its trace row as it comes and drops it before the
+run steps on, so it holds the state it steps from and no stored one.
 
 As a standalone PDE on the torus the potentials are normalized to zero
 mean and the connection carries no constant part.  Gauge transforms of
@@ -152,15 +155,19 @@ def nonlinearity(state: MSMState, v1, v2, dealias=True, fields=None):
     pot = bx**2 + by**2 + g.irfft(half_mask * alpha_hat(g, u1, u2, sign))
     coupling = (IM_CUBIC_COEF * sign) * np.imag(u1 * np.conj(u2))
 
-    def transport(v):
-        # 2 (bx dy - by dx), written into the gradient arrays it owns.
+    def right_side(v, u, other, cubic):
+        # 2 (bx dy - by dx) - i pot u + cubic(coupling other), summed in dy and
+        # transformed there; dx holds each product that dy takes in.
         dx, dy = g.grad_from_hat(v)
         np.multiply(bx, dy, out=dy)
         np.subtract(dy, np.multiply(by, dx, out=dx), out=dy)
-        return np.multiply(2.0, dy, out=dy)
+        np.multiply(2.0, dy, out=dy)
+        np.subtract(dy, np.multiply(np.multiply(1j, pot, out=dx), u, out=dx), out=dy)
+        cubic(dy, np.multiply(coupling, other, out=dx), out=dy)
+        return np.multiply(mask, g.fft(dy, out=dy), out=dy)
 
-    n1 = mask * g.fft(transport(v1) - 1j * pot * u1 - coupling * u2)
-    return n1, mask * g.fft(transport(v2) - 1j * pot * u2 + coupling * u1)
+    n1 = right_side(v1, u1, u2, np.subtract)
+    return n1, right_side(v2, u2, u1, np.add)
 
 
 # -- time stepping -----------------------------------------------------------
@@ -210,17 +217,28 @@ def _propagator_tables(grid: Grid2D, dt: float):
     # Mean-value evaluation of the phi functions over a full circle around
     # each (purely imaginary) eigenvalue; a half circle would only be valid
     # for a real spectrum.
+    # The (values, points) temporaries are built a block of values at a
+    # time, so the cold build stays well under the step's working set.
     m_pts = 32
     r = np.exp(2j * np.pi * (np.arange(1, m_pts + 1) - 0.5) / m_pts)
-    lr = lam[:, None] + r[None, :]
-    q = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
-    f1 = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr**2)) / lr**3, axis=1)
-    f2 = dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr**3, axis=1)
-    f3 = dt * np.mean((-4 - 3 * lr - lr**2 + np.exp(lr) * (4 - lr)) / lr**3, axis=1)
+    q, f1, f2, f3 = (np.empty_like(lam) for _ in range(4))
+    for lo in range(0, lam.size, 512):
+        rows = slice(lo, lo + 512)
+        lr = lam[rows, None] + r[None, :]
+        q[rows] = dt * np.mean((np.exp(lr / 2) - 1) / lr, axis=1)
+        f1[rows] = dt * np.mean((-4 - lr + np.exp(lr) * (4 - 3 * lr + lr**2)) / lr**3, axis=1)
+        f2[rows] = dt * np.mean((2 + lr + np.exp(lr) * (-2 + lr)) / lr**3, axis=1)
+        f3[rows] = dt * np.mean((-4 - 3 * lr - lr**2 + np.exp(lr) * (4 - lr)) / lr**3, axis=1)
     return where.astype(np.int32).reshape(grid.shape), (e_full, e_half, q, f1, f2, f3)
 
 
 def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Cox-Matthews ETDRK4, ordered so that at most four stage pairs are live.
+
+    With s = e2 v the stages are a = s + q N(u), b = s + q N(a) and
+    c = (e2 a - q N(u)) + 2 q N(b); w = e v + f1 N(u) takes 2 f2 N(a),
+    2 f2 N(b) and f3 N(c) one at a time, as each evaluation comes.
+    """
     g = state.grid
     index, tables = _propagator_tables(g, cfg.dt)
     v1, v2 = g.fft(state.u1), g.fft(state.u2)
@@ -230,21 +248,29 @@ def _step_etdrk4(state: MSMState, cfg: SolverConfig) -> tuple[np.ndarray, np.nda
     w1, w2 = e * v1 + f1 * n_u[0], e * v2 + f1 * n_u[1]
     del e, f1
     e2, q = tables[1].take(index), tables[2].take(index)
-    a1, a2 = e2 * v1 + q * n_u[0], e2 * v2 + q * n_u[1]
-    del e2, q
+    s1, s2 = e2 * v1, e2 * v2
+    del v1, v2
+    a1, a2 = s1 + q * n_u[0], s2 + q * n_u[1]
+    # N(u)'s arrays become c' = e2 a - q N(u), the part of c known before N(a).
+    c1, c2 = (np.subtract(e2 * a, np.multiply(q, n, out=n), out=n) for a, n in zip((a1, a2), n_u))
+    del n_u, e2, q
     n_a = nonlinearity(state, a1, a2)
-    e2, q = tables[1].take(index), tables[2].take(index)
-    b1, b2 = e2 * v1 + q * n_a[0], e2 * v2 + q * n_a[1]
-    del v1, v2, e2, q
-    n_b = nonlinearity(state, b1, b2)
-    del b1, b2
-    f2 = tables[4].take(index)
-    w1 += 2 * f2 * (n_a[0] + n_b[0])
-    w2 += 2 * f2 * (n_a[1] + n_b[1])
-    del n_a, f2
-    e2, q = tables[1].take(index), tables[2].take(index)
-    c1, c2 = e2 * a1 + q * (2 * n_b[0] - n_u[0]), e2 * a2 + q * (2 * n_b[1] - n_u[1])
-    del a1, a2, n_u, n_b, e2, q
+    del a1, a2
+    q, f2 = tables[2].take(index), tables[4].take(index)
+    # s's arrays become b = s + q N(a).
+    np.add(s1, q * n_a[0], out=s1)
+    np.add(s2, q * n_a[1], out=s2)
+    w1 += 2 * f2 * n_a[0]
+    w2 += 2 * f2 * n_a[1]
+    del n_a, q, f2
+    n_b = nonlinearity(state, s1, s2)
+    del s1, s2
+    q, f2 = tables[2].take(index), tables[4].take(index)
+    c1 += 2 * q * n_b[0]
+    c2 += 2 * q * n_b[1]
+    w1 += 2 * f2 * n_b[0]
+    w2 += 2 * f2 * n_b[1]
+    del n_b, q, f2
     n_c = nonlinearity(state, c1, c2)
     f3 = tables[5].take(index)
     w1 += f3 * n_c[0]

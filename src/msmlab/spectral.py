@@ -37,6 +37,10 @@ writes the first 1-D pass into it and runs the second in place.  Left to
 itself numpy allocates the result of each pass.  The inverse goes through
 ``ifftn`` because numpy's ``ifft2`` ignores ``out``.  ``irfft`` keeps
 numpy's two allocations, since its ``out`` covers the last pass only.
+The complex pair also takes ``out=``: passing the input itself runs both
+passes in place, allocates nothing the size of a field and gives the bits
+of the out-of-place call.  A caller does so only with an array it owns and
+reads no more, as ``grad_from_hat`` does with the products it makes.
 
 Grids are immutable; derived arrays, including the multipliers, are computed
 once and cached.
@@ -259,12 +263,16 @@ class Grid2D(PeriodicGrid):
 
     # -- transforms and derivatives --------------------------------------
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(f, axes=(0, 1), out=np.empty_like(f, dtype=np.complex128))
+    def fft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(f, dtype=np.complex128)
+        return np.fft.fft2(f, axes=(0, 1), out=out)
 
-    def ifft(self, fh: np.ndarray) -> np.ndarray:
+    def ifft(self, fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(fh, dtype=np.complex128)
         # ifftn, not ifft2: numpy's ifft2 ignores out= and allocates twice.
-        return np.fft.ifftn(fh, axes=(0, 1), out=np.empty_like(fh, dtype=np.complex128))
+        return np.fft.ifftn(fh, axes=(0, 1), out=out)
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         half = (self.n, self.n // 2 + 1) + f.shape[2:]
@@ -282,7 +290,8 @@ class Grid2D(PeriodicGrid):
 
     def grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complex gradient (d_x f, d_y f) of the field whose spectrum is fh."""
-        return tuple(self.ifft(self._times(s, fh)) for s, _ in self._derivatives)
+        products = (self._times(s, fh) for s, _ in self._derivatives)
+        return tuple(self.ifft(p, out=p) for p in products)
 
     def real_grad_from_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Real gradient of the real field whose half spectrum is fh, one irfft per component."""

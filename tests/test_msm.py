@@ -400,9 +400,10 @@ class TestStepping:
     def test_cross_scheme_convergence_order(self):
         # Strang (second order) and ETDRK4 (fourth order) are distinct
         # integrators; Strang's error dominates their mutual gap at matched
-        # dt, so the gap must vanish at order ~2.
+        # dt, so the gap must vanish at order ~2.  Acceptance 04 checks this
+        # for the sign +1 target; this row integrates sign -1.
         # Measured orders: 2.02 and 2.01.
-        st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3)
+        st = bandlimited_state(32, 2 * np.pi, 0.5, 4, seed=3, sign=-1.0)
         gaps = []
         for dt in (0.01, 0.005, 0.0025):
             a = evolve(st, SolverConfig(dt=dt, t_final=0.2, scheme="strang_split"))[-1]
@@ -634,12 +635,14 @@ class TestTransformCounts:
 
 
 class TestWorkingSet:
-    @pytest.mark.parametrize("scheme,fields", [("etd_rk4", 19), ("strang_split", 13)])
+    @pytest.mark.parametrize("scheme,fields", [("etd_rk4", 17), ("strang_split", 12)])
     def test_warm_step_peak_in_complex_fields(self, scheme, fields):
-        # Measured 18.02 and 12.02 fields; numpy allocating each 1-D pass of
-        # a transform reads 19.52 and 13.52, holding every ETDRK4 stage to
-        # the end 28, and for Strang keeping N(v) through the second
-        # evaluation 15.5 and both components' right sides at once 20.
+        # Measured 15.83 and 11.83 fields.  Five live ETDRK4 stage pairs and
+        # right sides summed in fresh temporaries read 18.02 and 12.02;
+        # numpy allocating each 1-D pass of a transform 19.52 and 13.52,
+        # holding every ETDRK4 stage to the end 28, and for Strang keeping
+        # N(v) through the second evaluation 15.5 and both components'
+        # right sides at once 20.
         st = bandlimited_state(128, 1.0, 0.5, 6, seed=0)
         cfg = SolverConfig(dt=2e-4, t_final=2e-4, scheme=scheme)
         step(st, cfg)
@@ -648,8 +651,9 @@ class TestWorkingSet:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("dealias", [True, False])
     def test_etdrk4_step_is_the_one_expression_formula(self, monkeypatch, sign, dealias):
-        # The stepper frees stages early and accumulates w in place; the
-        # bits must be those of the textbook form with every stage alive.
+        # The stepper frees stages early, forms b in the arrays of s = e2 v
+        # and c' = e2 a - q N(u) in those of N(u), and accumulates w in
+        # place; the bits must be those of this form with every stage alive.
         # The steppers read the nonlinearity on the module, so each row
         # binds its dealias value there.
         monkeypatch.setattr(msm, "nonlinearity", functools.partial(nonlinearity, dealias=dealias))
@@ -664,14 +668,16 @@ class TestWorkingSet:
 
         v1, v2 = g.fft(st.u1), g.fft(st.u2)
         n_u = n(v1, v2, (st.u1, st.u2))
-        a1, a2 = e2 * v1 + q * n_u[0], e2 * v2 + q * n_u[1]
+        s1, s2 = e2 * v1, e2 * v2
+        a1, a2 = s1 + q * n_u[0], s2 + q * n_u[1]
         n_a = n(a1, a2)
-        b1, b2 = e2 * v1 + q * n_a[0], e2 * v2 + q * n_a[1]
+        b1, b2 = s1 + q * n_a[0], s2 + q * n_a[1]
         n_b = n(b1, b2)
-        c1, c2 = e2 * a1 + q * (2 * n_b[0] - n_u[0]), e2 * a2 + q * (2 * n_b[1] - n_u[1])
+        c1 = (e2 * a1 - q * n_u[0]) + 2 * q * n_b[0]
+        c2 = (e2 * a2 - q * n_u[1]) + 2 * q * n_b[1]
         n_c = n(c1, c2)
-        w1 = e * v1 + f1 * n_u[0] + 2 * f2 * (n_a[0] + n_b[0]) + f3 * n_c[0]
-        w2 = e * v2 + f1 * n_u[1] + 2 * f2 * (n_a[1] + n_b[1]) + f3 * n_c[1]
+        w1 = e * v1 + f1 * n_u[0] + 2 * f2 * n_a[0] + 2 * f2 * n_b[0] + f3 * n_c[0]
+        w2 = e * v2 + f1 * n_u[1] + 2 * f2 * n_a[1] + 2 * f2 * n_b[1] + f3 * n_c[1]
 
         out = step(st, cfg)
         assert np.array_equal(out.u1, g.ifft(w1)) and np.array_equal(out.u2, g.ifft(w2))
