@@ -3,9 +3,10 @@
 A run is described by a JSON document with a schema version and a list of
 experiments; every experiment names its kind, grid, time stepping, data
 preset, RNG seed and options.  ``OPTIONS`` holds each kind's options with
-their defaults; :func:`parse_config` checks every value against it, the
-preset tables and the rules that tie values together before any
-experiment runs, and the runners read the resolved options by name.
+their defaults; :func:`parse_config` checks every value against it and
+the preset tables, and asks the library's checks about the rules that
+tie values together, before any experiment runs; the runners read the
+resolved options by name.
 Outputs are deterministic functions of the config (CSV tables and binary
 snapshots under one directory, listed with SHA-256 checksums in
 ``manifest.json``), so rerunning a config reproduces every artifact byte
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,7 +34,7 @@ from .gauge import (
     soliton_nls_residual,
     verify_consistency,
 )
-from .maps import energy, evolve as evolve_map, max_stable_dt
+from .maps import check_dt, energy, evolve as evolve_map, max_stable_dt
 from .msm import (
     SolverConfig,
     _stored_states,
@@ -144,8 +144,8 @@ def _validate_grid(kind: str, grid: dict, where: str) -> None:
 
 
 def _ratio_s(options: dict) -> float:
-    """The ratio suite's Sobolev index: ``s``, or 100 eps when not set."""
-    return 100 * options["eps"] if options["s"] is None else options["s"]
+    """The cubic suite's Sobolev index: ``s``, or xsb.default_index when not set."""
+    return xsb.default_index(options["eps"]) if options["s"] is None else options["s"]
 
 
 def _oracle_dt0_bound(grid: dict, rungs: int) -> float:
@@ -153,6 +153,14 @@ def _oracle_dt0_bound(grid: dict, rungs: int) -> float:
     bound falls as 1/n^2, so the finest rung's bound, scaled up exactly, binds."""
     scale = 2 ** (rungs - 1)
     return max_stable_dt(Grid2D(n=grid["n"] * scale, length=grid["length"])) * scale
+
+
+def _ask(location: str, check, *args) -> None:
+    """Run a library check on config values; its ValueError is a ConfigError at location."""
+    try:
+        check(*args)
+    except ValueError as err:
+        raise ConfigError(f"{location}: {err}") from err
 
 
 def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
@@ -216,12 +224,8 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
     opt = exp.options
 
     if kind in _MAP_FLOW_GRIDS:
-        limit = max_stable_dt(_MAP_FLOW_GRIDS[kind](n=grid["n"], length=grid["length"]))
-        if time["dt"] > limit:
-            raise ConfigError(
-                f"{where}.time.dt = {time['dt']:.3e} exceeds the midpoint contraction "
-                f"bound {limit:.3e} for this grid"
-            )
+        _ask(f"{where}.time.dt", check_dt,
+             _MAP_FLOW_GRIDS[kind](n=grid["n"], length=grid["length"]), time["dt"])
     # The last stored state is the run's "final" artifact, so it must be t_final's.
     if kind in ("msm_run", "evolve_map") and steps % opt["store_every"]:
         raise ConfigError(f"{where}.options.store_every = {opt['store_every']} does not divide "
@@ -243,32 +247,18 @@ def _validate_experiment(raw: dict, index: int) -> ExperimentConfig:
                               f"cannot be identified")
     if kind == "msm_oracle" and opt["dt0"] is not None:
         scale = 2 ** (opt["rungs"] - 1)
-        bound = _oracle_dt0_bound(grid, opt["rungs"])
-        if opt["dt0"] > bound:
-            raise ConfigError(
-                f"{where}.options.dt0 = {opt['dt0']:.3e} steps the finest rung "
-                f"(n = {grid['n'] * scale}) at dt = {opt['dt0'] / scale:.3e}, above the "
-                f"midpoint contraction bound {bound / scale:.3e}"
-            )
-    if kind == "ratio_suite":
-        # Each trial's mode box must fit strictly inside the Nyquist box.
+        _ask(f"{where}.options.dt0 = {opt['dt0']:.3e} on the finest rung", check_dt,
+             Grid2D(n=grid["n"] * scale, length=grid["length"]), opt["dt0"] / scale)
+    if kind == "ratio_suite" and "cubic" in opt["suites"]:
+        _ask(f"{where}.options.s", xsb.check_cubic, _ratio_s(opt), opt["eps"])
+    if kind == "ratio_suite" and opt["n_trials"]:
         for key, size in (("space_band", grid["n"]), ("time_band", opt["nt"])):
-            if opt["n_trials"] and opt[key] >= size // 2:
-                raise ConfigError(f"{where}.options.{key} = {opt[key]} must be below {size} / 2")
-        if "cubic" in opt["suites"] and not _ratio_s(opt) > 5 * opt["eps"]:
-            raise ConfigError(f"{where}.options.s = {_ratio_s(opt)} must exceed 5 eps for cubic")
-        # The largest squared weight <xi>^2S <tau -+ |xi|^2>^2b (b < 3/4) sits at
-        # the grid's corner and must stay below 1e300; S is the largest |s| weighed.
-        weighed = {"eps": 100 * opt["eps"]}
-        if "cubic" in opt["suites"]:
-            weighed["s"] = abs(_ratio_s(opt))
-        key = max(weighed, key=weighed.get)
-        k = math.pi * grid["n"] / grid["length"]
-        k2, tau = 2 * k * k, math.pi * opt["nt"] / opt["t_window"]
-        if (weighed[key] * math.log1p(k2) + 0.75 * math.log1p((tau + k2) * (tau + k2))
-                >= math.log(1e300)):
-            raise ConfigError(f"{where}.options.{key} = {opt[key]} makes the weights of the "
-                              f"ratio norms overflow on this grid")
+            _ask(f"{where}.options.{key}", xsb.check_band, opt[key], size)
+        ratio_grid = Grid2D(n=grid["n"], length=grid["length"])
+        for suite in opt["suites"]:
+            key = "s" if suite == "cubic" and opt["s"] is not None else "eps"
+            _ask(f"{where}.options.{key}", xsb.check_weights, suite, ratio_grid, opt["nt"],
+                 opt["t_window"], opt["space_band"], opt["eps"], opt["s"])
     return exp
 
 

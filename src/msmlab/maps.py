@@ -20,7 +20,7 @@ the right-hand side is pointwise orthogonal to ``s``, the midpoint rule
 preserves the pointwise normalization up to solver tolerance; a
 renormalization after each step removes the residual drift.  The inner
 iteration contracts only when ``dt * max|k|^2 / 2 < 1``, which gives the
-grid-tied step bound enforced by :func:`max_stable_dt`.
+grid-tied step bound :func:`max_stable_dt`, which :func:`check_dt` enforces.
 
 Each right-hand side evaluation Laplaces the three stacked components in
 one real transform pair (:meth:`~msmlab.spectral.PeriodicGrid.laplacian`)
@@ -51,6 +51,7 @@ __all__ = [
     "MapField",
     "MapTrajectory",
     "max_stable_dt",
+    "check_dt",
     "energy",
     "step_geometric",
     "evolve",
@@ -194,14 +195,17 @@ def max_stable_dt(grid) -> float:
     return 1.6 / float(np.max(grid.k2))
 
 
+def check_dt(grid, dt: float) -> None:
+    """Refuse a step above the grid's :func:`max_stable_dt`."""
+    limit = max_stable_dt(grid)
+    if dt > limit:
+        raise ValueError(f"dt = {dt:.3e} exceeds the midpoint contraction bound {limit:.3e} "
+                         f"of the n = {grid.n} grid")
+
+
 def step_geometric(mf: MapField, dt: float) -> MapField:
     """One implicit-midpoint step, renormalized onto the target."""
-    limit = max_stable_dt(mf.grid)
-    if dt > limit:
-        raise ValueError(
-            f"dt = {dt:.3e} exceeds the contraction bound {limit:.3e} "
-            "for this grid; refine the step"
-        )
+    check_dt(mf.grid, dt)
     grid, target = mf.grid, mf.target
     # Component-major copy (see the module docstring).
     s0 = np.moveaxis(np.moveaxis(mf.s3, -1, 0).copy(), 0, -1)

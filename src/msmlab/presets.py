@@ -1,11 +1,12 @@
-"""Named initial-data families, and the one checker of run-config values.
+"""Named initial-data families, and the type and range check of config values.
 
 Each preset is a pure function of a grid, a parameter dictionary, and
 (where randomness is involved) an explicit seed, so experiment outputs are
 reproducible from their configuration alone.  :func:`check_params` checks
-a preset's parameters, an experiment's options (``cli.OPTIONS``) and its
-grid and time sections; an unknown name or key, or a value of the wrong
-type or range, raises :class:`~msmlab.errors.ConfigError` naming it.
+each preset parameter, option (``cli.OPTIONS``), grid and time value alone;
+an unknown name or key, or a value of the wrong type or range, raises
+:class:`~msmlab.errors.ConfigError` naming it.  Rules that tie values
+together are the library's, and ``cli`` asks them.
 """
 
 from __future__ import annotations

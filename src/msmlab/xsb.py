@@ -62,6 +62,10 @@ __all__ = [
     "Trial",
     "TrialEnsemble",
     "sample_trials",
+    "check_band",
+    "default_index",
+    "check_cubic",
+    "check_weights",
     "RatioReport",
     "write_ratio_csv",
     "ratio_test_cubic",
@@ -285,27 +289,31 @@ def _product(factors: Sequence[SpaceTimeField], conj: Sequence[bool]) -> SpaceTi
     return SpaceTimeField(grid=first.grid, t_window=first.t_window, values=vals)
 
 
-def _unaliased(fields: Sequence[SpaceTimeField],
-               bound: Callable[[list[int]], int]) -> tuple[SpaceTimeField, ...]:
-    """The fields built from their columns on the smallest grid with more than
-    bound(bands) points a side.
+def _unaliased_grid(grid: Grid2D, bands: list[int | None],
+                    bound: Callable[[list[int]], int]) -> Grid2D:
+    """The smallest grid with more than bound(bands) points a side, or grid.
 
     The caller's ``bound``, a function of the fields' bands, makes the step
     it takes on the coarse grid unaliased.  The grid is a power of two with
     at least 8 points and more than twice every band, so the same columns
-    build each field there exactly.  When a field is not band-limited, or
-    no grid smaller than the fields' own qualifies, the fields come back
-    unchanged.
+    build each field there exactly.  When a band is unknown, or no grid
+    smaller than ``grid`` qualifies, it is ``grid``.
     """
-    grid, bands = fields[0].grid, [f.band for f in fields]
     if None in bands:
-        return tuple(fields)
+        return grid
     m = 8
     while m <= max(bound(bands), 2 * max(bands)):
         m *= 2
-    if m >= grid.n:
+    return grid if m >= grid.n else Grid2D(n=m, length=grid.length)
+
+
+def _unaliased(fields: Sequence[SpaceTimeField],
+               bound: Callable[[list[int]], int]) -> tuple[SpaceTimeField, ...]:
+    """The fields built from their columns on :func:`_unaliased_grid`."""
+    grid = fields[0].grid
+    coarse = _unaliased_grid(grid, [f.band for f in fields], bound)
+    if coarse is grid:
         return tuple(fields)
-    coarse = Grid2D(n=m, length=grid.length)
     return tuple(SpaceTimeField(grid=coarse, t_window=f.t_window, columns=f.columns)
                  for f in fields)
 
@@ -329,17 +337,13 @@ def realize_mode_field(
     alone (zero outside them).  Its box and its values on any grid are
     derived from the columns, and only when a suite reads them.
     """
-    n = grid.n
     keys = np.array(list(modes), dtype=np.int64).reshape(-1, 3)
-    reach = np.abs(keys[:, :2]).max(axis=1, initial=0)
-    bad = (reach >= n // 2) | (np.abs(keys[:, 2]) >= nt // 2)
-    if bad.any():
-        mode = tuple(int(m) for m in keys[np.argmax(bad)])
-        raise ValueError(f"mode {mode} does not fit inside the grid")
+    band = int(np.abs(keys[:, :2]).max(initial=0))
+    check_band(band, grid.n)
+    check_band(int(np.abs(keys[:, 2]).max(initial=0)), nt)
     coefs = np.array(list(modes.values()), dtype=np.complex128)
     if not np.all(np.isfinite(coefs)):
         raise ValueError("mode coefficients must be finite")
-    band = int(reach.max(initial=0))
     box = np.zeros((2 * band + 1, 2 * band + 1, nt), dtype=np.complex128)
     # Distinct keys land on distinct cells: |mt| < nt/2 keeps -mt mod nt one-to-one.
     box[keys[:, 0] + band, keys[:, 1] + band, -keys[:, 2] % nt] = coefs
@@ -370,6 +374,24 @@ def free_solution_field(
 # -- norms ----------------------------------------------------------------
 
 
+# Squared weights, and the product of norms a ratio suite divides by, stay in [1e-300, 1e300].
+_LOG_RANGE = np.log(1e300)
+
+
+def _log_weights(grid: Grid2D, nt: int, t_window: float, s: float, b: float,
+                 band: int) -> tuple[float, float]:
+    """Bounds on log <tau -+ |xi|^2>^b <xi>^s over the modes -band..band: each
+    bracket runs from 1 to its value on the Nyquist plane at the box's corner.
+    Refuses a box whose squared weights or distances may leave [1e-300, 1e300]."""
+    xi = 2 * np.sqrt(2) * np.pi * band / grid.length
+    far = np.pi * nt / t_window + xi * xi
+    logs = (b * np.log(np.hypot(1.0, far)), s * np.log(np.hypot(1.0, xi)))
+    low, high = sum(min(x, 0.0) for x in logs), sum(max(x, 0.0) for x in logs)
+    if 2 * low < -_LOG_RANGE or 2 * max(high, np.log(far)) > _LOG_RANGE:
+        raise ValueError(f"weight <tau -+ |xi|^2>^{b:g} <xi>^{s:g} overflows or underflows")
+    return low, high
+
+
 @lru_cache(maxsize=8)
 def _weight_sq(
     grid: Grid2D, nt: int, t_window: float, s: float, b: float, sign: int, band: int | None
@@ -377,9 +399,10 @@ def _weight_sq(
     """Squared weight of :func:`xsb_norm`, one read-only array per key.
 
     With a band it is built on the spatial modes -band..band only, the box
-    a band-limited field's norm reads; with None, on the whole grid.  A
-    weight that overflows or underflows is refused: the norm would be lost.
+    a band-limited field's norm reads; with None, on the whole grid.
+    :func:`_log_weights` first refuses a weight that may overflow or underflow.
     """
+    _log_weights(grid, nt, t_window, s, b, grid.n // 2 if band is None else band)
     k2 = grid.k2 if band is None else grid.k2[np.ix_(*[_box_index(band, grid.n)] * 2)]
     k2 = k2[:, :, None]
     tau = _tau(nt, t_window)
@@ -391,10 +414,7 @@ def _weight_sq(
     gap[:, :, nt // 2] = np.abs(tau[nt // 2]) + k2[:, :, 0]
     bracket_tau = np.sqrt(1.0 + gap**2)
     bracket_xi = np.sqrt(1.0 + k2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight_sq = (bracket_tau**b * bracket_xi**s) ** 2
-    if not np.all((weight_sq > 0) & (weight_sq < np.inf)):
-        raise ValueError(f"weight <tau -+ |xi|^2>^{b:g} <xi>^{s:g} overflows or underflows")
+    weight_sq = (bracket_tau**b * bracket_xi**s) ** 2
     weight_sq.setflags(write=False)
     return weight_sq
 
@@ -604,6 +624,13 @@ class TrialEnsemble(Sequence):
         return Trial(fields=tuple(factors), seed=mseed, flavor=flavor)
 
 
+def check_band(band: int, size: int) -> None:
+    """Refuse a trial mode band that does not fit strictly inside size points."""
+    if band >= size // 2:
+        raise ValueError(f"mode band {band} does not fit inside the grid: it must be "
+                         f"below {size} / 2")
+
+
 def sample_trials(
     grid: Grid2D,
     nt: int,
@@ -621,8 +648,9 @@ def sample_trials(
     worst input exactly.  Trials are realized when indexed, so a caller
     holds only the trials it is working on.
     """
-    if n_trials and (space_band >= grid.n // 2 or time_band >= nt // 2):
-        raise ValueError(f"mode band ({space_band}, {time_band}) does not fit inside the grid")
+    if n_trials:
+        check_band(space_band, grid.n)
+        check_band(time_band, nt)
     member_seeds = np.random.SeedSequence(seed).generate_state(n_trials)
     return TrialEnsemble(
         grid=grid, nt=nt, t_window=t_window, arity=arity,
@@ -664,15 +692,77 @@ def write_ratio_csv(reports: Iterable[RatioReport], path: str) -> None:
 _SuiteResult = tuple[list[RatioReport], dict[str, float]]
 
 
-def _suite(trials: Sequence[Trial], names: Sequence[str], extras: Sequence[str], eps: float,
-           s: float, fn: Callable[[Trial], Sequence[float]]) -> _SuiteResult:
+def default_index(eps: float) -> float:
+    """The index s = 100 eps of the quintic and null form, and of the cubic unless set."""
+    return 100 * eps
+
+
+def check_cubic(s: float, eps: float) -> None:
+    """Refuse a cubic index at or below the quoted smallness threshold 5 eps."""
+    if not s > 5 * eps:
+        raise ValueError(f"cubic ratio test requires s > 5 eps, got s={s}, eps={eps}")
+
+
+def _cubic_bound(bands: list[int]) -> int:
+    # The product's norm reads its spectrum, exact on a grid over twice its band.
+    return 2 * sum(bands)
+
+
+def check_weights(suite: str, grid: Grid2D, nt: int, t_window: float, band: int, eps: float,
+                  s: float | None = None) -> None:
+    """Refuse a ratio suite whose norms may overflow or underflow; no field is built.
+
+    ``band`` bounds the factors' bands (n // 2 for fields of samples), and
+    ``s`` is the cubic's index (None: :func:`default_index`).  Every box the
+    suite weighs must pass :func:`_log_weights`; the cubic product weighs its
+    whole unaliased grid, the quintic's its 5 band box or whole grid.  Taking
+    a factor's norm between that of one unit coefficient and that of unit
+    coefficients filling its box, their product must stay in [1e-300, 1e300].
+    """
+    s = {"cubic": default_index(eps) if s is None else s, "bilinear": 0.0}.get(
+        suite, default_index(eps))
+    factors = [(s, 0.5 + eps)] * {"cubic": 3, "quintic": 5, "nullform": 3, "bilinear": 2}[suite]
+    # The products' boxes: the grid _unaliased builds the cubic's on, and the
+    # band _assembled keeps the quintic's columns at.
+    if suite == "cubic":
+        box = _unaliased_grid(grid, [band] * 3, _cubic_bound).n // 2
+        _log_weights(grid, nt, t_window, s, -0.5 + 2 * eps, box)
+    elif suite == "quintic":
+        box = 5 * band if 10 * band < grid.n else grid.n // 2
+        _log_weights(grid, nt, t_window, s, -0.5 + 2 * eps, box)
+    elif suite == "nullform":
+        factors.append((-s, 0.5 - 2 * eps))
+    log_measure = 2 * np.log(grid.length) + np.log(t_window)
+    low = high = 0.0
+    for index, b in factors:
+        lo, hi = _log_weights(grid, nt, t_window, index, b, band)
+        low += lo + 0.5 * log_measure
+        high += hi + 0.5 * (log_measure + np.log((2 * band + 1) ** 2 * nt))
+    if low < -_LOG_RANGE or high > _LOG_RANGE:
+        raise ValueError(f"the {suite} suite's norms at s = {s:g}, eps = {eps:g} overflow or "
+                         f"underflow on this grid")
+
+
+def _suite(suite: str, trials: Sequence[Trial], names: Sequence[str], extras: Sequence[str],
+           eps: float, s: float, fn: Callable[[Trial], Sequence[float]]) -> _SuiteResult:
     """A suite's reports and extras from fn over every trial in turn.
 
-    fn returns one ratio per name, then one value per extra; a report names
-    the seed of its largest ratio, and an extra is its largest value.  Each
-    trial is realized inside ``one`` and dropped when it returns, so a lazy
-    ensemble keeps one trial live at a time.
+    :func:`check_weights` runs first, on an ensemble's own bands without
+    realizing a trial: no norm of coefficients of order one then overflows
+    or underflows, and a zero denominator means a zero factor.  fn returns
+    one ratio per name, then one value per extra; a report names the seed
+    of its largest ratio, and an extra is its largest value.  Each trial is
+    realized inside ``one`` and dropped when it returns, so a lazy ensemble
+    keeps one trial live at a time.
     """
+    if isinstance(trials, TrialEnsemble):
+        boxes = [(trials.grid, trials.nt, trials.t_window, trials.space_band)] if trials else []
+    else:
+        boxes = {(f[0].grid, f[0].nt, f[0].t_window,
+                  max(x.grid.n // 2 if x.band is None else x.band for x in f))
+                 for f in (trial.fields for trial in trials)}
+    for box in boxes:
+        check_weights(suite, *box, eps, s)
 
     def one(i: int) -> tuple:
         trial = trials[i]
@@ -703,10 +793,9 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> _SuiteRes
     """Trilinear products measured from X_{s,1/2+eps} into X_{s,-1/2+2eps}.
 
     All three conjugation patterns of the last two factors are exercised;
-    the quoted smallness threshold demands s > 5 eps, enforced here.
+    the quoted smallness threshold demands s > 5 eps (:func:`check_cubic`).
     """
-    if not s > 5 * eps:
-        raise ValueError(f"cubic ratio test requires s > 5 eps, got s={s}, eps={eps}")
+    check_cubic(s, eps)
     b_num, b_den = -0.5 + 2 * eps, 0.5 + eps
 
     def one(trial: Trial) -> tuple[float, ...]:
@@ -714,13 +803,11 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> _SuiteRes
         den = float(np.prod(dens))
         if den == 0.0:
             return (0.0,) * len(CUBIC_VARIANTS)
-        # The product's norm only reads its spectrum, exact on any grid
-        # with more than twice the product's band.
-        factors = _unaliased(trial.fields, lambda bands: 2 * sum(bands))
+        factors = _unaliased(trial.fields, _cubic_bound)
         return tuple(xsb_norm(_product(factors, conj), s, b_num, +1) / den
                      for conj in CUBIC_VARIANTS.values())
 
-    return _suite(trials, tuple(CUBIC_VARIANTS), (), eps, s, one)
+    return _suite("cubic", trials, tuple(CUBIC_VARIANTS), (), eps, s, one)
 
 
 def _grad_potential(
@@ -755,9 +842,9 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> _SuiteResult:
     """Gradient-potential pairings: grad inv-lap (u1 conj u2) . grad inv-lap (u3 conj u4) u5.
 
     Structurally degree five but measured exactly like the cubic products,
-    with s = 100 eps on both sides.
+    with s = :func:`default_index` on both sides.
     """
-    s = 100 * eps
+    s = default_index(eps)
     b_num, b_den = -0.5 + 2 * eps, 0.5 + eps
 
     def one(trial: Trial) -> tuple[float]:
@@ -779,7 +866,7 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> _SuiteResult:
         prod = _assembled(grid, u[0].t_window, u[0].nt, _band_sum(u), block)
         return (xsb_norm(prod, s, b_num, +1) / den,)
 
-    return _suite(trials, ("quintic",), (), eps, s, one)
+    return _suite("quintic", trials, ("quintic",), (), eps, s, one)
 
 
 def _nullform_values(trial: Trial) -> tuple[complex, complex]:
@@ -808,7 +895,7 @@ def ratio_test_nullform(trials: Sequence[Trial], eps: float) -> _SuiteResult:
     integration by parts that the periodic setting makes boundary-free;
     the worst relative mismatch is the extra ``nullform_ibp_mismatch``.
     """
-    s = 100 * eps
+    s = default_index(eps)
     b_den = 0.5 + eps
     b_dual = 0.5 - 2 * eps
 
@@ -826,7 +913,7 @@ def ratio_test_nullform(trials: Sequence[Trial], eps: float) -> _SuiteResult:
         ratio = 0.0 if den == 0.0 else abs(direct) / den
         return ratio, mismatch
 
-    return _suite(trials, ("nullform",), ("nullform_ibp_mismatch",), eps, s, one)
+    return _suite("nullform", trials, ("nullform",), ("nullform_ibp_mismatch",), eps, s, one)
 
 
 def bilinear_embedding_test(trials: Sequence[Trial], p: float, eps: float) -> _SuiteResult:
@@ -859,7 +946,7 @@ def bilinear_embedding_test(trials: Sequence[Trial], p: float, eps: float) -> _S
         return uv, ucv, diag, sup, cap
 
     names = tuple(f"bilinear_{kind}_p{p:g}" for kind in ("uv", "uconjv", "diag"))
-    return _suite(trials, names, ("sup_l2_max_ratio", "sup_l2_cap"), eps, 0.0, one)
+    return _suite("bilinear", trials, names, ("sup_l2_max_ratio", "sup_l2_cap"), eps, 0.0, one)
 
 
 # -- multilinear multiplier norms on (Z_N)^d ---------------------------------

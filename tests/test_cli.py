@@ -19,11 +19,12 @@ from msmlab.cli import (
     parse_config,
     run_experiments,
 )
-from msmlab import msm
+from msmlab import msm, xsb
 from msmlab.errors import ConfigError
+from msmlab.maps import evolve as evolve_map, max_stable_dt
 from msmlab.msm import SolverConfig, evolve, hk_norm, mass
-from msmlab.presets import msm_preset
-from msmlab.spectral import Grid2D
+from msmlab.presets import map_preset, msm_preset
+from msmlab.spectral import Grid1D, Grid2D
 from msmlab.storage import load_msm_state, write_csv
 from memtrace import traced_peak
 
@@ -64,6 +65,22 @@ CONSTANT_LINE = dict(TINY_LINE, preset={"name": "zero"},
 ZERO_RANDOM_LINE = {"name": "random_seeded", "params": {"band": 2, "amplitude": 0.0, "real": True}}
 
 COMMANDS = {kind: command for command, kind in COMMAND_KINDS.items()}
+
+
+def with_options(exp, **options):
+    """exp with options set over its own."""
+    return dict(exp, options={**exp.get("options", {}), **options})
+
+
+# Boxes small enough in length that the 100 eps weights of the quintic and the
+# null form overflow at the largest eps below.
+QUINTIC_BOX = with_options(dict(TINY_RATIO, grid={"n": 16, "length": 0.01}), suites=["quintic"])
+NULLFORM_BOX = with_options(dict(TINY_RATIO, grid={"n": 16, "length": 0.001}),
+                            suites=["nullform"])
+# n = 64 with bands (2, 4): the cubic product is formed on a 16-point grid, so
+# that grid's corner, not the 64-point one's, sets its largest weight.
+WIDE_RATIO = with_options(dict(TINY_RATIO, grid={"n": 64, "length": 4.0}),
+                          space_band=2, time_band=4)
 
 
 class TestParseConfig:
@@ -344,6 +361,94 @@ class TestRunExperiments:
         assert extras["sup_l2_max_ratio"] <= extras["sup_l2_cap"]
 
 
+# The cubic's s across its weight limit on two grids, and the quintic and null
+# form across theirs on small boxes.
+RATIO_LADDER = (
+    [with_options(TINY_RATIO, s=s) for s in (20, 60, 90, 92, 100, 118, 124)]
+    + [with_options(WIDE_RATIO, s=s) for s in (60, 100, 118, 120, 124)]
+    + [with_options(exp, eps=eps)
+       for exp in (QUINTIC_BOX, NULLFORM_BOX) for eps in (0.1, 0.15, 0.2, 0.24)]
+)
+
+
+def ladder_id(exp):
+    opt = exp["options"]
+    value = f"s{opt['s']}" if "s" in opt else f"eps{opt['eps']}"
+    return f"{opt['suites'][0]}-n{exp['grid']['n']}-L{exp['grid']['length']}-{value}"
+
+
+class TestParseAndRunAgree:
+    @pytest.mark.parametrize("exp", RATIO_LADDER, ids=map(ladder_id, RATIO_LADDER))
+    def test_parsed_ratio_config_writes_finite_positive_maxima(self, tmp_path, exp):
+        # Refused before compute, or every max_ratio is finite and positive with
+        # warnings as errors: a norm that overflowed or underflowed writes 0 or nan.
+        try:
+            exps = parse_config(wrap(exp))
+        except ConfigError:
+            return
+        run_experiments(exps, tmp_path)
+        with open(tmp_path / exp["name"] / "ratios.csv", newline="") as fh:
+            maxima = [float(row["max_ratio"]) for row in csv.DictReader(fh)]
+        assert maxima and all(0 < m < np.inf for m in maxima)
+
+    def test_weights_are_judged_on_the_boxes_the_suite_weighs(self):
+        # The library runs this to a cubic maximum of 5.4e-91; the grid's own
+        # corner, which the cubic never weighs, would overflow at s = 100.
+        parse_config(wrap(with_options(WIDE_RATIO, s=100)))
+
+
+RATIO_GRID = Grid2D(n=16, length=4.0)  # TINY_RATIO's
+
+
+def cubic_on_ratio_grid(s):
+    trials = xsb.sample_trials(RATIO_GRID, 32, 4.0, 3, 1, 0, 5, 10)
+    return xsb.ratio_test_cubic(trials, s, 0.01)
+
+
+def map_flow_step(grid, exp, scale=1):
+    """One step of the map flow at dt / scale from exp's preset on grid."""
+    return lambda dt: evolve_map(
+        map_preset(grid, exp["preset"]["name"], exp["preset"].get("params")), dt / scale, 1)
+
+
+def time_section(exp):
+    """exp stepped four times at dt."""
+    return lambda dt: dict(exp, time={"dt": dt, "t_final": 4 * dt})
+
+
+EVOLVE_LIMIT = max_stable_dt(Grid2D(n=16, length=1.0))
+LINE_LIMIT = max_stable_dt(Grid1D(n=32, length=6.28))
+FINEST_LIMIT = max_stable_dt(Grid2D(n=64, length=1.0))  # TINY_ORACLE's third rung
+
+# Each moved rule: the config at a value, the library's own entry point at that
+# value, the value refused and the one just inside.
+ONE_RULE_CASES = {
+    "cubic-s": (lambda s: with_options(TINY_RATIO, s=s), cubic_on_ratio_grid,
+                5 * 0.01, np.nextafter(5 * 0.01, 1.0)),
+    "space-band": (lambda band: with_options(TINY_RATIO, space_band=band),
+                   lambda band: xsb.sample_trials(RATIO_GRID, 32, 4.0, 3, 1, 0, band, 10), 8, 7),
+    "map-dt-2d": (time_section(TINY_EVOLVE), map_flow_step(Grid2D(n=16, length=1.0), TINY_EVOLVE),
+                  1.01 * EVOLVE_LIMIT, EVOLVE_LIMIT),
+    "map-dt-1d": (time_section(TINY_LINE), map_flow_step(Grid1D(n=32, length=6.28), TINY_LINE),
+                  1.01 * LINE_LIMIT, LINE_LIMIT),
+    "oracle-dt0": (lambda dt0: with_options(TINY_ORACLE, dt0=dt0),
+                   map_flow_step(Grid2D(n=64, length=1.0), TINY_ORACLE, scale=4),
+                   4.01 * FINEST_LIMIT, 4 * FINEST_LIMIT),
+    "weights": (lambda s: with_options(TINY_RATIO, s=s), cubic_on_ratio_grid, 100.0, 90.0),
+}
+
+
+@pytest.mark.parametrize("rule", list(ONE_RULE_CASES))
+def test_library_and_parse_config_refuse_the_same_value(rule):
+    config, library, refused, inside = ONE_RULE_CASES[rule]
+    with pytest.raises(ValueError):
+        library(refused)
+    with pytest.raises(ConfigError):
+        parse_config(wrap(config(refused)))
+    library(inside)
+    parse_config(wrap(config(inside)))
+
+
 class TestMain:
     def test_runs_config_and_reports(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
@@ -448,8 +553,14 @@ class TestMain:
         (TINY_RATIO, {"eps": 0.25}, "eps"),
         (TINY_RATIO, {"eps": 0.3}, "eps"),
         (dict(TINY_RATIO, options={"suites": ["quintic", "bilinear"]}), {"eps": 1e307}, "eps"),
-        # <xi>^2s overflows at the corner of n = 16.
+        # <xi>^2s overflows on the factors' own mode box at n = 16.
         (TINY_RATIO, {"s": 1000}, "s"),
+        # Finite factor norms whose product overflows: the cubic's three are
+        # about 5e107 each, and the quintic's and null form's 100 eps weights
+        # are large on boxes this short.
+        (TINY_RATIO, {"s": 100}, "s"),
+        (QUINTIC_BOX, {"eps": 0.2}, "eps"),
+        (NULLFORM_BOX, {"eps": 0.24}, "eps"),
         (TINY_LINE, {"eta": "a"}, "eta"),
         (TINY_LINE, {"eta": 0}, "eta"),
         (TINY_RATIO, {"nt": 48}, "nt"),
@@ -473,7 +584,8 @@ class TestMain:
         (dict(CONSTANT_LINE, preset={"name": "single_mode"}), {"n_data": 1}, "n_data"),
     ], ids=["evolve-store-every", "msm-store-every", "ratio-eps-text", "ratio-eps-zero",
             "ratio-eps-negative", "ratio-eps-quarter", "ratio-eps-above-quarter",
-            "ratio-eps-huge", "ratio-s-overflow", "hasimoto-eta-text",
+            "ratio-eps-huge", "ratio-s-overflow", "ratio-cubic-norms-overflow",
+            "ratio-quintic-norms-overflow", "ratio-nullform-norms-overflow", "hasimoto-eta-text",
             "hasimoto-eta-zero", "ratio-nt", "ratio-cubic-s", "ratio-p", "ratio-space-band",
             "ratio-time-band", "mult-restarts", "mult-modulus-1", "mult-modulus-2000",
             "hasimoto-soliton-length", "oracle-steps-1", "hasimoto-two-snapshots",

@@ -684,6 +684,22 @@ def test_every_suite_returns_its_reports_and_named_extras(suite, n_trials):
         assert all(r.max_ratio == 0.0 for r in reports) and not any(quantities.values())
 
 
+@pytest.mark.parametrize("run,length,arity", [
+    (lambda t: ratio_test_cubic(t, 100.0, 0.01), 4.0, 3),
+    (lambda t: ratio_test_quintic(t, 0.2), 0.01, 5),
+    (lambda t: ratio_test_nullform(t, 0.24), 0.001, 4),
+], ids=["cubic", "quintic", "nullform"])
+def test_overflowing_norms_refused_before_the_first_trial(monkeypatch, run, length, arity):
+    # Each factor norm is finite, but their product overflows to inf, which
+    # would write a ratio of 0; no trial may be realized before the refusal.
+    import msmlab.xsb as xsb
+
+    monkeypatch.setattr(xsb, "realize_mode_field", lambda *a: pytest.fail("trial realized"))
+    trials = sample_trials(Grid2D(n=16, length=length), 32, TWIN, arity, 2, 0, 5, 10)
+    with pytest.raises(ValueError, match="overflow"):
+        run(trials)
+
+
 class TestLazyTrials:
     def test_indexing_realizes_fresh_equal_trials(self):
         trials = small_trials(2)
