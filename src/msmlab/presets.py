@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .maps import MapField
 from .msm import SCHEMES, MSMState
 from .spectral import Grid2D, PeriodicGrid
-from .xsb import MAX_ENUMERATION
+from .xsb import MAX_ENUMERATION, check_band
 
 # Each preset's parameters with their defaults.  The builders below and the
 # up-front config check both read these tables.
@@ -110,12 +110,11 @@ def check_params(defaults: dict, params: dict | None, what: Callable[[str], str]
 
 
 def _check_band(band: int, n: int) -> None:
-    """The mode box |m_j| <= band must fit the grid without aliasing a mode."""
-    if band > n // 2 - 1:
-        raise ConfigError(
-            f"parameter 'band' = {band} does not fit a grid of n = {n}: "
-            f"the mode box needs band <= n/2 - 1 = {n // 2 - 1}"
-        )
+    """The mode box |m_j| <= band must fit the grid without aliasing a mode (:func:`check_band`)."""
+    try:
+        check_band(band, n)
+    except ValueError as err:
+        raise ConfigError(f"parameter 'band' = {band} on a grid of n = {n}: {err}") from err
 
 
 def preset_params(table: dict, name: str, params: dict | None, dim: int,

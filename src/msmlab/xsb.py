@@ -22,11 +22,13 @@ Every suite returns one shape: its reports, one ``RatioReport`` per ratio
 it measures, and a dict of its named extra quantities (empty for the
 cubic and quintic suites).
 
-A band-limited field is its mode columns, and its norm reads only their
-box against a weight built on that box.  Every quantity a suite measures
-is a box of mode columns or a sum over time slices, so the quintic, null
-form and bilinear suites synthesize samples one time block at a time and
-never hold all n x n x nt samples of a band-limited factor.
+A band-limited field is its mode columns.  Its norm transforms a few rows
+of them along t at a time and weighs each block against one weight row per
+distinct |k|^2 of their box, so neither its whole space-time spectrum nor
+a grid-shaped weight is ever held.  Every quantity a suite measures is a
+box of mode columns or a sum over time slices, so the quintic, null form
+and bilinear suites synthesize samples one time block at a time and never
+hold all n x n x nt samples of a band-limited factor.
 
 The last section estimates norms of multilinear convolution multipliers on
 finite abelian groups (Z_N)^d: an exact slice bound from above and an
@@ -129,12 +131,12 @@ class SpaceTimeField:
     than an O(1) lie.
 
     ``band`` is B, and None for a field of samples.  A band-limited field
-    derives its space-time ``box`` and its values from the columns on first
-    read, and the same columns build it on any grid with more than 2B points
-    a side.  Its checks run on the columns c_t: the seam values are at most
-    the l1 sum of c_t at the first and last slice, and by Parseval the sup
-    is at least the largest l2 norm of a c_t, so passing with those two
-    bounds implies passing on the values.
+    derives its values from the columns on first read, and the same columns
+    build it on any grid with more than 2B points a side (:func:`check_band`).
+    Its checks run on the columns c_t: the seam values are at most the l1
+    sum of c_t at the first and last slice, and by Parseval the sup is at
+    least the largest l2 norm of a c_t, so passing with those two bounds
+    implies passing on the values.
     """
 
     def __init__(self, grid: Grid2D, t_window: float, values: np.ndarray | None = None,
@@ -144,11 +146,15 @@ class SpaceTimeField:
         if values is not None and (values.ndim != 3 or values.shape[:2] != grid.shape):
             raise ValueError(f"values must have shape {grid.shape + ('nt',)}, got {values.shape}")
         if columns is not None and (columns.ndim != 3 or columns.shape[0] != columns.shape[1]
-                                    or columns.shape[0] % 2 == 0 or columns.shape[0] > grid.n):
-            raise ValueError(f"columns must have shape (2B + 1, 2B + 1, nt) with 2B < "
-                             f"{grid.n}, got {columns.shape}")
+                                    or columns.shape[0] % 2 == 0):
+            raise ValueError(f"columns must have shape (2B + 1, 2B + 1, nt), got {columns.shape}")
         self.grid, self.t_window, self.columns = grid, t_window, columns
         self.band = None if columns is None else columns.shape[0] // 2
+        if self.band is not None:
+            try:
+                check_band(self.band, grid.n)
+            except ValueError as err:
+                raise ValueError(f"columns of shape {columns.shape}: {err}") from err
         nt = self.nt = (values if columns is None else columns).shape[2]
         if nt < 2 or nt & (nt - 1):
             raise ValueError(f"time axis must hold a power of two samples, got {nt}")
@@ -171,13 +177,6 @@ class SpaceTimeField:
                 f"field does not vanish at the time boundary "
                 f"(relative edge value {edge / top:.2e})"
             )
-
-    @cached_property
-    def box(self) -> np.ndarray:
-        """Space-time coefficients of the columns, transformed on first read."""
-        coef = np.fft.fft(self.columns, axis=2)
-        coef /= self.nt
-        return coef
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -235,11 +234,11 @@ def _synthesize(columns: np.ndarray, m: int) -> np.ndarray:
 _BLOCK_POINTS = 2**16
 
 
-def _time_blocks(nt: int, m: int) -> list[slice]:
-    """Consecutive slices of an nt-slice time axis, each about _BLOCK_POINTS
-    points of an m x m grid."""
-    step = max(1, _BLOCK_POINTS // m**2)
-    return [slice(t, t + step) for t in range(0, nt, step)]
+def _row_blocks(count: int, points: int) -> list[slice]:
+    """Consecutive slices of an axis of count rows, each row ``points``
+    points, that hold about _BLOCK_POINTS points apiece."""
+    step = max(1, _BLOCK_POINTS // points)
+    return [slice(r, r + step) for r in range(0, count, step)]
 
 
 def _samples(f: SpaceTimeField, blk: slice) -> np.ndarray:
@@ -252,7 +251,7 @@ def _samples(f: SpaceTimeField, blk: slice) -> np.ndarray:
 def _blocks(fields: Sequence[SpaceTimeField]) -> Iterable[list[np.ndarray]]:
     """The fields' samples on their grid, one time block at a time."""
     _compatible(fields)
-    for blk in _time_blocks(fields[0].nt, fields[0].grid.n):
+    for blk in _row_blocks(fields[0].nt, fields[0].grid.n**2):
         yield [_samples(f, blk) for f in fields]
 
 
@@ -273,7 +272,7 @@ def _assembled(grid: Grid2D, t_window: float, nt: int, band: int | None,
     banded = band is not None and 2 * band < grid.n
     shape = (2 * band + 1, 2 * band + 1) if banded else grid.shape
     out = np.empty(shape + (nt,), dtype=np.complex128)
-    for blk in _time_blocks(nt, grid.n):
+    for blk in _row_blocks(nt, grid.n**2):
         out[:, :, blk] = _cut(grid, block(blk), band) if banded else block(blk)
     if banded:
         return SpaceTimeField(grid, t_window, columns=out)
@@ -334,7 +333,7 @@ def realize_mode_field(
     The window acts along t only, so every occupied spatial frequency
     keeps its own windowed time series: one inverse transform along t
     gives the field's mode columns, and the field is built from them
-    alone (zero outside them).  Its box and its values on any grid are
+    alone (zero outside them).  Its norm and its values on any grid are
     derived from the columns, and only when a suite reads them.
     """
     keys = np.array(list(modes), dtype=np.int64).reshape(-1, 3)
@@ -395,43 +394,59 @@ def _log_weights(grid: Grid2D, nt: int, t_window: float, s: float, b: float,
 @lru_cache(maxsize=8)
 def _weight_sq(
     grid: Grid2D, nt: int, t_window: float, s: float, b: float, sign: int, band: int | None
-) -> np.ndarray:
-    """Squared weight of :func:`xsb_norm`, one read-only array per key.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared weight of :func:`xsb_norm` as ``(index, table)``, read-only.
 
-    With a band it is built on the spatial modes -band..band only, the box
-    a band-limited field's norm reads; with None, on the whole grid.
-    :func:`_log_weights` first refuses a weight that may overflow or underflow.
+    The weight depends on the mode only through |k|^2, so ``table`` holds
+    one row of nt time frequencies per distinct float |k|^2 and ``index``
+    (int32) each mode's row: ``table[index]`` is the squared weight.  With a band
+    the modes are -band..band, the box a band-limited field's norm reads;
+    with None, the whole grid.  :func:`_log_weights` first refuses a weight
+    that may overflow or underflow.
     """
     _log_weights(grid, nt, t_window, s, b, grid.n // 2 if band is None else band)
     k2 = grid.k2 if band is None else grid.k2[np.ix_(*[_box_index(band, grid.n)] * 2)]
-    k2 = k2[:, :, None]
+    values, where = np.unique(k2.ravel(), return_inverse=True)
+    xi2 = values[:, None]
     tau = _tau(nt, t_window)
-    gap = tau[None, None, :] - sign * k2
+    gap = tau[None, :] - sign * xi2
     # The single unpaired time frequency aliases +-Nyquist equally; giving
     # it the symmetric (farther) distance for both signs keeps conjugation
     # an exact isometry and the duality pairing an exact Cauchy-Schwarz,
     # instead of leaving a sign ambiguity on that plane.
-    gap[:, :, nt // 2] = np.abs(tau[nt // 2]) + k2[:, :, 0]
+    gap[:, nt // 2] = np.abs(tau[nt // 2]) + xi2[:, 0]
     bracket_tau = np.sqrt(1.0 + gap**2)
-    bracket_xi = np.sqrt(1.0 + k2)
-    weight_sq = (bracket_tau**b * bracket_xi**s) ** 2
-    weight_sq.setflags(write=False)
-    return weight_sq
+    bracket_xi = np.sqrt(1.0 + xi2)
+    table = (bracket_tau**b * bracket_xi**s) ** 2
+    index = where.astype(np.int32).reshape(k2.shape)
+    for array in (index, table):
+        array.setflags(write=False)
+    return index, table
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float, sign: int = +1) -> float:
-    """Weighted space-time norm with weight <tau -+ |xi|^2>^b <xi>^s."""
+    """Weighted space-time norm with weight <tau -+ |xi|^2>^b <xi>^s.
+
+    Summed over blocks of rows of about _BLOCK_POINTS coefficients: a
+    band-limited field transforms each block of its columns along t (every
+    coefficient outside its box is zero), a field of samples is transformed
+    whole once and weighed block by block.
+    """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 (paraboloid) or -1 (mirrored)")
     measure = u.grid.length**2 * u.t_window
-    weight_sq = _weight_sq(u.grid, u.nt, u.t_window, s, b, sign, u.band)
-    # Every coefficient outside a band-limited field's box is zero.
+    index, table = _weight_sq(u.grid, u.nt, u.t_window, s, b, sign, u.band)
     if u.columns is None:
         coef = np.fft.fftn(u.values, out=np.empty_like(u.values))
         coef /= u.values.size
-    else:
-        coef = u.box
-    total = np.sum(np.abs(coef) ** 2 * weight_sq)
+    total = 0.0
+    for rows in _row_blocks(index.shape[0], index.shape[1] * u.nt):
+        if u.columns is None:
+            block = coef[rows]
+        else:
+            block = np.fft.fft(u.columns[rows], axis=2)
+            block /= u.nt
+        total += np.sum(np.abs(block) ** 2 * table[index[rows]])
     return float(np.sqrt(measure * total))
 
 
@@ -830,7 +845,7 @@ def _grad_potential(
         return block
     symbol = coarse.inverse_laplacian_symbol[np.ix_(*[_box_index(band, coarse.n)] * 2)]
     cols = np.empty((2 * band + 1, 2 * band + 1, u.nt), dtype=np.complex128)
-    for blk in _time_blocks(u.nt, coarse.n):
+    for blk in _row_blocks(u.nt, coarse.n**2):
         cols[:, :, blk] = symbol[:, :, None] * _cut(
             coarse, _samples(u, blk) * np.conj(_samples(v, blk)), band)
     ik = (2j * np.pi / grid.length) * np.arange(-band, band + 1)
@@ -860,8 +875,11 @@ def ratio_test_quintic(trials: Sequence[Trial], eps: float) -> _SuiteResult:
         g1, g2 = _grad_potential(grid, pairs[:2]), _grad_potential(grid, pairs[2:])
 
         def block(blk: slice) -> np.ndarray:
+            # (g1x g2x + g1y g2y) u5, formed in g1x's array in that operand order.
             (g1x, g1y), (g2x, g2y) = g1(blk), g2(blk)
-            return (g1x * g2x + g1y * g2y) * _samples(u[4], blk)
+            np.multiply(g1x, g2x, out=g1x)
+            np.add(g1x, g1y * g2y, out=g1x)
+            return np.multiply(g1x, _samples(u[4], blk), out=g1x)
 
         prod = _assembled(grid, u[0].t_window, u[0].nt, _band_sum(u), block)
         return (xsb_norm(prod, s, b_num, +1) / den,)

@@ -8,8 +8,10 @@ import pytest
 from msmlab.errors import ChartUndefinedError, ConfigError
 from msmlab.maps import MapField
 from msmlab.msm import MSMState
-from msmlab.presets import MAP_PRESETS, MSM_PRESETS, _random_chart, map_preset, msm_preset
+from msmlab.presets import (MAP_PRESETS, MSM_PRESETS, _random_chart, map_preset, msm_preset,
+                            preset_params)
 from msmlab.spectral import Grid1D, Grid2D
+from msmlab.xsb import SpaceTimeField, check_band
 
 
 def loop_chart(grid, band, amplitude, seed):
@@ -172,3 +174,23 @@ class TestMsmPresets:
         for name in MSM_PRESETS:
             assert isinstance(msm_preset(g, name), MSMState)
 
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_every_band_rule_refuses_half_the_grid(n):
+    # The preset band, a field's columns and the trial bands share one rule,
+    # xsb.check_band: band n/2 - 1 fits an n-point grid and band n/2 does not.
+    g = Grid2D(n=n, length=1.0)
+    for band in (n // 2 - 1, n // 2):
+        columns = np.zeros((2 * band + 1, 2 * band + 1, 8), complex)
+        calls = {
+            "check_band": lambda: check_band(band, n),
+            "columns": lambda: SpaceTimeField(grid=g, t_window=1.0, columns=columns),
+            "preset": lambda: preset_params(MSM_PRESETS, "random_seeded", {"band": band}, 2, n),
+        }
+        for name, call in calls.items():
+            if band < n // 2:
+                call()
+                continue
+            error = ConfigError if name == "preset" else ValueError
+            with pytest.raises(error, match=f"band {band} does not fit inside the grid"):
+                call()

@@ -519,11 +519,11 @@ CHECKED_CLASSES = ("PeriodicGrid", "Grid1D", "Grid2D", "SpaceTimeField")
 
 
 def _public_definitions(tree):
-    """(name, node) for a module's public surface.
+    """(name, node, is_member) for a module's public surface.
 
     That is the names in ``__all__`` (every public top-level name where a
     module has none) and the public methods and properties of the grid
-    classes and of ``SpaceTimeField``.
+    classes and of ``SpaceTimeField``, which are members.
     """
     top = {}
     for node in tree.body:
@@ -535,21 +535,24 @@ def _public_definitions(tree):
         names = [ast.literal_eval(elt) for elt in top["__all__"].value.elts]
     else:
         names = [name for name in top if not name.startswith("_")]
-    out = [(name, top[name]) for name in names]
+    out = [(name, top[name], False) for name in names]
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name in CHECKED_CLASSES:
-            out += [(item.name, item) for item in node.body
+            out += [(item.name, item, True) for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     return out
 
 
-def _reads(node):
-    """Names read anywhere under node: loaded names, attributes and imports."""
+def _reads(node, members=False):
+    """Names read anywhere under node: loaded names, attributes and imports,
+    or with ``members`` only the attributes."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             yield sub.attr
+        elif members:
+            continue
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
         elif isinstance(sub, ast.ImportFrom):
             yield from (alias.name for alias in sub.names)
 
@@ -557,14 +560,18 @@ def _reads(node):
 def test_every_public_name_has_a_package_reader():
     # No public function that only a test calls: each public name must be
     # read by package code outside its own definition.  The re-exports of
-    # __init__.py do not count as a reader.  Names are matched bare, so a
-    # method that shares its name with an attribute read elsewhere (a
-    # method named norm would count as read by np.linalg.norm) passes unseen.
+    # __init__.py do not count as a reader.  A method or property counts
+    # only attribute reads (.name), so a local variable of the same name
+    # does not hide it; names are still matched bare, so one that shares its
+    # name with an attribute read elsewhere (a method named norm would count
+    # as read by np.linalg.norm) passes unseen.
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(msmlab.__file__).parent.glob("*.py"))}
     del trees["__init__.py"]
-    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    reads = {members: Counter(name for tree in trees.values() for name in _reads(tree, members))
+             for members in (False, True)}
     unread = [f"{module}:{name}" for module, tree in trees.items()
-              for name, node in _public_definitions(tree)
-              if name not in CONTRACT and reads[name] == Counter(_reads(node))[name]]
+              for name, node, member in _public_definitions(tree)
+              if name not in CONTRACT
+              and reads[member][name] == Counter(_reads(node, member))[name]]
     assert unread == []

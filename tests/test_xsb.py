@@ -74,7 +74,7 @@ def box_spectrum(f):
     """The full space-time spectrum a field's box stands for, zero outside the box."""
     out = np.zeros(f.grid.shape + (f.nt,), dtype=np.complex128)
     idx = np.arange(-f.band, f.band + 1) % f.grid.n
-    out[np.ix_(idx, idx)] = f.box
+    out[np.ix_(idx, idx)] = np.fft.fft(f.columns, axis=2) / f.nt
     return out
 
 
@@ -88,6 +88,16 @@ def symmetric_gap(taus, nt, xi2):
     gap = taus - xi2
     gap[nt // 2] = abs(taus[nt // 2]) + xi2
     return gap
+
+
+def cell_weight_sq(xi2, taus, s, b, sign):
+    """Squared weight <tau -+ |xi|^2>^2b <xi>^2s at one |xi|^2, the Nyquist plane symmetrized."""
+    # One |xi|^2 per time frequency: numpy's power of a scalar and of an
+    # array may differ in the last bit, and the library raises arrays.
+    xi2 = np.full_like(taus, xi2)
+    gap = taus - sign * xi2
+    gap[len(taus) // 2] = abs(taus[len(taus) // 2]) + xi2[0]
+    return (np.sqrt(1 + gap**2) ** b * np.sqrt(1 + xi2) ** s) ** 2
 
 
 def windowed_mode_norm(f, cut, mode, amp, s, b):
@@ -1057,7 +1067,11 @@ class TestSmallestUnaliasedGrid:
     def test_band_and_box_derived_from_the_columns(self):
         f = white_field(8, sb=3)
         assert f.band == 3 and f.columns.shape == (7, 7, 64)
-        assert np.array_equal(f.box, np.fft.fft(f.columns, axis=2) / 64)
+        # One transform of the columns along t is the box of the field's spectrum.
+        full = np.fft.fftn(f.values) / f.values.size
+        idx = np.ix_(*[np.arange(-3, 4) % 32] * 2)
+        np.testing.assert_allclose(np.fft.fft(f.columns, axis=2) / 64, full[idx],
+                                   rtol=0, atol=1e-13 * np.max(np.abs(full)))
         assert SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values).band is None
 
     @pytest.mark.parametrize("shape,band", [
@@ -1088,7 +1102,7 @@ class TestSmallestUnaliasedGrid:
         np.testing.assert_allclose(c.values, np.conj(f.values),
                                    atol=1e-13 * np.max(np.abs(f.values)))
         np.testing.assert_allclose(box_spectrum(g), np.fft.fftn(g.values) / g.values.size,
-                                   atol=1e-13 * np.max(np.abs(g.box)))
+                                   atol=1e-13 * np.max(np.abs(box_spectrum(g))))
 
 
 def _record_values_reads(monkeypatch) -> list[int]:
@@ -1189,21 +1203,31 @@ class TestSynthesisFromTheBox:
             assert np.max(np.abs(coarse.values - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_a_realized_factor_costs_one_time_transform_each_way(self, monkeypatch):
+        import msmlab.xsb as xsb
+
         calls = []
-        for name in ("fft", "ifft"):
+        for name in ("fft", "ifft", "fftn", "fft2"):
             original = getattr(np.fft, name)
 
             def recorded(a, *args, name=name, original=original, **kwargs):
-                calls.append((name, np.shape(a), kwargs.get("axis")))
+                calls.append((name, a, kwargs.get("axis")))
                 return original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, recorded)
         f = white_field(72, sb=3)
-        assert calls == [("ifft", (7, 7, 64), 2)]
-        box = f.box
-        assert calls[1:] == [("fft", (7, 7, 64), 2)]
+        assert [(name, a.shape, axis) for name, a, axis in calls] == [("ifft", (7, 7, 64), 2)]
+        # Its norm transforms blocks of 2 rows of its columns along t, each
+        # row once, and nothing else.
+        monkeypatch.setattr(xsb, "_BLOCK_POINTS", 2 * 7 * 64)
+        del calls[:]
+        xsb_norm(f, 1.0, 0.51)
+        assert [(name, a.shape, axis) for name, a, axis in calls] == [
+            ("fft", (rows, 7, 64), 2) for rows in (2, 2, 2, 1)]
+        rows = np.concatenate([a for _, a, _ in calls])
+        assert all(np.shares_memory(a, f.columns) for _, a, _ in calls)
+        assert np.array_equal(rows, f.columns)
         (coarse,) = _unaliased([f], lambda bands: 0)
-        assert coarse.grid.n == 8 and f.box is box and len(calls) == 2
+        assert coarse.grid.n == 8 and len(calls) == 4
 
     def test_quintic_transforms_each_fine_grid_slice_once(self, monkeypatch):
         # Band-5 factors at n=64: the band-10 pair sources go through fft2 on
@@ -1260,17 +1284,72 @@ class TestStreamedSuites:
     def test_box_weight_is_the_sliced_full_weight(self, s, sign):
         from msmlab.xsb import _box_index, _weight_sq
 
-        g, nt = grid(32), 64
+        g, nt, b = grid(32), 64, 0.51
+        index, table = _weight_sq(g, nt, TWIN, s, b, sign, None)
+        assert index.dtype == np.int32 and index.shape == g.shape
+        assert not index.flags.writeable and not table.flags.writeable
+        full = table[index]
+        # The formula evaluated cell by cell, from the grid's wavenumbers.
+        k1 = 2 * np.pi * np.fft.fftfreq(g.n, d=LENGTH / g.n)
+        taus = -2 * np.pi * np.fft.fftfreq(nt, d=TWIN / nt)
+        cells = np.empty(g.shape + (nt,))
+        for i, j in np.ndindex(g.shape):
+            cells[i, j] = cell_weight_sq(k1[i] ** 2 + k1[j] ** 2, taus, s, b, sign)
+        np.testing.assert_array_max_ulp(full, cells, maxulp=2)
         for band in (0, 5, 15):
             idx = np.ix_(*[_box_index(band, g.n)] * 2)
-            box = _weight_sq(g, nt, TWIN, s, 0.51, sign, band)
-            assert box.shape == (2 * band + 1, 2 * band + 1, nt)
-            assert np.array_equal(box, _weight_sq(g, nt, TWIN, s, 0.51, sign, None)[idx])
+            box_index, box_table = _weight_sq(g, nt, TWIN, s, b, sign, band)
+            assert box_index.shape == (2 * band + 1, 2 * band + 1)
+            # One row per distinct |k|^2 of the box.
+            assert box_table.shape == (np.unique(g.k2[idx]).size, nt)
+            assert np.array_equal(box_table[box_index], full[idx])
             # The unpaired time-Nyquist plane takes one distance for both signs.
-            mirrored = _weight_sq(g, nt, TWIN, s, 0.51, -sign, band)
-            assert np.array_equal(box[:, :, nt // 2], mirrored[:, :, nt // 2])
+            mirror_index, mirror_table = _weight_sq(g, nt, TWIN, s, b, -sign, band)
+            assert np.array_equal(box_table[box_index][:, :, nt // 2],
+                                  mirror_table[mirror_index][:, :, nt // 2])
+        # A band-25 box holds 2601 modes and 294 values of mx^2 + my^2, which
+        # rounding splits into 311 floats |k|^2: one table row each, so every
+        # row is the weight of its modes bit for bit.
+        m = np.arange(-25, 26)
+        assert np.unique(m[:, None] ** 2 + m**2).size == 294
+        index, table = _weight_sq(grid(64), 128, TWIN, s, b, sign, 25)
+        assert index.shape == (51, 51) and table.shape == (311, 128)
 
-    @pytest.mark.parametrize("suite,limit_mib", [("quintic", 28), ("bilinear", 18)])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("kind", ["columns", "samples"])
+    def test_norm_is_the_weighted_sum_of_the_time_spectrum(self, kind, sign, monkeypatch):
+        import msmlab.xsb as xsb
+
+        f = white_field(81, sb=4)
+        s, b = 1.3, (0.51 if sign > 0 else -0.49)
+        taus = -2 * np.pi * np.fft.fftfreq(f.nt, d=TWIN / f.nt)
+        k1 = 2 * np.pi * np.fft.fftfreq(f.grid.n, d=LENGTH / f.grid.n)
+        if kind == "columns":
+            coef = np.fft.fft(f.columns, axis=2) / f.nt
+            k1 = k1[np.arange(-4, 5) % f.grid.n]
+        else:
+            f = SpaceTimeField(grid=f.grid, t_window=TWIN, values=f.values)
+            coef = np.fft.fftn(f.values) / f.values.size
+        weight = np.array([[cell_weight_sq(kx**2 + ky**2, taus, s, b, sign) for ky in k1]
+                           for kx in k1])
+        expect = np.sqrt(LENGTH**2 * TWIN * np.sum(np.abs(coef) ** 2 * weight))
+        assert xsb_norm(f, s, b, sign) == pytest.approx(expect, rel=1e-14, abs=0)
+        # Row blocks of uneven size give the same sum.
+        monkeypatch.setattr(xsb, "_BLOCK_POINTS", 1200)
+        assert xsb_norm(f, s, b, sign) == pytest.approx(expect, rel=1e-14, abs=0)
+
+    def test_a_band_25_norm_holds_below_its_columns(self):
+        # Holding the whole box of coefficients and a box-shaped weight
+        # peaked at about twice the columns; the streamed sum holds one block
+        # of rows and a table of one weight row per distinct |k|^2.
+        import msmlab.xsb as xsb
+
+        f = realize_mode_field(grid(64), 128, TWIN, white_mode_dict(25, 4, seed=82))
+        assert f.columns.shape == (51, 51, 128)
+        xsb._weight_sq.cache_clear()
+        assert traced_peak(lambda: xsb_norm(f, 1.0, -0.48)) < 0.75 * f.columns.nbytes
+
+    @pytest.mark.parametrize("suite,limit_mib", [("quintic", 15), ("bilinear", 18)])
     def test_one_band_5_trial_stays_below_its_memory_peak(self, suite, limit_mib):
         # At n=64, nt=128 one complex sample box is 8 MiB; holding the
         # quintic's gradients or the bilinear products whole peaked near 55
