@@ -83,21 +83,20 @@ def time_frequencies(f):
     return -2 * np.pi * np.fft.fftfreq(f.nt, d=f.t_window / f.nt)
 
 
-def symmetric_gap(taus, nt, xi2):
-    """Weight argument tau - |xi|^2 with the unpaired Nyquist plane symmetrized."""
-    gap = taus - xi2
+def symmetric_gap(taus, nt, xi2, sign=+1):
+    """Weight argument tau -+ |xi|^2 with the unpaired Nyquist plane symmetrized."""
+    gap = taus - sign * xi2
     gap[nt // 2] = abs(taus[nt // 2]) + xi2
     return gap
 
 
 def cell_weight_sq(xi2, taus, s, b, sign):
-    """Squared weight <tau -+ |xi|^2>^2b <xi>^2s at one |xi|^2, the Nyquist plane symmetrized."""
-    # One |xi|^2 per time frequency: numpy's power of a scalar and of an
-    # array may differ in the last bit, and the library raises arrays.
-    xi2 = np.full_like(taus, xi2)
-    gap = taus - sign * xi2
-    gap[len(taus) // 2] = abs(taus[len(taus) // 2]) + xi2[0]
-    return (np.sqrt(1 + gap**2) ** b * np.sqrt(1 + xi2) ** s) ** 2
+    """Squared weight <tau -+ |xi|^2>^2b <xi>^2s at one |xi|^2."""
+    gap = symmetric_gap(taus, len(taus), xi2, sign)
+    # <xi> is raised as an array, as the library raises it: numpy's power of
+    # a scalar and of an array may differ in the last bit.
+    bracket_xi = np.sqrt(1 + np.full_like(taus, xi2))
+    return (np.sqrt(1 + gap**2) ** b * bracket_xi**s) ** 2
 
 
 def windowed_mode_norm(f, cut, mode, amp, s, b):
