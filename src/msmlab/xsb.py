@@ -26,9 +26,9 @@ A band-limited field is its mode columns.  Its norm transforms a few rows
 of them along t at a time and weighs each block against one weight row per
 distinct |k|^2 of their box, so neither its whole space-time spectrum nor
 a grid-shaped weight is ever held.  Every quantity a suite measures is a
-box of mode columns or a sum over time slices, so the quintic, null form
-and bilinear suites synthesize samples one time block at a time and never
-hold all n x n x nt samples of a band-limited factor.
+box of mode columns or a sum over time slices, so all four suites
+synthesize samples one time block at a time, cut products to columns block
+by block, and never hold all n x n x nt samples of a band-limited factor.
 
 The last section estimates norms of multilinear convolution multipliers on
 finite abelian groups (Z_N)^d: an exact slice bound from above and an
@@ -160,15 +160,16 @@ class SpaceTimeField:
             raise ValueError(f"time axis must hold a power of two samples, got {nt}")
         if not t_window > 0:
             raise ValueError("t_window must be positive")
+        # The sup is reduced over row blocks, so no field-sized |c| is built.
         if columns is None:
             self.values = values.astype(np.complex128, copy=False)
-            top = float(np.max(np.abs(values)))
+            top = float(np.max([np.max(np.abs(self.values[rows]))
+                                for rows in _row_blocks(grid.n, grid.n * nt)]))
             edge = max(float(np.max(np.abs(values[:, :, 0]))),
                        float(np.max(np.abs(values[:, :, -1]))))
         else:
-            mags = np.abs(columns)
-            top = float(np.sqrt(np.max(np.sum(mags**2, axis=(0, 1)))))
-            edge = float(np.sum(mags[:, :, [0, -1]]))
+            top = float(np.sqrt(np.max(_slice_mass(columns))))
+            edge = float(np.sum(np.abs(columns[:, :, [0, -1]])))
         # The sup is NaN or inf exactly when an entry is not finite.
         if not np.isfinite(top):
             raise ValueError("field contains non-finite entries")
@@ -217,21 +218,34 @@ def _band_sum(fields: Sequence[SpaceTimeField]) -> int | None:
     return None if None in bands else sum(bands)
 
 
+@lru_cache(maxsize=8)
+def _phase(band: int, m: int) -> np.ndarray:
+    """Read-only e^{i 2 pi k j / m} at grid point j, mode k = -band..band; k j reduced mod m."""
+    phase = np.exp((2j * np.pi / m) * (np.outer(np.arange(m), np.arange(-band, band + 1)) % m))
+    phase.setflags(write=False)
+    return phase
+
+
 def _synthesize(columns: np.ndarray, m: int) -> np.ndarray:
     """Samples on an m x m grid of the field with the given mode columns.
 
-    The field is summed mode by mode, in two small matrix products, so its
+    The field is summed mode by mode, in two matrix products, so its
     samples are exact on any grid; with m > 2B they also determine it.
+    The x modes are summed first, then the y modes of the transposed
+    intermediate, so the result is a view whose memory runs y-major.
     """
-    band = columns.shape[0] // 2
-    ms = np.arange(-band, band + 1)
-    # e^{i 2 pi k j / m} at grid point j, with the phase reduced mod m.
-    phase = np.exp((2j * np.pi / m) * (np.outer(np.arange(m), ms) % m))
-    return phase @ np.tensordot(phase, columns, axes=(1, 0))
+    side, nt = columns.shape[0], columns.shape[2]
+    phase = _phase(side // 2, m)
+    half = (phase @ columns.reshape(side, side * nt)).reshape(m, side, nt)
+    out = phase @ half.transpose(1, 0, 2).reshape(side, m * nt)
+    return out.reshape(m, m, nt).transpose(1, 0, 2)
 
 
-# A streamed step holds about this many grid points of each field at a time.
-_BLOCK_POINTS = 2**16
+# A streamed step holds about this many grid points of each field at a
+# time.  2^14 complex points are 256 KiB, a (64, 64, 4) block: the few
+# blocks a suite holds at once then weigh less than the columns it keeps,
+# which set its peak; smaller blocks only add per-call overhead.
+_BLOCK_POINTS = 2**14
 
 
 def _row_blocks(count: int, points: int) -> list[slice]:
@@ -239,6 +253,14 @@ def _row_blocks(count: int, points: int) -> list[slice]:
     points, that hold about _BLOCK_POINTS points apiece."""
     step = max(1, _BLOCK_POINTS // points)
     return [slice(r, r + step) for r in range(0, count, step)]
+
+
+def _slice_mass(columns: np.ndarray) -> np.ndarray:
+    """Sum of |c|^2 over the modes of each time slice, over row blocks."""
+    mass = np.zeros(columns.shape[2])
+    for rows in _row_blocks(columns.shape[0], columns.shape[1] * columns.shape[2]):
+        mass += np.sum(np.abs(columns[rows]) ** 2, axis=(0, 1))
+    return mass
 
 
 def _samples(f: SpaceTimeField, blk: slice) -> np.ndarray:
@@ -257,8 +279,9 @@ def _blocks(fields: Sequence[SpaceTimeField]) -> Iterable[list[np.ndarray]]:
 
 def _cut(grid: Grid2D, samples: np.ndarray, band: int) -> np.ndarray:
     """Mode columns -band..band of samples of that band, with 2 band < grid.n."""
-    cells = np.ix_(*[_box_index(band, grid.n)] * 2)
-    return grid.fft(samples)[cells] / grid.n**2
+    cut = grid.fft(samples)[np.ix_(*[_box_index(band, grid.n)] * 2)]
+    cut /= grid.n**2
+    return cut
 
 
 def _assembled(grid: Grid2D, t_window: float, nt: int, band: int | None,
@@ -279,40 +302,26 @@ def _assembled(grid: Grid2D, t_window: float, nt: int, band: int | None,
     return SpaceTimeField(grid, t_window, values=out)
 
 
-def _product(factors: Sequence[SpaceTimeField], conj: Sequence[bool]) -> SpaceTimeField:
-    _compatible(factors)
-    first = factors[0]
-    vals = np.conj(first.values) if conj[0] else first.values
-    for f, c in zip(factors[1:], conj[1:]):
-        vals = vals * (np.conj(f.values) if c else f.values)
-    return SpaceTimeField(grid=first.grid, t_window=first.t_window, values=vals)
-
-
-def _unaliased_grid(grid: Grid2D, bands: list[int | None],
-                    bound: Callable[[list[int]], int]) -> Grid2D:
-    """The smallest grid with more than bound(bands) points a side, or grid.
+def _unaliased(fields: Sequence[SpaceTimeField],
+               bound: Callable[[list[int]], int]) -> tuple[SpaceTimeField, ...]:
+    """The fields built from their columns on the smallest grid with more
+    than bound(bands) points a side.
 
     The caller's ``bound``, a function of the fields' bands, makes the step
     it takes on the coarse grid unaliased.  The grid is a power of two with
     at least 8 points and more than twice every band, so the same columns
     build each field there exactly.  When a band is unknown, or no grid
-    smaller than ``grid`` qualifies, it is ``grid``.
+    smaller than the fields' own qualifies, the fields stay as they are.
     """
+    grid, bands = fields[0].grid, [f.band for f in fields]
     if None in bands:
-        return grid
+        return tuple(fields)
     m = 8
     while m <= max(bound(bands), 2 * max(bands)):
         m *= 2
-    return grid if m >= grid.n else Grid2D(n=m, length=grid.length)
-
-
-def _unaliased(fields: Sequence[SpaceTimeField],
-               bound: Callable[[list[int]], int]) -> tuple[SpaceTimeField, ...]:
-    """The fields built from their columns on :func:`_unaliased_grid`."""
-    grid = fields[0].grid
-    coarse = _unaliased_grid(grid, [f.band for f in fields], bound)
-    if coarse is grid:
+    if m >= grid.n:
         return tuple(fields)
+    coarse = Grid2D(n=m, length=grid.length)
     return tuple(SpaceTimeField(grid=coarse, t_window=f.t_window, columns=f.columns)
                  for f in fields)
 
@@ -466,7 +475,7 @@ def mixed_norm(u: SpaceTimeField, p_t: float, q_x: float) -> float:
         raise ValueError("exponents must be at least 1")
     if q_x == 2 and u.columns is not None:
         # Parseval: a slice's L^2 norm is L times the l2 norm of its mode column.
-        slices = u.grid.length * np.sqrt(np.sum(np.abs(u.columns) ** 2, axis=(0, 1)))
+        slices = u.grid.length * np.sqrt(_slice_mass(u.columns))
     else:
         h2 = u.grid.spacing**2
         slices = np.concatenate([_slice_norms(su, q_x, h2) for su, in _blocks([u])])
@@ -475,10 +484,12 @@ def mixed_norm(u: SpaceTimeField, p_t: float, q_x: float) -> float:
 
 def _slice_norms(samples: np.ndarray, q: float, h2: float) -> np.ndarray:
     """L^q norm in space of each time slice; h2 is the area of a grid cell."""
-    absu = np.abs(samples)
+    # One row per slice: a block holds few slices, and each reduction then
+    # runs along a long contiguous row instead of across them.
+    absu = np.abs(np.moveaxis(samples, 2, 0), order="C").reshape(samples.shape[2], -1)
     if np.isinf(q):
-        return np.max(absu, axis=(0, 1))
-    return (h2 * np.sum(absu**q, axis=(0, 1))) ** (1.0 / q)
+        return np.max(absu, axis=1)
+    return (h2 * np.sum(absu**q, axis=1)) ** (1.0 / q)
 
 
 def _time_norm(slices: np.ndarray, p: float, dt: float) -> float:
@@ -718,32 +729,25 @@ def check_cubic(s: float, eps: float) -> None:
         raise ValueError(f"cubic ratio test requires s > 5 eps, got s={s}, eps={eps}")
 
 
-def _cubic_bound(bands: list[int]) -> int:
-    # The product's norm reads its spectrum, exact on a grid over twice its band.
-    return 2 * sum(bands)
-
-
 def check_weights(suite: str, grid: Grid2D, nt: int, t_window: float, band: int, eps: float,
                   s: float | None = None) -> None:
     """Refuse a ratio suite whose norms may overflow or underflow; no field is built.
 
     ``band`` bounds the factors' bands (n // 2 for fields of samples), and
     ``s`` is the cubic's index (None: :func:`default_index`).  Every box the
-    suite weighs must pass :func:`_log_weights`; the cubic product weighs its
-    whole unaliased grid, the quintic's its 5 band box or whole grid.  Taking
+    suite weighs must pass :func:`_log_weights`; the cubic and quintic products
+    weigh their 3 and 5 band boxes, or grid when that band does not fit it.  Taking
     a factor's norm between that of one unit coefficient and that of unit
     coefficients filling its box, their product must stay in [1e-300, 1e300].
     """
     s = {"cubic": default_index(eps) if s is None else s, "bilinear": 0.0}.get(
         suite, default_index(eps))
-    factors = [(s, 0.5 + eps)] * {"cubic": 3, "quintic": 5, "nullform": 3, "bilinear": 2}[suite]
-    # The products' boxes: the grid _unaliased builds the cubic's on, and the
-    # band _assembled keeps the quintic's columns at.
-    if suite == "cubic":
-        box = _unaliased_grid(grid, [band] * 3, _cubic_bound).n // 2
-        _log_weights(grid, nt, t_window, s, -0.5 + 2 * eps, box)
-    elif suite == "quintic":
-        box = 5 * band if 10 * band < grid.n else grid.n // 2
+    arity = {"cubic": 3, "quintic": 5, "nullform": 3, "bilinear": 2}[suite]
+    factors = [(s, 0.5 + eps)] * arity
+    if suite in ("cubic", "quintic"):
+        # The product's box: its band where _assembled keeps its columns,
+        # which for the cubic (on its unaliased grid) is also when 6 band < n.
+        box = arity * band if 2 * arity * band < grid.n else grid.n // 2
         _log_weights(grid, nt, t_window, s, -0.5 + 2 * eps, box)
     elif suite == "nullform":
         factors.append((-s, 0.5 - 2 * eps))
@@ -818,8 +822,24 @@ def ratio_test_cubic(trials: Sequence[Trial], s: float, eps: float) -> _SuiteRes
         den = float(np.prod(dens))
         if den == 0.0:
             return (0.0,) * len(CUBIC_VARIANTS)
-        factors = _unaliased(trial.fields, _cubic_bound)
-        return tuple(xsb_norm(_product(factors, conj), s, b_num, +1) / den
+        # The product's columns are cut from its samples, exact on a grid over twice its band.
+        factors = _unaliased(trial.fields, lambda b: 2 * sum(b))
+        _compatible(factors)
+        f = factors[0]
+
+        def product(conj: Sequence[bool]) -> SpaceTimeField:
+            # One time block of the product, multiplied left to right in one
+            # array, each factor's samples synthesized only as it is needed.
+            def block(blk: slice) -> np.ndarray:
+                u = (np.conj(_samples(g, blk)) if c else _samples(g, blk)
+                     for g, c in zip(factors, conj))
+                out = next(u) * next(u)
+                for x in u:
+                    np.multiply(out, x, out=out)
+                return out
+            return _assembled(f.grid, f.t_window, f.nt, _band_sum(factors), block)
+
+        return tuple(xsb_norm(product(conj), s, b_num, +1) / den
                      for conj in CUBIC_VARIANTS.values())
 
     return _suite("cubic", trials, tuple(CUBIC_VARIANTS), (), eps, s, one)

@@ -398,11 +398,18 @@ class TestParseAndRunAgree:
 
 
 RATIO_GRID = Grid2D(n=16, length=4.0)  # TINY_RATIO's
+# n = 64 on a 4 pi box: band-5 factors' band-15 products are kept as columns
+# on a 32-point grid, so the 15 box, not that grid's 16 corner, sets the
+# products' largest weight, and it binds before the factor norms do.
+BANDED_RATIO = dict(TINY_RATIO, grid={"n": 64, "length": 4 * np.pi})
 
 
-def cubic_on_ratio_grid(s):
-    trials = xsb.sample_trials(RATIO_GRID, 32, 4.0, 3, 1, 0, 5, 10)
-    return xsb.ratio_test_cubic(trials, s, 0.01)
+def cubic_on(grid):
+    """The cubic suite at s on one TINY_RATIO trial realized on grid."""
+    return lambda s: xsb.ratio_test_cubic(xsb.sample_trials(grid, 32, 4.0, 3, 1, 0, 5, 10), s, 0.01)
+
+
+cubic_on_ratio_grid = cubic_on(RATIO_GRID)
 
 
 def map_flow_step(grid, exp, scale=1):
@@ -435,6 +442,8 @@ ONE_RULE_CASES = {
                    map_flow_step(Grid2D(n=64, length=1.0), TINY_ORACLE, scale=4),
                    4.01 * FINEST_LIMIT, 4 * FINEST_LIMIT),
     "weights": (lambda s: with_options(TINY_RATIO, s=s), cubic_on_ratio_grid, 100.0, 90.0),
+    "weights-banded-cubic": (lambda s: with_options(BANDED_RATIO, s=s),
+                             cubic_on(Grid2D(n=64, length=4 * np.pi)), 146.0, 145.0),
 }
 
 

@@ -652,12 +652,14 @@ class TestRealizationFromModeBox:
         assert not np.any(f.values) and not np.any(box_spectrum(f))
 
     def test_cubic_transforms_only_its_products(self, monkeypatch):
-        # Three products per trial go through fftn; realized factors know
-        # their spectra and need no 3-D transform at all.
-        trials = sample_trials(grid(16), 32, TWIN, 3, 3, seed=1, space_band=3, time_band=4)
+        # Realized factors know their spectra and need no transform at all;
+        # each product is cut to its columns one time block at a time, on the
+        # 32^2 grid where band-5 factors' products are unaliased.  No 3-D
+        # transform runs.
+        trials = sample_trials(grid(64), 32, TWIN, 3, 3, seed=1, space_band=5, time_band=4)
         shapes = _record_fft_shapes(monkeypatch)
         ratio_test_cubic(trials, s=1.0, eps=0.01)
-        assert sum(name in ("fftn", "ifftn") for name, _ in shapes) == 3 * 3
+        assert shapes and all(name == "fft2" and shape[:2] == (32, 32) for name, shape in shapes)
 
 
 def small_trials(arity, n_trials=4, seed=40):
@@ -1025,11 +1027,16 @@ class TestSmallestUnaliasedGrid:
         assert xsb_norm(full, s, b, sign) == pytest.approx(xsb_norm(fine, s, b, sign), rel=1e-12)
 
     def test_cubic_products_transform_on_the_coarse_grid(self, monkeypatch):
-        # Band-5 factors at n=64: the band-15 products fit a 32^2 grid.
+        # Band-5 factors at n=64: the band-15 products fit a 32^2 grid, where
+        # each is cut to its columns by 2-D transforms of one time block
+        # apiece; the blocks cover the nt = 64 slices once per product.
+        import msmlab.xsb as xsb
+
         trials = banded_trials(3, 64, n_trials=1)
         shapes = _record_fft_shapes(monkeypatch)
         ratio_test_cubic(trials, 1.0, 0.01)
-        assert shapes == [("fftn", (32, 32, 64))] * 3
+        step = xsb._BLOCK_POINTS // 32**2
+        assert shapes == [("fft2", (32, 32, step))] * (3 * 64 // step)
 
     @pytest.mark.parametrize("suite", ["cubic", "quintic", "nullform"])
     def test_unknown_band_keeps_the_n_grid(self, suite, monkeypatch):
@@ -1136,6 +1143,35 @@ def _count_syntheses(monkeypatch) -> list[tuple[int, int, int]]:
 
 
 class TestSynthesisFromTheBox:
+    @pytest.mark.parametrize("band", [5, 10, 15, 25])
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_synthesis_is_the_per_call_formula_bit_for_bit(self, band, m):
+        import msmlab.xsb as xsb
+
+        shape = (2 * band + 1, 2 * band + 1, 128)
+        rng = np.random.default_rng(band + m)
+        columns = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # The phase matrix built in every call, and the two contractions by tensordot.
+        phase = np.exp((2j * np.pi / m) * (np.outer(np.arange(m), np.arange(-band, band + 1)) % m))
+        for nt in (4, 16, 64):
+            block = columns[:, :, 8:8 + nt]  # a time block of wider columns, as the suites pass
+            expect = phase @ np.tensordot(phase, block, axes=(1, 0))
+            assert np.array_equal(xsb._synthesize(block, m), expect)
+        assert xsb._phase(band, m) is xsb._phase(band, m)
+        assert not xsb._phase(band, m).flags.writeable
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_every_synthesis_covers_at_most_one_time_block(self, suite, monkeypatch):
+        # Reading a band-limited factor's values synthesizes all its nt slices
+        # in one call; a streamed suite synthesizes one block at a time.
+        import msmlab.xsb as xsb
+
+        arity, run, _, _ = SUITES[suite]
+        calls = _count_syntheses(monkeypatch)
+        run(sample_trials(grid(64), 128, TWIN, arity, 2, seed=66, space_band=5, time_band=10))
+        assert calls
+        assert all(slices <= max(1, xsb._BLOCK_POINTS // m**2) for _, m, slices in calls)
+
     def test_values_synthesized_once_on_first_read(self, monkeypatch):
         calls = _count_syntheses(monkeypatch)
         f = white_field(70, sb=3)
@@ -1348,16 +1384,22 @@ class TestStreamedSuites:
         xsb._weight_sq.cache_clear()
         assert traced_peak(lambda: xsb_norm(f, 1.0, -0.48)) < 0.75 * f.columns.nbytes
 
-    @pytest.mark.parametrize("suite,limit_mib", [("quintic", 15), ("bilinear", 18)])
-    def test_one_band_5_trial_stays_below_its_memory_peak(self, suite, limit_mib):
-        # At n=64, nt=128 one complex sample box is 8 MiB; holding the
-        # quintic's gradients or the bilinear products whole peaked near 55
-        # and 37 MiB.  The weights are built inside the traced span.
+    @pytest.mark.parametrize("suite,limit_mib,band", [
+        ("cubic", 5, 5), ("quintic", 10, 5), ("nullform", 6, 5), ("bilinear", 4, 5),
+        ("cubic", 10, 8)])
+    def test_one_trial_stays_below_its_memory_peak(self, suite, limit_mib, band):
+        # At n=64, nt=128 one complex sample box is 8 MiB.  Whole sample boxes
+        # and whole-field checks peaked at 11.2, 12.0, 13.4 and 5.2 MiB for one
+        # band-5 trial of each suite, and at 41.6 MiB for a band-8 cubic trial,
+        # whose band-24 products fill the 64^2 grid; streamed, each suite
+        # holds columns and a block of samples per operand.  The weights are
+        # built inside the traced span.
         import msmlab.xsb as xsb
 
         arity, run, _, _ = SUITES[suite]
-        trial = sample_trials(grid(64), 128, TWIN, arity, 1, seed=64, space_band=5,
-                              time_band=10)[0]
+        trial = sample_trials(grid(64), 128, TWIN, arity, 1, seed=64, space_band=band,
+                              time_band=2 * band)[0]
         xsb._weight_sq.cache_clear()
         xsb._sup_l2_constant.cache_clear()
+        xsb._phase.cache_clear()
         assert traced_peak(lambda: run([trial])) < limit_mib * 2**20
