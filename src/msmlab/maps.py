@@ -23,11 +23,13 @@ iteration contracts only when ``dt * max|k|^2 / 2 < 1``, which gives the
 grid-tied step bound :func:`max_stable_dt`, which :func:`check_dt` enforces.
 
 Each right-hand side evaluation Laplaces the three stacked components in
-one real transform pair (:meth:`~msmlab.spectral.PeriodicGrid.laplacian`)
-and forms the cross product component by component in the layout of its
-first factor.  :func:`step_geometric` copies the map once per step into
-component-major memory, still indexed ``(..., 3)``: each component is then
-one contiguous plane for the transforms and the pointwise work of every
+one call (:meth:`~msmlab.spectral.Grid2D.laplacian`): two small matrix
+products per component on a 2-D grid of at most 64 points per axis, one
+real transform pair on a larger or 1-D grid.  It then forms the cross
+product component by component in the layout of its first factor.
+:func:`step_geometric` copies the map once per step into component-major
+memory, still indexed ``(..., 3)``: each component is then one contiguous
+plane for the products, the transforms and the pointwise work of every
 inner iteration, and the step's result does not depend on the memory layout
 of its input.
 

@@ -370,6 +370,18 @@ class TestEvolve:
         assert (err.value.step, err.value.t) == (1, dt)
         assert str(err.value).endswith(f"after 1 iterations at step 1, t={dt:.6g}")
 
+    def test_dense_laplacian_flow_matches_the_real_pair(self, monkeypatch):
+        # At n = 64 the flow's Laplacian is two matrix products per
+        # component; the transform flow is the reference.
+        g = Grid2D(n=64, length=1.0)
+        mf = bump_chart_map(g)
+        dt = 0.76 * max_stable_dt(g)
+        got = evolve(mf, dt, 20, store_every=20).maps[-1]
+        monkeypatch.setattr(Grid2D, "laplacian", lambda self, f: self._apply(self._laplacian, f))
+        want = evolve(mf, dt, 20, store_every=20).maps[-1]
+        assert np.max(np.abs(got.s3 - want.s3)) <= 1e-12
+        assert got.normalization_error() <= 1e-12
+
     def test_one_dimensional_grid(self):
         g = Grid1D(n=64, length=20.0)
         w = 0.5 * np.exp(-((g.x - 10.0) ** 2) / 4.0)

@@ -602,8 +602,26 @@ class TestTransformCounts:
         assert count.total() == 12
         assert count == Counter(rfft2=4, irfft2=4, fft2=2, ifftn=2)
 
-    def test_map_step_costs_six_per_evaluation(self, monkeypatch):
-        # One real pair on the three stacked components per right-hand side.
+    def test_small_map_step_runs_no_transform(self, monkeypatch):
+        # At n <= 64 the real Laplacian is two dense products per component;
+        # only the grid's first step builds its cached matrix through the
+        # real pair.
+        from msmlab import maps
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft transform in a warm n = 32 map step")
+
+        mf = bump_map(32)
+        dt = 0.5 * max_stable_dt(mf.grid)
+        mf = maps.step_geometric(mf, dt)
+        transforms = [name for name in np.fft.__all__ if "freq" not in name and "shift" not in name]
+        for name in transforms:
+            monkeypatch.setattr(np.fft, name, refuse)
+        maps.step_geometric(mf, dt)
+
+    def test_large_map_step_costs_six_per_evaluation(self, monkeypatch):
+        # Above n = 64, one real pair on the three stacked components per
+        # right-hand side.
         from msmlab import maps
 
         evaluations = [0]
@@ -617,13 +635,13 @@ class TestTransformCounts:
         def refuse(*args, **kwargs):
             raise AssertionError("complex 2-D transform in a map step")
 
-        mf = bump_map(32)
+        mf = bump_map(128)
         count = _count_2d_transforms(monkeypatch)
         for name in ("fft2", "ifft2", "ifftn"):
             monkeypatch.setattr(np.fft, name, refuse)
         maps.step_geometric(mf, 0.5 * max_stable_dt(mf.grid))
         assert evaluations[0] > 2
-        assert count.total() == 6 * evaluations[0]
+        assert count == Counter(rfft2=3 * evaluations[0], irfft2=3 * evaluations[0])
 
     def test_stacked_calls_count_every_slice(self, monkeypatch):
         g = Grid2D(n=16, length=1.0)

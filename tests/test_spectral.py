@@ -238,6 +238,36 @@ _REAL_OPERATORS = [
 ]
 
 
+def _check_real_operator(monkeypatch, g, op, trailing, layout, pairs=None):
+    """Check a real-field operator of g against the complex symbol and count its transforms.
+
+    ``pairs`` is the number of real pairs the call may run, one per output
+    when None; it runs no other transform.
+    """
+    f = RNG.standard_normal(g.shape + trailing)
+    # Put weight on the Nyquist plane of the last transformed axis, the
+    # mode the half spectrum stores once.
+    f += np.cos(np.pi * g.coords[-1] / g.spacing).reshape(g.shape + (1,) * len(trailing))
+    if layout != "C":
+        f = component_major(f) if trailing else np.asfortranarray(f)
+    wants = [g.ifft(g._times(s, g.fft(f))).real for s in _complex_symbols(g, op)]
+    getattr(g, op)(f)  # builds whatever the grid caches on first use
+    calls = Counter()
+    for name in ("fft", "ifft", "fft2", "ifft2", "ifftn", "rfft", "irfft", "rfft2", "irfft2"):
+        def counted(*args, name=name, original=getattr(np.fft, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    got = getattr(g, op)(f)
+    gots = list(got) if op == "gradient" else [got]
+    pairs = len(wants) if pairs is None else pairs
+    suffix = "2" if g.dim == 2 else ""
+    assert calls == Counter({"rfft" + suffix: pairs, "irfft" + suffix: pairs})
+    for got, want in zip(gots, wants, strict=True):
+        assert got.dtype == np.float64 and got.shape == f.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestRealPair:
     """A real field runs on the half spectrum, a complex one does not."""
 
@@ -246,28 +276,17 @@ class TestRealPair:
     @pytest.mark.parametrize("layout", ["C", "component-major"])
     def test_real_laplacian_matches_complex_symbol(self, monkeypatch, cls, op, trailing, layout):
         # Every real-field operator equals the real part of the complex path
-        # and transforms through the real pair alone.
-        g = cls(n=16, length=3.0)
-        f = RNG.standard_normal(g.shape + trailing)
-        # Put weight on the Nyquist plane of the last transformed axis, the
-        # mode the half spectrum stores once.
-        f += np.cos(np.pi * g.coords[-1] / g.spacing).reshape(g.shape + (1,) * len(trailing))
-        if layout != "C":
-            f = component_major(f) if trailing else np.asfortranarray(f)
-        wants = [g.ifft(g._times(s, g.fft(f))).real for s in _complex_symbols(g, op)]
-        calls = Counter()
-        for name in ("fft", "ifft", "fft2", "ifft2", "ifftn", "rfft", "irfft", "rfft2", "irfft2"):
-            def counted(*args, name=name, original=getattr(np.fft, name), **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
-        got = getattr(g, op)(f)
-        gots = list(got) if op == "gradient" else [got]
-        suffix = "2" if g.dim == 2 else ""
-        assert calls == Counter({"rfft" + suffix: len(wants), "irfft" + suffix: len(wants)})
-        for got, want in zip(gots, wants, strict=True):
-            assert got.dtype == np.float64 and got.shape == f.shape
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # and transforms through the real pair alone, but for the 2-D
+        # Laplacian at n <= 64, which transforms nothing.
+        dense = cls is Grid2D and op == "laplacian"
+        _check_real_operator(monkeypatch, cls(n=16, length=3.0), op, trailing, layout,
+                             pairs=0 if dense else None)
+
+    @pytest.mark.parametrize("trailing", [(), (3,)], ids=["single", "stacked"])
+    @pytest.mark.parametrize("layout", ["C", "component-major"])
+    def test_large_real_laplacian_keeps_the_real_pair(self, monkeypatch, trailing, layout):
+        _check_real_operator(monkeypatch, Grid2D(n=128, length=3.0), "laplacian", trailing,
+                             layout, pairs=1)
 
     def test_real_pair_roundtrip_keeps_component_planes(self):
         g = Grid2D(n=16, length=2.0)
@@ -296,6 +315,44 @@ class TestRealPair:
         g = cls(n=16, length=3.0)
         f = random_complex(g.shape + (2,), RNG)
         np.testing.assert_array_equal(g.laplacian(f), g.ifft(g._times(-g.k2, g.fft(f))))
+
+
+class TestDenseLaplacian:
+    """The real 2-D Laplacian at n <= 64: the real pair's second derivative as a matrix."""
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_matrix_is_symmetric_and_read_only(self, n):
+        d2 = Grid2D(n=n, length=3.0)._second_derivative
+        assert d2.shape == (n, n)
+        np.testing.assert_array_equal(d2, d2.T)
+        assert not d2.flags.writeable
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    @pytest.mark.parametrize("trailing,layout", [
+        ((), "C"), ((), "F"), ((3,), "C"), ((3,), "F"), ((3,), "component-major"),
+        ((2, 3), "C")])
+    def test_matches_the_real_pair(self, n, trailing, layout):
+        g = Grid2D(n=n, length=3.0)
+        f = RNG.standard_normal(g.shape + trailing)
+        # Weight on the Nyquist plane of both axes, the mode the half
+        # spectrum stores once.
+        nyquist = np.cos(np.pi * g.x / g.spacing) + np.cos(np.pi * g.y / g.spacing)
+        f += nyquist.reshape(g.shape + (1,) * len(trailing))
+        if layout == "F":
+            f = np.asfortranarray(f)
+        elif layout == "component-major":
+            f = component_major(f)
+        want = g._apply(g._laplacian, f)
+        got = g.laplacian(f)
+        assert got.dtype == np.float64 and got.shape == f.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,real", [(64, False), (128, True), (128, False)])
+    def test_complex_and_large_fields_keep_the_transforms(self, n, real):
+        g = Grid2D(n=n, length=3.0)
+        shape = g.shape + (3,)
+        f = RNG.standard_normal(shape) if real else random_complex(shape, RNG)
+        np.testing.assert_array_equal(g.laplacian(f), g._apply(g._laplacian, f))
 
 
 class TestOneAllocation:
