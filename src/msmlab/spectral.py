@@ -48,9 +48,11 @@ stacked n x n planes, 2 / 1 BLAS threads, on a 2-core x86 machine):
     128   476 /  800 us     401 /  694 us
     256  3624 / 3742 us    3535 / 4691 us
 
-The cutoff is n^3 <= 2^18: OpenBLAS runs a product of that size on one
-thread, and above it the gain is small or the products lose.  Complex
-fields, 1-D grids and larger grids keep the transforms.
+The cutoff is n^3 <= 2^18, the largest product OpenBLAS runs on one
+thread; it keeps the multi-threaded products out, not a slower path: at
+n = 128 the products still win in isolation, but the map-side benchmark
+with the cutoff at 128 was not resolved faster (10 pairs, lower in 6).
+Complex fields, 1-D grids and larger grids keep the transforms.
 
 The 2-D ``fft``, ``ifft`` and ``rfft`` allocate one array each, their
 result: they hand numpy an ``out`` array laid out like the input, numpy
